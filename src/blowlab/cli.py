@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .solver import (
     STATUS_OVERFLOWED,
     InsufficientGrowthError,
     Trajectory,
+    dt_branch_counts,
     estimate_T,
     far_field_report,
     load_checkpoint,
@@ -106,8 +108,12 @@ def cmd_run(args) -> int:
     u0 = profile_seeded_field(run_config.solver.grid, params,
                               t_star=run_config.t_star,
                               taper_start=run_config.taper_start)
+    start = perf_counter()
     trajectory = run_until_blowup(u0, run_config.solver)
+    stepping_s = perf_counter() - start
+    diffusion_steps, reaction_steps = dt_branch_counts(trajectory)
 
+    start = perf_counter()
     version_line = f"# blowlab {__version__}\n"
     (out / "trajectory.csv").write_text(version_line + trajectory_to_csv(trajectory))
     save_checkpoint(trajectory, out / "checkpoint.json")
@@ -115,9 +121,13 @@ def cmd_run(args) -> int:
     (out / "field_final.csv").write_text(
         version_line
         + field_to_csv(trajectory.last_field, params, run_config.solver.boundary))
+    writes_s = perf_counter() - start
 
     summary = {"manifest": manifest, "status": trajectory.status,
                "steps": len(trajectory._hist) - 1,
+               "steps_diffusion_limited": diffusion_steps,
+               "steps_reaction_limited": reaction_steps,
+               "wall_s": {"stepping": stepping_s, "writes": writes_s},
                "t_last": trajectory.last_field.time,
                "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
     if trajectory.status == STATUS_BLOWN_UP:
@@ -402,6 +412,12 @@ def cmd_report(args) -> int:
     print(f"  grid: R={config['R']} M={config['M']}  boundary={config['boundary']}")
     print(f"  status: {summary['status']}  steps={summary['steps']}  "
           f"t_last={summary['t_last']!r}")
+    if "steps_diffusion_limited" in summary:
+        print(f"  dt branch: diffusion-limited={summary['steps_diffusion_limited']}  "
+              f"reaction-limited={summary['steps_reaction_limited']}")
+    if "wall_s" in summary:
+        wall = summary["wall_s"]
+        print(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")
     if "estimate" in summary:
         est = summary["estimate"]
         print(f"  T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "

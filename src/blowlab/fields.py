@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .params import ModelParams
 
@@ -56,6 +55,36 @@ class RadialGrid:
         return cls(R=float(data["R"]), M=int(data["M"]), dim=int(data["dim"]))
 
 
+@dataclass(frozen=True)
+class GridGeometry:
+    """The fixed arrays and constants of the discrete operators on one grid.
+
+    Built once per run (or per public operator call) and passed to the
+    kernels, so the step loop never recomputes them.  Each entry is the
+    exact expression the kernels would otherwise evaluate per call, which
+    keeps the kernels' output bit-identical.
+    """
+
+    h: float
+    dim: int
+    dr: np.ndarray               # np.diff(r): the trapezoid panel widths
+    r_pow: np.ndarray | None     # r^(dim-1), ball-integral weight; None when dim == 1
+    lap_coef: np.ndarray | None  # (dim-1)/r at the interior nodes; None when dim == 1
+    area: float                  # sphere_area(dim)
+    inv_h2: float                # 1/h^2
+
+    @classmethod
+    def of(cls, grid: RadialGrid) -> "GridGeometry":
+        h = grid.h
+        r = grid.r
+        r_pow = lap_coef = None
+        if grid.dim > 1:
+            r_pow = r ** (grid.dim - 1.0)
+            lap_coef = (grid.dim - 1.0) / (np.arange(1, grid.M, dtype=float) * h)
+        return cls(h=h, dim=grid.dim, dr=np.diff(r), r_pow=r_pow, lap_coef=lap_coef,
+                   area=sphere_area(grid.dim), inv_h2=1.0 / (h * h))
+
+
 @dataclass
 class RadialField:
     """Values of an even radial scalar at the grid nodes at one time."""
@@ -95,21 +124,23 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def _laplacian_values(u: np.ndarray, h: float, dim: int, boundary: str) -> np.ndarray:
+def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Radial Laplacian u'' + (dim-1)/r u' on the node values.
 
     Origin: the removable singularity gives dim * u''(0), discretized with
-    the even-symmetry ghost node.  r = R: per the boundary closure.
+    the even-symmetry ghost node.  r = R: per the boundary closure.  Writes
+    into ``out`` when given.
     """
-    out = np.empty_like(u)
-    inv_h2 = 1.0 / (h * h)
+    if out is None:
+        out = np.empty_like(u)
+    inv_h2 = geom.inv_h2
     # interior second derivative + first-derivative term
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
-    if dim > 1:
-        r = np.arange(1, len(u) - 1, dtype=float) * h
-        out[1:-1] += (dim - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * h)
+    if geom.lap_coef is not None:
+        out[1:-1] += geom.lap_coef * (u[2:] - u[:-2]) / (2.0 * geom.h)
     # origin: ghost u(-h) = u(h)
-    out[0] = 2.0 * dim * (u[1] - u[0]) * inv_h2
+    out[0] = 2.0 * geom.dim * (u[1] - u[0]) * inv_h2
     if boundary == BOUNDARY_DIRICHLET:
         # boundary node is pinned; its time derivative is forced to zero
         out[-1] = 0.0
@@ -136,7 +167,7 @@ def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
 
 def laplacian(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialField:
     """Discrete radial Laplacian of the field (exact on quadratics inside)."""
-    vals = _laplacian_values(field.values, field.grid.h, field.grid.dim, boundary)
+    vals = _laplacian_values(field.values, GridGeometry.of(field.grid), boundary)
     return RadialField(field.grid, vals, field.time)
 
 
@@ -146,12 +177,24 @@ def gradient(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialFi
     return RadialField(field.grid, vals, field.time)
 
 
-def _nonlocal_prefix_values(u: np.ndarray, r: np.ndarray, q: float, dim: int) -> np.ndarray:
-    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr."""
-    integrand = np.abs(u) ** (q - 1.0)
-    if dim > 1:
-        integrand = integrand * r ** (dim - 1.0)
-    return sphere_area(dim) * cumulative_trapezoid(integrand, r, initial=0.0)
+def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry, q: float) -> np.ndarray:
+    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr.
+
+    Takes |u| (the right-hand side computes it once for both of its terms).
+    The prefix sum is the cumulative trapezoid rule written out, with the
+    same operations in the same order as scipy's ``cumulative_trapezoid``.
+    """
+    integrand = abs_u ** (q - 1.0)
+    if geom.r_pow is not None:
+        integrand *= geom.r_pow
+    panels = integrand[1:] + integrand[:-1]
+    panels *= geom.dr
+    panels /= 2.0
+    J = np.empty_like(integrand)
+    J[0] = 0.0
+    np.cumsum(panels, out=J[1:])
+    J *= geom.area
+    return J
 
 
 def nonlocal_prefix(field: RadialField, params: ModelParams) -> NonlocalPrefix:
@@ -159,7 +202,7 @@ def nonlocal_prefix(field: RadialField, params: ModelParams) -> NonlocalPrefix:
 
     Nondecreasing in i, J_0 = 0, homogeneous of degree q-1 in the field.
     """
-    J = _nonlocal_prefix_values(field.values, field.grid.r, params.q, field.grid.dim)
+    J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
     return NonlocalPrefix(field.grid, J)
 
 
@@ -183,11 +226,12 @@ def field_to_csv(field: RadialField, params: ModelParams,
     """Snapshot CSV body: r,u,du_dr,J with a comment header carrying time
     and the full parameter set."""
     du = _gradient_values(field.values, field.grid.h, boundary)
-    J = _nonlocal_prefix_values(field.values, field.grid.r, params.q, field.grid.dim)
+    J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
     lines = [f"# time: {field.time!r}"]
     for key, val in params.to_dict().items():
         lines.append(f"# {key}: {val!r}")
     lines.append("r,u,du_dr,J")
-    for r, u, g, j in zip(field.grid.r, field.values, du, J):
+    for r, u, g, j in zip(field.grid.r.tolist(), field.values.tolist(), du.tolist(),
+                          J.tolist()):
         lines.append(f"{r!r},{u!r},{g!r},{j!r}")
     return "\n".join(lines) + "\n"

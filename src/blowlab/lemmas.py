@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import RadialField, _gradient_values, _nonlocal_prefix_values
+from .fields import GridGeometry, RadialField, _gradient_values, _nonlocal_prefix_values
 from .params import ModelParams, validate
 from .solver import SolverConfig, Trajectory, estimate_T, run_until_blowup
 
@@ -361,10 +361,11 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     if T is None:
         T = estimate_T(trajectory, params).T_est
     grid = trajectory.config.grid
+    geom = GridGeometry.of(grid)
     times = trajectory.times
     s = T - times
     J = np.array([
-        _nonlocal_prefix_values(snap.values, grid.r, params.q, params.dim)[-1]
+        _nonlocal_prefix_values(np.abs(snap.values), geom, params.q)[-1]
         for snap in trajectory.snapshots
     ])
     keep = (s > 0.0) & (s < 1.0) & (J > 0.0)

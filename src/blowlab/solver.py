@@ -18,10 +18,21 @@ resolution of absolute time (dt < eps * t), so the recorded times collapse
 while the field keeps evolving.  Every history row therefore carries its
 own dt; time-to-end quantities are reconstructed by summing dt backwards,
 which stays exact where absolute time cannot.
+
+Bit-identity invariant: a change that is meant to leave the numerics alone
+must leave every run bit-identical (history, snapshots, Kahan compensation).
+The step kernels therefore keep each arithmetic operation and its order; a
+speed-up may only move work out of the loop.  ``_advance`` builds the run's
+fixed geometry (:class:`~blowlab.fields.GridGeometry`: panel widths, radial
+weights, the Laplacian's 1/r coefficients, 1/h^2) and a reused stage buffer
+once per call, and holds one ``np.errstate`` scope around the whole step
+loop.  ``tests/test_solver.py`` checks the loop against a reference stepper
+written with the original per-call formulas.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,6 +40,7 @@ import numpy as np
 from .fields import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
+    GridGeometry,
     NonFiniteFieldError,
     RadialField,
     RadialGrid,
@@ -80,6 +92,8 @@ class SolverConfig:
             raise ValueError("snapshot_growth must exceed 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.grid.dim != self.params.dim:
+            raise ValueError(f"grid dim {self.grid.dim} differs from params dim {self.params.dim}")
 
     def to_dict(self) -> dict:
         return {
@@ -203,17 +217,27 @@ def _sup(values: np.ndarray, h: float) -> tuple[float, float]:
     return float(a[i]), i * h
 
 
-def _rhs_values(u: np.ndarray, r: np.ndarray, h: float, params: ModelParams,
-                boundary: str, reaction: bool) -> np.ndarray:
-    # overflow here is an expected, explicitly detected condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _laplacian_values(u, h, params.dim, boundary)
-        if reaction:
-            out += np.abs(u) ** (params.p - 1.0) * u
-        if params.mu != 0.0:
-            g = _gradient_values(u, h, boundary)
-            J = _nonlocal_prefix_values(u, r, params.q, params.dim)
-            out += params.mu * np.abs(g) * J
+def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
+                reaction: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side on the node values, written into ``out`` when given.
+
+    Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
+    here is an expected condition, detected by the caller's finiteness test.
+    """
+    out = _laplacian_values(u, geom, boundary, out)
+    if reaction or params.mu != 0.0:
+        abs_u = np.abs(u)
+    if reaction:
+        react = abs_u ** (params.p - 1.0)
+        react *= u
+        out += react
+    if params.mu != 0.0:
+        g = _gradient_values(u, geom.h, boundary)
+        J = _nonlocal_prefix_values(abs_u, geom, params.q)
+        np.abs(g, out=g)
+        g *= params.mu
+        g *= J
+        out += g
     if boundary == BOUNDARY_DIRICHLET:
         out[-1] = 0.0
     return out
@@ -222,7 +246,11 @@ def _rhs_values(u: np.ndarray, r: np.ndarray, h: float, params: ModelParams,
 def rhs(field: RadialField, params: ModelParams,
         boundary: str = BOUNDARY_DIRICHLET, reaction: bool = True) -> RadialField:
     """Full right-hand side, one ball-integral pass per evaluation."""
-    vals = _rhs_values(field.values, field.grid.r, field.grid.h, params, boundary, reaction)
+    if field.grid.dim != params.dim:
+        raise ValueError(f"grid dim {field.grid.dim} differs from params dim {params.dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _rhs_values(field.values, GridGeometry.of(field.grid), params, boundary,
+                           reaction)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("right-hand side overflowed")
     return RadialField(field.grid, vals, field.time)
@@ -232,22 +260,33 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
     h = config.grid.h
     p = config.params.p
     dt_diff = h * h / (2.0 * config.grid.dim)
-    with np.errstate(over="ignore"):
+    try:
         dt_stiff = 1.0 / (1.0 + p * supnorm ** (p - 1.0))
+    except OverflowError:  # float power raises instead of returning inf
+        dt_stiff = 0.0
     dt = config.dt_safety * min(dt_diff, dt_stiff)
     if not dt > 0.0 or not np.isfinite(dt):
         raise NonFiniteFieldError(f"step size collapsed (supnorm={supnorm})")
     return dt
 
 
-def _heun(u: np.ndarray, r: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
+def _heun(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
+          work: np.ndarray) -> np.ndarray:
+    """One Heun step.  ``work`` is a (3, M+1) work block that holds the
+    stages and the predictor; it may be reused across steps."""
     p = config.params
-    k1 = _rhs_values(u, r, config.grid.h, p, config.boundary, config.reaction)
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictor = u + dt * k1
-    k2 = _rhs_values(predictor, r, config.grid.h, p, config.boundary, config.reaction)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return u + (0.5 * dt) * (k1 + k2)
+    k1, predictor, k2 = work
+    _rhs_values(u, geom, p, config.boundary, config.reaction, out=k1)
+    np.multiply(k1, dt, out=predictor)
+    predictor += u
+    _rhs_values(predictor, geom, p, config.boundary, config.reaction, out=k2)
+    k1 += k2
+    k1 *= 0.5 * dt
+    return u + k1
+
+
+def _stage_buffer(grid: RadialGrid) -> np.ndarray:
+    return np.empty((3, grid.M + 1))
 
 
 def step(field: RadialField, config: SolverConfig) -> tuple[RadialField, float]:
@@ -257,8 +296,10 @@ def step(field: RadialField, config: SolverConfig) -> tuple[RadialField, float]:
     that into the ``overflowed`` status.
     """
     m, _ = _sup(field.values, config.grid.h)
-    dt = _dt_of(config, m)
-    new = _heun(field.values, config.grid.r, dt, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = _dt_of(config, m)
+        new = _heun(field.values, dt, config, GridGeometry.of(config.grid),
+                    _stage_buffer(config.grid))
     if not np.all(np.isfinite(new)):
         raise NonFiniteFieldError("field overflowed during step")
     return RadialField(field.grid, new, field.time + dt), dt
@@ -290,7 +331,8 @@ def continue_run(trajectory: Trajectory) -> Trajectory:
 def _advance(traj: Trajectory) -> Trajectory:
     config = traj.config
     grid = config.grid
-    r = grid.r
+    geom = GridGeometry.of(grid)
+    work = _stage_buffer(grid)
     h = grid.h
     cap = config.blowup_cap
     t_max = config.t_max
@@ -312,36 +354,38 @@ def _advance(traj: Trajectory) -> Trajectory:
             traj.snapshots.append(fld)
 
     status = STATUS_COMPLETED
-    while steps < config.max_steps:
-        if m >= cap:
-            status = STATUS_BLOWN_UP
-            break
-        if t_max is not None and t >= t_max * (1.0 - 1e-15):
-            status = STATUS_COMPLETED
-            break
-        try:
-            dt = _dt_of(config, m)
-            if t_max is not None:
-                dt = min(dt, t_max - t)
-            new_values = _heun(values, r, dt, config)
-        except (NonFiniteFieldError, FloatingPointError):
-            status = STATUS_OVERFLOWED
-            break
-        if not np.all(np.isfinite(new_values)):
-            status = STATUS_OVERFLOWED
-            break
-        # Kahan-compensated time accumulation
-        y = dt - comp
-        t_new = t + y
-        comp = (t_new - t) - y
-        t = t_new
-        values = new_values
-        steps += 1
-        m, rarg = _sup(values, h)
-        traj._hist.append((t, m, rarg, dt))
-        if steps % stride == 0 or m >= growth * last_snap_m:
-            snapshot()
-            last_snap_m = max(m, np.finfo(float).tiny)
+    # one error-state scope for the whole loop: overflow is detected explicitly
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < config.max_steps:
+            if m >= cap:
+                status = STATUS_BLOWN_UP
+                break
+            if t_max is not None and t >= t_max * (1.0 - 1e-15):
+                status = STATUS_COMPLETED
+                break
+            try:
+                dt = _dt_of(config, m)
+                if t_max is not None:
+                    dt = min(dt, t_max - t)
+                new_values = _heun(values, dt, config, geom, work)
+            except (NonFiniteFieldError, FloatingPointError):
+                status = STATUS_OVERFLOWED
+                break
+            if not np.all(np.isfinite(new_values)):
+                status = STATUS_OVERFLOWED
+                break
+            # Kahan-compensated time accumulation
+            y = dt - comp
+            t_new = t + y
+            comp = (t_new - t) - y
+            t = t_new
+            values = new_values
+            steps += 1
+            m, rarg = _sup(values, h)
+            traj._hist.append((t, m, rarg, dt))
+            if steps % stride == 0 or m >= growth * last_snap_m:
+                snapshot()
+                last_snap_m = max(m, np.finfo(float).tiny)
 
     snapshot()
     traj.status = status
@@ -387,7 +431,7 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
         raise InsufficientGrowthError("fit failed: non-positive growth-rate slope")
     delta_end = max(c / a, 0.0)
     t_last = float(t[-1])
-    T_est = t_last + delta_end
+    T_est = float(t_last + delta_end)
     kappa_est = a ** (-1.0 / (p - 1.0))
     model = kappa_est * (delta_end + s_rel) ** (-1.0 / (p - 1.0))
     residual = float(np.max(np.abs(model - m[i0:]) / m[i0:]))
@@ -396,6 +440,29 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
         fit_window=(float(t[i0]), t_last), residual=residual,
         t_last=t_last, delta_end=float(delta_end),
     )
+
+
+def dt_branch_counts(trajectory: Trajectory) -> tuple[int, int]:
+    """(diffusion-limited, reaction-limited) step counts, recomputed after
+    the run from the history's dt and sup columns, so the step loop pays
+    nothing.  A step clipped to ``t_max`` counts in neither."""
+    config = trajectory.config
+    hist = trajectory._hist
+    n = len(hist)
+    dt = np.fromiter((row[3] for row in hist), float, n)[1:]
+    sup_before = np.fromiter((row[1] for row in hist), float, n)[:-1]
+    p = config.params.p
+    # in place: this runs beside the whole trajectory, and fresh
+    # temporaries here raised a run's peak memory
+    with np.errstate(over="ignore"):
+        dt_react = np.power(sup_before, p - 1.0, out=sup_before)
+    dt_react *= p
+    dt_react += 1.0
+    np.divide(config.dt_safety, dt_react, out=dt_react)
+    dt_diff = config.dt_safety * config.grid.h ** 2 / (2.0 * config.grid.dim)
+    diffusion = dt >= dt_diff * (1.0 - 1e-12)
+    reaction = ~diffusion & (np.abs(dt - dt_react) <= 1e-12 * dt_react)
+    return int(np.sum(diffusion)), int(np.sum(reaction))
 
 
 def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
@@ -417,20 +484,50 @@ def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+_ROWS_PER_WRITE = 1024  # history rows per encoded piece of a checkpoint
+
+
+def _write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it into
+    place, so a reader never sees a partial file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_checkpoint(trajectory: Trajectory, path) -> None:
-    """Single-JSON checkpoint: config, latest field, dense history, status."""
+    """Single-JSON checkpoint: config, latest field, dense history, status.
+
+    The bytes are those of ``json.dumps(doc)``, written in pieces: the C
+    encoder runs on blocks of history rows, so the write never holds the
+    whole text (json.dump would stream, but through the slow Python encoder).
+    """
     last = trajectory.last_field
-    doc = {
+    head = json.dumps({
         "version": CHECKPOINT_VERSION,
         "config": trajectory.config.to_dict(),
         "time": last.time,
         "time_comp": trajectory._time_comp,
         "status": trajectory.status,
-        "values": [float(v) for v in last.values],
-        "maxnorm_history": [[row[0], row[1], row[2], row[3]] for row in trajectory._hist],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+        "values": last.values.tolist(),
+        "maxnorm_history": [],
+    })[:-2]  # reopen the empty history list: drop its closing "]}"
+    hist = trajectory._hist
+
+    def write(fh):
+        fh.write(head.encode())
+        for i in range(0, len(hist), _ROWS_PER_WRITE):
+            rows = json.dumps(hist[i:i + _ROWS_PER_WRITE])[1:-1]  # rows encode as arrays
+            fh.write(((", " if i else "") + rows).encode())
+        fh.write(b"]}")
+
+    _write_atomic(path, write)
 
 
 def load_checkpoint(path) -> Trajectory:
@@ -461,13 +558,14 @@ def load_checkpoint(path) -> Trajectory:
 def save_snapshots(trajectory: Trajectory, path) -> None:
     """Compressed archive of every snapshot (times, field matrix, config)."""
     values = np.stack([s.values for s in trajectory.snapshots])
-    np.savez_compressed(
-        path,
+    # a file handle, so numpy does not append ".npz" to the temp name
+    _write_atomic(path, lambda fh: np.savez_compressed(
+        fh,
         times=trajectory.times,
         values=values,
         status=np.array(trajectory.status),
         config=np.array(json.dumps(trajectory.config.to_dict())),
-    )
+    ))
 
 
 def load_snapshots(path) -> Trajectory:

@@ -7,6 +7,7 @@ shared by criteria 5, 6, 8 and 10.
 import time
 
 import numpy as np
+import pytest
 
 from blowlab.fields import RadialField, RadialGrid
 from blowlab.lemmas import (
@@ -108,6 +109,7 @@ def _fit_window_scaled_amplitude(trajectory, params):
     return est, s ** (1.0 / (params.p - 1.0)) * m[i0:]
 
 
+@pytest.mark.slow
 def test_criterion_5_blowup_run(acceptance_run, default_params):
     traj = acceptance_run
     h = traj.config.grid.h
@@ -120,6 +122,7 @@ def test_criterion_5_blowup_run(acceptance_run, default_params):
                   f"(kappa_est {est.kappa_est:.4f}), argmax r = {argmax_r:g} <= 2h")
 
 
+@pytest.mark.slow
 def test_criterion_6_single_point_blowup(acceptance_run):
     rows = far_field_report(acceptance_run, r_min=0.1)
     u0_far, g0_far = rows[0, 2], rows[0, 3]
@@ -145,6 +148,7 @@ def test_criterion_7_t0_round_trip():
                               f"error {worst:.2e} (<= 1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_8_final_profile(acceptance_run):
     radii = [0.05, 0.08, 0.1, 0.15, 0.2]
     table = final_profile_extract(acceptance_run, radii)
@@ -179,6 +183,7 @@ def test_criterion_9_grid_convergence_and_determinism(default_params):
                   f"(< 1%); repeated run bit-identical: {identical}")
 
 
+@pytest.mark.slow
 def test_criterion_10_frame_diagnostics(acceptance_run, default_params):
     T = estimate_T(acceptance_run, default_params).T_est
     x0_list = [0.2, 0.1, 0.05]   # dyadic toward the origin

@@ -222,6 +222,37 @@ def test_report_summarizes_run(finished_run, capsys):
     assert "status: blown-up" in out
     assert "T_est=" in out
     assert "x0=0.2" in out
+    # telemetry: steps per dt branch and the wall-time split
+    summary = json.loads((finished_run / "run_summary.json").read_text())
+    diffusion = summary["steps_diffusion_limited"]
+    reaction = summary["steps_reaction_limited"]
+    assert diffusion > 0 and reaction > 0
+    assert diffusion + reaction == summary["steps"]  # no t_max clip in this run
+    assert set(summary["wall_s"]) == {"stepping", "writes"}
+    assert all(v >= 0.0 for v in summary["wall_s"].values())
+    assert f"diffusion-limited={diffusion}  reaction-limited={reaction}" in out
+    assert "wall: stepping=" in out and "writes=" in out
+
+
+def test_text_outputs_carry_no_numpy_reprs(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    stdout = []
+    for argv in (["run", "--config", config, "--out", str(out)],
+                 ["frames", "--out", str(out), "--x0", "0.2"],
+                 ["report", "--out", str(out)],
+                 ["sweep", "--config", config, "--grid", "mu=0:0.1:2",
+                  "--out", str(tmp_path / "sweep"), "--workers", "1"]):
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out)
+    assert not any("np.float64" in text for text in stdout)
+    assert "np.float64" not in (tmp_path / "sweep" / "sweep_summary.csv").read_text()
+    # numpy's skiprows counts the comment lines too, so skip through the header
+    header_row = (out / "field_final.csv").read_text().splitlines().index("r,u,du_dr,J")
+    field = np.loadtxt(out / "field_final.csv", delimiter=",", comments="#",
+                       skiprows=header_row + 1)
+    assert field.shape == (65, 4)
+    assert field[0, 0] == 0.0 and field[-1, 0] == 1.0
 
 
 def test_report_missing_artifacts(tmp_path, capsys):

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
-from blowlab.fields import NonFiniteFieldError, RadialField, RadialGrid
+from blowlab.fields import NonFiniteFieldError, RadialField, RadialGrid, sphere_area
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
@@ -15,12 +16,15 @@ from blowlab.solver import (
     SolverConfig,
     Trajectory,
     continue_run,
+    dt_branch_counts,
     estimate_T,
     load_checkpoint,
+    load_snapshots,
     profile_seeded_field,
     rhs,
     run_until_blowup,
     save_checkpoint,
+    save_snapshots,
     step,
     trajectory_to_csv,
 )
@@ -264,3 +268,187 @@ def test_trajectory_csv_layout(small_run):
     # csv parses back to the same floats (shortest round-trip reprs)
     t, m, rarg, dt = (float(tok) for tok in body[2].split(","))
     assert (t, m, rarg, dt) == tuple(small_run.maxnorm_history[1])
+
+
+# ------------------------------------------------- bit-identity reference
+#
+# A reference Heun stepper written with the original per-call formulas:
+# scipy's cumulative_trapezoid, one np.errstate scope per kernel call and
+# freshly allocated arrays everywhere.  The production loop hoists the grid
+# geometry, the error-state scope and the stage buffers out of the step; it
+# must reproduce this reference bit for bit.
+
+def _ref_laplacian(u, h, dim, boundary):
+    out = np.empty_like(u)
+    inv_h2 = 1.0 / (h * h)
+    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
+    if dim > 1:
+        r = np.arange(1, len(u) - 1, dtype=float) * h
+        out[1:-1] += (dim - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * h)
+    out[0] = 2.0 * dim * (u[1] - u[0]) * inv_h2
+    if boundary == "dirichlet-zero":
+        out[-1] = 0.0
+    else:
+        out[-1] = 2.0 * (u[-2] - u[-1]) * inv_h2
+    return out
+
+
+def _ref_gradient(u, h, boundary):
+    out = np.empty_like(u)
+    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    out[0] = 0.0
+    if boundary == "neumann-zero":
+        out[-1] = 0.0
+    else:
+        out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    return out
+
+
+def _ref_prefix(u, r, q, dim):
+    integrand = np.abs(u) ** (q - 1.0)
+    if dim > 1:
+        integrand = integrand * r ** (dim - 1.0)
+    return sphere_area(dim) * cumulative_trapezoid(integrand, r, initial=0.0)
+
+
+def _ref_rhs(u, r, h, params, boundary, reaction):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _ref_laplacian(u, h, params.dim, boundary)
+        if reaction:
+            out += np.abs(u) ** (params.p - 1.0) * u
+        if params.mu != 0.0:
+            g = _ref_gradient(u, h, boundary)
+            J = _ref_prefix(u, r, params.q, params.dim)
+            out += params.mu * np.abs(g) * J
+    if boundary == "dirichlet-zero":
+        out[-1] = 0.0
+    return out
+
+
+def _ref_heun(u, r, dt, config):
+    args = (r, config.grid.h, config.params, config.boundary, config.reaction)
+    k1 = _ref_rhs(u, *args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictor = u + dt * k1
+    k2 = _ref_rhs(predictor, *args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u + (0.5 * dt) * (k1 + k2)
+
+
+def _ref_run(u0, config):
+    """(history rows, final values, Kahan compensation) of a cap/budget run."""
+    h, p = config.grid.h, config.params.p
+    values = u0.values.copy()
+    if config.boundary == "dirichlet-zero":
+        values[-1] = 0.0
+
+    def sup(v):
+        a = np.abs(v)
+        i = int(np.argmax(a))
+        return float(a[i]), i * h
+
+    t, comp = u0.time, 0.0
+    m, rarg = sup(values)
+    hist = [(t, m, rarg, 0.0)]
+    while len(hist) - 1 < config.max_steps and m < config.blowup_cap:
+        with np.errstate(over="ignore"):
+            dt_stiff = 1.0 / (1.0 + p * m ** (p - 1.0))
+        dt = config.dt_safety * min(h * h / (2.0 * config.grid.dim), dt_stiff)
+        values = _ref_heun(values, config.grid.r, dt, config)
+        assert np.all(np.isfinite(values))
+        y = dt - comp
+        t_new = t + y
+        comp = (t_new - t) - y
+        t = t_new
+        m, rarg = sup(values)
+        hist.append((t, m, rarg, dt))
+    return np.asarray(hist, dtype=float), values, comp
+
+
+@pytest.mark.parametrize("reaction", [True, False])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+@pytest.mark.parametrize("boundary", ["dirichlet-zero", "neumann-zero"])
+@pytest.mark.parametrize("dim,q", [(1, 3.0), (2, 4.6)])
+def test_run_is_bit_identical_to_reference_stepper(dim, q, boundary, mu, reaction):
+    params = validate(p=4.0, q=q, mu=mu, dim=dim)
+    g = RadialGrid(R=1.0, M=64, dim=dim)
+    u0 = profile_seeded_field(g, params, t_star=0.01)
+    config = SolverConfig(grid=g, params=params, boundary=boundary, reaction=reaction,
+                          blowup_cap=1e6, max_steps=600, record_stride=100)
+    traj = run_until_blowup(u0, config)
+    hist, values, comp = _ref_run(u0, config)
+    assert np.array_equal(traj.maxnorm_history, hist)
+    assert np.array_equal(traj.last_field.values, values)
+    assert traj._time_comp == comp
+
+
+def test_dt_overflow_is_flagged_not_raised(default_params):
+    """A sup-norm whose power overflows a Python float ends the run as
+    overflowed instead of raising OverflowError."""
+    g = RadialGrid(R=1.0, M=16, dim=1)
+    config = quiet_config(g, default_params, max_steps=50)
+    traj = run_until_blowup(RadialField(g, np.full(g.M + 1, 1e120)), config)
+    assert traj.status == STATUS_OVERFLOWED
+    with pytest.raises(NonFiniteFieldError, match="collapsed"):
+        step(RadialField(g, np.full(g.M + 1, 1e120)), config)
+
+
+def test_dt_branch_counts(small_run, heat_params):
+    diffusion, reaction = dt_branch_counts(small_run)
+    assert diffusion > 0 and reaction > 0
+    assert diffusion + reaction == len(small_run.maxnorm_history) - 1
+    # the last step of a t_max run is clipped and belongs to neither branch
+    g = RadialGrid(R=1.0, M=64, dim=1)
+    config = quiet_config(g, heat_params, t_max=0.01, reaction=False)
+    traj = run_until_blowup(RadialField(g, np.cos(0.5 * np.pi * g.r)), config)
+    assert dt_branch_counts(traj) == (len(traj.maxnorm_history) - 2, 0)
+
+
+def test_grid_params_dim_mismatch_is_rejected(default_params):
+    grid = RadialGrid(R=1.0, M=16, dim=2)
+    with pytest.raises(ValueError, match="dim"):
+        SolverConfig(grid=grid, params=default_params)
+    with pytest.raises(ValueError, match="dim"):
+        rhs(RadialField(grid, np.ones(grid.M + 1)), default_params)
+
+
+# ------------------------------------------------------ artifact writes
+
+def test_checkpoint_bytes_match_streamed_json(small_run, tmp_path):
+    from blowlab.solver import _ROWS_PER_WRITE
+
+    assert len(small_run._hist) > 2 * _ROWS_PER_WRITE  # the history spans several pieces
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(small_run, path)
+    last = small_run.last_field
+    doc = {
+        "version": 1,
+        "config": small_run.config.to_dict(),
+        "time": last.time,
+        "time_comp": small_run._time_comp,
+        "status": small_run.status,
+        "values": [float(v) for v in last.values],
+        "maxnorm_history": [list(row) for row in small_run._hist],
+    }
+    streamed = tmp_path / "streamed.json"
+    with open(streamed, "w") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == streamed.read_bytes()
+
+
+def test_artifact_writes_leave_no_temp_files(small_run, tmp_path, monkeypatch):
+    save_checkpoint(small_run, tmp_path / "checkpoint.json")
+    save_snapshots(small_run, tmp_path / "snapshots.npz")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "snapshots.npz"]
+    before = (tmp_path / "snapshots.npz").read_bytes()
+
+    def failing_savez(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_snapshots(small_run, tmp_path / "snapshots.npz")
+    # a failed write keeps the previous archive and cleans up after itself
+    assert (tmp_path / "snapshots.npz").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "snapshots.npz"]
+    assert load_snapshots(tmp_path / "snapshots.npz").times.tolist() == small_run.times.tolist()
