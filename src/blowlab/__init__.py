@@ -16,7 +16,6 @@ from .profiles import (
 )
 from .fields import (
     NonFiniteFieldError,
-    NonlocalPrefix,
     RadialField,
     RadialGrid,
     gradient,
@@ -30,12 +29,11 @@ from .solver import (
     Trajectory,
     continue_run,
     estimate_T,
-    load_checkpoint,
+    load_snapshots,
     profile_seeded_field,
     rhs,
     run_until_blowup,
-    save_checkpoint,
-    step,
+    save_snapshots,
 )
 from .similarity import (
     FrameReport,

@@ -37,19 +37,20 @@ from .solver import (
     dt_branch_counts,
     estimate_T,
     far_field_report,
-    load_checkpoint,
     load_snapshots,
     profile_seeded_field,
     run_until_blowup,
-    save_checkpoint,
     save_snapshots,
     trajectory_to_csv,
+    write_atomic,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OVERFLOW = 3
 EXIT_VERIFY = 4
+
+RUN_ARCHIVE = "snapshots.npz"  # the run archive that frames, report and resume read
 
 
 def _manifest(command: str, config_path, out_dir, run_config: RunConfig | None) -> dict:
@@ -63,8 +64,12 @@ def _manifest(command: str, config_path, out_dir, run_config: RunConfig | None) 
     }
 
 
+def _write_text(path: Path, text: str) -> None:
+    write_atomic(path, lambda fh: fh.write(text.encode()))
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _print_table(rows, header) -> None:
@@ -115,12 +120,11 @@ def cmd_run(args) -> int:
 
     start = perf_counter()
     version_line = f"# blowlab {__version__}\n"
-    (out / "trajectory.csv").write_text(version_line + trajectory_to_csv(trajectory))
-    save_checkpoint(trajectory, out / "checkpoint.json")
-    save_snapshots(trajectory, out / "snapshots.npz")
-    (out / "field_final.csv").write_text(
-        version_line
-        + field_to_csv(trajectory.last_field, params, run_config.solver.boundary))
+    _write_text(out / "trajectory.csv", version_line + trajectory_to_csv(trajectory))
+    save_snapshots(trajectory, out / RUN_ARCHIVE)
+    _write_text(out / "field_final.csv",
+                version_line
+                + field_to_csv(trajectory.last_field, params, run_config.solver.boundary))
     writes_s = perf_counter() - start
 
     summary = {"manifest": manifest, "status": trajectory.status,
@@ -163,12 +167,7 @@ def cmd_run(args) -> int:
 
 
 def _load_run(out: Path) -> Trajectory:
-    """Merge snapshots.npz (fields) and checkpoint.json (history, status)."""
-    trajectory = load_snapshots(out / "snapshots.npz")
-    check = load_checkpoint(out / "checkpoint.json")
-    trajectory._hist = check._hist
-    trajectory.status = check.status
-    return trajectory
+    return load_snapshots(out / RUN_ARCHIVE)
 
 
 def cmd_frames(args) -> int:
@@ -215,7 +214,7 @@ def cmd_frames(args) -> int:
             for i, xi in enumerate(frame.xi_grid):
                 lines.append(f"{x0!r},{args.K0!r},{frame.t0!r},{tau!r},{xi!r},"
                              f"{frame.v[j, i]!r},{frame.w[j, i]!r}")
-        (out / f"frame_{tag}.csv").write_text("\n".join(lines) + "\n")
+        _write_text(out / f"frame_{tag}.csv", "\n".join(lines) + "\n")
         _write_json(out / f"frame_report_{tag}.json",
                     {"manifest": manifest, **report.to_dict()})
 
@@ -307,7 +306,7 @@ def cmd_verify(args) -> int:
         lines = ["alpha,theta,tau,numeric,bound,ok"]
         for a, th, tau, numeric, bound, ok in sweep.rows:
             lines.append(f"{a!r},{th!r},{tau!r},{numeric!r},{bound!r},{int(ok)}")
-        (out / "integral_sweep.csv").write_text("\n".join(lines) + "\n")
+        _write_text(out / "integral_sweep.csv", "\n".join(lines) + "\n")
 
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -346,8 +345,8 @@ def _sweep_worker(job):
                               t_star=run_config.t_star,
                               taper_start=run_config.taper_start)
     trajectory = run_until_blowup(u0, run_config.solver)
-    save_checkpoint(trajectory, point_dir / "checkpoint.json")
-    (point_dir / "trajectory.csv").write_text(trajectory_to_csv(trajectory))
+    save_snapshots(trajectory, point_dir / RUN_ARCHIVE)
+    _write_text(point_dir / "trajectory.csv", trajectory_to_csv(trajectory))
     row = {"index": index, **overrides, "status": trajectory.status,
            "t_last": trajectory.last_field.time,
            "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
@@ -390,7 +389,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(keys)]
     for row in results:
         lines.append(",".join(repr(row[k]) if k in row else "" for k in keys))
-    (out / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "sweep_summary.csv", "\n".join(lines) + "\n")
     print(f"{len(results)} sweep points -> {out / 'sweep_summary.csv'}")
     return EXIT_OK
 

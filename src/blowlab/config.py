@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .fields import BOUNDARIES, RadialGrid
 from .params import ModelParams, ParameterError, validate
-from .solver import SolverConfig
+from .solver import SolverConfig, check_seed
 
 
 class ConfigError(ValueError):
@@ -114,12 +114,14 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             max_steps=int(merged["max_steps"]),
             t_max=None if merged["t_max"] is None else float(merged["t_max"]),
         )
+        t_star = float(merged["t_star"])
+        taper_start = float(merged["taper_start"])
+        check_seed(t_star, taper_start)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     merged["beta"] = params.beta  # echo the resolved beta into artifacts
-    return RunConfig(params=params, solver=solver,
-                     t_star=float(merged["t_star"]),
-                     taper_start=float(merged["taper_start"]), raw=merged)
+    return RunConfig(params=params, solver=solver, t_star=t_star,
+                     taper_start=taper_start, raw=merged)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:

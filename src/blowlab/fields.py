@@ -8,7 +8,7 @@ boundary mode ("dirichlet-zero" or "neumann-zero").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,14 +105,6 @@ class RadialField:
         return RadialField(self.grid, self.values.copy(), self.time)
 
 
-@dataclass(frozen=True)
-class NonlocalPrefix:
-    """Running integral J(r_i) of |u|^(q-1) over the ball of radius r_i."""
-
-    grid: RadialGrid
-    J: np.ndarray = dc_field(repr=False)
-
-
 def ensure_finite(values: np.ndarray, what: str = "field") -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -197,13 +189,19 @@ def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry, q: float) -> 
     return J
 
 
-def nonlocal_prefix(field: RadialField, params: ModelParams) -> NonlocalPrefix:
+def nonlocal_prefix(field: RadialField, params: ModelParams) -> np.ndarray:
     """Single-pass J_i = integral of |u|^(q-1) over the ball of radius r_i.
 
     Nondecreasing in i, J_0 = 0, homogeneous of degree q-1 in the field.
     """
-    J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
-    return NonlocalPrefix(field.grid, J)
+    return _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
+
+
+def _sup_values(values: np.ndarray, h: float) -> tuple[float, float]:
+    """(max |values|, its radius i*h); ties break to the smallest index."""
+    a = np.abs(values)
+    i = int(np.argmax(a))
+    return float(a[i]), i * h
 
 
 def sup_norm(field: RadialField, radius: float | None = None) -> tuple[float, float]:
@@ -211,14 +209,12 @@ def sup_norm(field: RadialField, radius: float | None = None) -> tuple[float, fl
 
     Returns (value, attaining radius); ties break to the smallest radius.
     """
-    a = np.abs(field.values)
+    values = field.values
     if radius is not None:
         if radius > field.grid.R:
             raise ValueError(f"radius {radius} exceeds grid radius {field.grid.R}")
-        n = int(np.floor(radius / field.grid.h + 1e-12)) + 1
-        a = a[:n]
-    i = int(np.argmax(a))
-    return float(a[i]), i * field.grid.h
+        values = values[:int(np.floor(radius / field.grid.h + 1e-12)) + 1]
+    return _sup_values(values, field.grid.h)
 
 
 def field_to_csv(field: RadialField, params: ModelParams,

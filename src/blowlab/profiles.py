@@ -18,12 +18,6 @@ import numpy as np
 
 from .params import ModelParams
 
-# Prediction frames a ProfilePrediction can refer to.
-FRAME_INTERMEDIATE_U = "intermediate-u"
-FRAME_INTERMEDIATE_GRAD = "intermediate-grad"
-FRAME_FINAL_U = "final-u"
-FRAME_FINAL_GRAD = "final-grad"
-
 
 @dataclass(frozen=True)
 class ProfilePrediction:
@@ -31,7 +25,6 @@ class ProfilePrediction:
 
     value: float
     envelope: float
-    frame: str
 
 
 def f_profile(z, params: ModelParams):
@@ -80,7 +73,7 @@ def intermediate_prediction(x: float, t: float, T: float,
     value = amp * f_profile(z, params)
     weight = 1.0 + (x * x / s) ** (beta / 2.0)
     envelope = C / weight * amp / L ** ((1.0 - beta) / 2.0)
-    return ProfilePrediction(float(value), float(envelope), FRAME_INTERMEDIATE_U)
+    return ProfilePrediction(float(value), float(envelope))
 
 
 def intermediate_grad_prediction(x: float, t: float, T: float,
@@ -100,7 +93,7 @@ def intermediate_grad_prediction(x: float, t: float, T: float,
     value = amp / np.sqrt(L) * grad_f_profile(z, params)
     weight = 1.0 + (x * x / s) ** (beta / 2.0)
     envelope = C / weight * amp / L ** ((1.0 - beta) / 2.0)
-    return ProfilePrediction(float(value), float(envelope), FRAME_INTERMEDIATE_GRAD)
+    return ProfilePrediction(float(value), float(envelope))
 
 
 def final_profile(x, params: ModelParams):

@@ -19,6 +19,10 @@ while the field keeps evolving.  Every history row therefore carries its
 own dt; time-to-end quantities are reconstructed by summing dt backwards,
 which stays exact where absolute time cannot.
 
+A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
+snapshots, dense history, status, config and the time accumulator's Kahan
+compensation, so post-processing and resume read one file.
+
 Bit-identity invariant: a change that is meant to leave the numerics alone
 must leave every run bit-identical (history, snapshots, Kahan compensation).
 The step kernels therefore keep each arithmetic operation and its order; a
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -47,11 +53,12 @@ from .fields import (
     _gradient_values,
     _laplacian_values,
     _nonlocal_prefix_values,
+    _sup_values,
 )
 from .params import ModelParams
 from .profiles import f_profile
 
-CHECKPOINT_VERSION = 1
+ARCHIVE_VERSION = 2  # 1 was the JSON checkpoint that held the history apart
 
 STATUS_RUNNING = "running"
 STATUS_BLOWN_UP = "blown-up"
@@ -60,7 +67,7 @@ STATUS_OVERFLOWED = "overflowed"
 
 
 class CheckpointError(ValueError):
-    """Unreadable, corrupted, or version-mismatched checkpoint payload."""
+    """Unreadable, incomplete, or version-mismatched run archive."""
 
 
 class InsufficientGrowthError(ValueError):
@@ -78,7 +85,6 @@ class SolverConfig:
     snapshot_growth: float = 1.05  # extra snapshot whenever supnorm grows by this factor
     max_steps: int = 5_000_000     # per-call step budget
     t_max: float | None = None
-    T_hint: float | None = None
     reaction: bool = True          # test hook: False drops the |u|^(p-1) u term
 
     def __post_init__(self):
@@ -106,7 +112,6 @@ class SolverConfig:
             "snapshot_growth": self.snapshot_growth,
             "max_steps": self.max_steps,
             "t_max": self.t_max,
-            "T_hint": self.T_hint,
             "reaction": self.reaction,
         }
 
@@ -122,7 +127,6 @@ class SolverConfig:
             snapshot_growth=float(data.get("snapshot_growth", 1.05)),
             max_steps=int(data["max_steps"]),
             t_max=None if data.get("t_max") is None else float(data["t_max"]),
-            T_hint=None if data.get("T_hint") is None else float(data["T_hint"]),
             reaction=bool(data.get("reaction", True)),
         )
 
@@ -149,7 +153,7 @@ class Trajectory:
         field = u0.copy()
         if config.boundary == BOUNDARY_DIRICHLET:
             field.values[-1] = 0.0
-        m, rarg = _sup(field.values, config.grid.h)
+        m, rarg = _sup_values(field.values, config.grid.h)
         traj = cls(config=config, snapshots=[field])
         traj._hist.append((field.time, m, rarg, 0.0))
         return traj
@@ -198,10 +202,7 @@ def profile_seeded_field(grid: RadialGrid, params: ModelParams,
     profile is O(1) at r = R; the taper makes the seed compatible with the
     dirichlet-zero closure instead of leaving an artificial boundary layer.
     """
-    if not 0.0 < t_star < 1.0:
-        raise ValueError(f"t_star must be in (0, 1), got {t_star}")
-    if not 0.0 < taper_start < 1.0:
-        raise ValueError(f"taper_start must be in (0, 1), got {taper_start}")
+    check_seed(t_star, taper_start)
     r = grid.r
     ell = np.sqrt(t_star * abs(np.log(t_star)))
     u = t_star ** (-1.0 / (params.p - 1.0)) * f_profile(r / ell, params)
@@ -211,10 +212,11 @@ def profile_seeded_field(grid: RadialGrid, params: ModelParams,
     return RadialField(grid, u, time=0.0)
 
 
-def _sup(values: np.ndarray, h: float) -> tuple[float, float]:
-    a = np.abs(values)
-    i = int(np.argmax(a))
-    return float(a[i]), i * h
+def check_seed(t_star: float, taper_start: float) -> None:
+    """Reject seed settings outside the open interval (0, 1)."""
+    for name, value in (("t_star", t_star), ("taper_start", taper_start)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
@@ -285,26 +287,6 @@ def _heun(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
     return u + k1
 
 
-def _stage_buffer(grid: RadialGrid) -> np.ndarray:
-    return np.empty((3, grid.M + 1))
-
-
-def step(field: RadialField, config: SolverConfig) -> tuple[RadialField, float]:
-    """One explicit second-order step under the dual dt law.
-
-    Raises :class:`NonFiniteFieldError` on overflow; run_until_blowup turns
-    that into the ``overflowed`` status.
-    """
-    m, _ = _sup(field.values, config.grid.h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dt = _dt_of(config, m)
-        new = _heun(field.values, dt, config, GridGeometry.of(config.grid),
-                    _stage_buffer(config.grid))
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteFieldError("field overflowed during step")
-    return RadialField(field.grid, new, field.time + dt), dt
-
-
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
     """Step until the sup-norm reaches the cap, overflow, or the budget.
 
@@ -317,7 +299,7 @@ def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
 
 
 def continue_run(trajectory: Trajectory) -> Trajectory:
-    """Resume a run (after a budget stop or a checkpoint load) in place.
+    """Resume a run (after a budget stop or :func:`load_snapshots`) in place.
 
     Stepping depends only on the current field, so a resumed run reproduces
     the uninterrupted history exactly.
@@ -332,7 +314,7 @@ def _advance(traj: Trajectory) -> Trajectory:
     config = traj.config
     grid = config.grid
     geom = GridGeometry.of(grid)
-    work = _stage_buffer(grid)
+    work = np.empty((3, grid.M + 1))
     h = grid.h
     cap = config.blowup_cap
     t_max = config.t_max
@@ -342,7 +324,7 @@ def _advance(traj: Trajectory) -> Trajectory:
     values = traj.last_field.values.copy()
     t = traj.last_field.time
     comp = traj._time_comp
-    m, rarg = _sup(values, h)
+    m, rarg = _sup_values(values, h)
     last_snap_m = max(m, np.finfo(float).tiny)
     steps = 0
 
@@ -381,7 +363,7 @@ def _advance(traj: Trajectory) -> Trajectory:
             t = t_new
             values = new_values
             steps += 1
-            m, rarg = _sup(values, h)
+            m, rarg = _sup_values(values, h)
             traj._hist.append((t, m, rarg, dt))
             if steps % stride == 0 or m >= growth * last_snap_m:
                 snapshot()
@@ -484,12 +466,9 @@ def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-_ROWS_PER_WRITE = 1024  # history rows per encoded piece of a checkpoint
-
-
-def _write_atomic(path, write) -> None:
-    """Call ``write(fh)`` on a temp file beside ``path``, then rename it into
-    place, so a reader never sees a partial file."""
+def write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a binary temp file beside ``path``, then rename
+    it into place, so a reader never sees a partial file."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -501,85 +480,57 @@ def _write_atomic(path, write) -> None:
             os.unlink(tmp)
 
 
-def save_checkpoint(trajectory: Trajectory, path) -> None:
-    """Single-JSON checkpoint: config, latest field, dense history, status.
-
-    The bytes are those of ``json.dumps(doc)``, written in pieces: the C
-    encoder runs on blocks of history rows, so the write never holds the
-    whole text (json.dump would stream, but through the slow Python encoder).
-    """
-    last = trajectory.last_field
-    head = json.dumps({
-        "version": CHECKPOINT_VERSION,
-        "config": trajectory.config.to_dict(),
-        "time": last.time,
-        "time_comp": trajectory._time_comp,
-        "status": trajectory.status,
-        "values": last.values.tolist(),
-        "maxnorm_history": [],
-    })[:-2]  # reopen the empty history list: drop its closing "]}"
-    hist = trajectory._hist
-
-    def write(fh):
-        fh.write(head.encode())
-        for i in range(0, len(hist), _ROWS_PER_WRITE):
-            rows = json.dumps(hist[i:i + _ROWS_PER_WRITE])[1:-1]  # rows encode as arrays
-            fh.write(((", " if i else "") + rows).encode())
-        fh.write(b"]}")
-
-    _write_atomic(path, write)
-
-
-def load_checkpoint(path) -> Trajectory:
-    """Lossless inverse of :func:`save_checkpoint` (latest field only)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
-    version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
-        )
-    try:
-        config = SolverConfig.from_dict(doc["config"])
-        field = RadialField(config.grid, np.array(doc["values"], dtype=float),
-                            float(doc["time"]))
-        hist = [tuple(float(x) for x in row) for row in doc["maxnorm_history"]]
-        status = str(doc.get("status", STATUS_COMPLETED))
-        comp = float(doc.get("time_comp", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupted checkpoint payload: {exc}") from exc
-    return Trajectory(config=config, snapshots=[field], status=status,
-                      _hist=hist, _time_comp=comp)
+_ARCHIVE_KEYS = ("history", "time_comp", "version", "config", "status", "times", "values")
 
 
 def save_snapshots(trajectory: Trajectory, path) -> None:
-    """Compressed archive of every snapshot (times, field matrix, config)."""
+    """Write the run archive: one compressed ``.npz`` that holds everything
+    needed to post-process or resume the run.
+
+    Keys: ``times`` and ``values`` (every snapshot), ``history`` (the dense
+    (n, 4) max-norm history), ``time_comp`` (the Kahan compensation of the
+    time accumulator), ``status``, ``config`` (JSON) and ``version``.
+    """
     values = np.stack([s.values for s in trajectory.snapshots])
     # a file handle, so numpy does not append ".npz" to the temp name
-    _write_atomic(path, lambda fh: np.savez_compressed(
+    write_atomic(path, lambda fh: np.savez_compressed(
         fh,
+        version=np.array(ARCHIVE_VERSION),
+        config=np.array(json.dumps(trajectory.config.to_dict())),
+        status=np.array(trajectory.status),
         times=trajectory.times,
         values=values,
-        status=np.array(trajectory.status),
-        config=np.array(json.dumps(trajectory.config.to_dict())),
+        history=trajectory.maxnorm_history,
+        time_comp=np.array(trajectory._time_comp),
     ))
 
 
 def load_snapshots(path) -> Trajectory:
-    """Inverse of :func:`save_snapshots`.  The returned trajectory has the
-    full snapshot list but no dense max-norm history (that lives in the
-    checkpoint); merge the two for fit-grade post-processing."""
-    with np.load(path) as data:
-        config = SolverConfig.from_dict(json.loads(str(data["config"])))
-        times = data["times"]
-        values = data["values"]
-        status = str(data["status"])
-    snapshots = [RadialField(config.grid, values[i].copy(), float(times[i]))
-                 for i in range(len(times))]
-    return Trajectory(config=config, snapshots=snapshots, status=status)
+    """Inverse of :func:`save_snapshots`: the complete trajectory (snapshots,
+    history, status, time compensation), ready for :func:`continue_run`.
+
+    Raises :class:`CheckpointError` when the file is not a readable archive,
+    lacks a key (archives written before the history moved in, for one), or
+    has another version.
+    """
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in _ARCHIVE_KEYS}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(f"unreadable run archive {path}: {exc}") from exc
+    version = arrays["version"].tolist()
+    if version != ARCHIVE_VERSION:
+        raise CheckpointError(
+            f"unsupported run archive version {version!r} (expected {ARCHIVE_VERSION})")
+    try:
+        config = SolverConfig.from_dict(json.loads(str(arrays["config"])))
+        snapshots = [RadialField(config.grid, row, t)
+                     for t, row in zip(arrays["times"].tolist(), arrays["values"])]
+        hist = list(map(tuple, arrays["history"].tolist()))
+        return Trajectory(config=config, snapshots=snapshots, status=str(arrays["status"]),
+                          _hist=hist, _time_comp=float(arrays["time_comp"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupted run archive {path}: {exc}") from exc
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:

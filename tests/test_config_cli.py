@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -71,6 +72,10 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     path = write_config(tmp_path, "p = 4\nq = 5\n")
     assert main(["run", "--config", path]) == 2
     assert "q upper bound" in capsys.readouterr().err
+    for key in ("t_star", "taper_start"):
+        path = write_config(tmp_path, f"{key} = 1.5\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_run_param_override_flags(capsys):
@@ -84,10 +89,9 @@ def test_run_writes_artifacts_and_blows_up(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", config, "--out", str(out)]) == 0
-    for name in ("manifest.json", "trajectory.csv", "checkpoint.json",
-                 "snapshots.npz", "field_final.csv", "run_summary.json",
-                 "blowup_estimate.json"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == [
+        "blowup_estimate.json", "field_final.csv", "manifest.json", "run_summary.json",
+        "snapshots.npz", "trajectory.csv"]
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["status"] == "blown-up"
     assert summary["manifest"]["config"]["M"] == 64
@@ -152,6 +156,20 @@ def test_frames_missing_artifacts(tmp_path, capsys):
     assert "cannot load run artifacts" in capsys.readouterr().err
 
 
+def test_frames_rejects_unreadable_archive(finished_run, capsys):
+    archive = finished_run / "snapshots.npz"
+    whole = archive.read_bytes()
+    archive.write_bytes(whole[:len(whole) // 2])
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
+    assert "unreadable run archive" in capsys.readouterr().err
+    # an archive without the history, as written before it held one
+    with np.load(io.BytesIO(whole)) as data:
+        arrays = {key: data[key] for key in data.files if key != "history"}
+    np.savez_compressed(archive, **arrays)
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
+    assert "history" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_stock_passes(capsys, tmp_path):
@@ -192,18 +210,22 @@ def test_sweep_two_points(tmp_path):
     lines = (out / "sweep_summary.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("index,mu,status")
-    assert (out / "point_0000" / "checkpoint.json").exists()
-    assert (out / "point_0001" / "trajectory.csv").exists()
+    for point in ("point_0000", "point_0001"):
+        assert sorted(p.name for p in (out / point).iterdir()) == [
+            "snapshots.npz", "trajectory.csv"]
 
 
 def test_sweep_records_invalid_points(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "sweep"
-    # q=5 is outside the admissible window for p=4, dim=1
-    assert main(["sweep", "--config", config, "--grid", "q=3:5:2",
+    # q=5 is outside the admissible window for p=4, dim=1; t_star=1.5 outside (0, 1)
+    assert main(["sweep", "--config", config, "--grid", "q=3:5:2,t_star=0.01:1.5:2",
                  "--out", str(out), "--workers", "1"]) == 0
     lines = (out / "sweep_summary.csv").read_text().splitlines()
-    assert "config-error" in lines[2]
+    assert len(lines) == 5
+    assert "blown-up" in lines[1]
+    assert "config-error" in lines[2] and "t_star" in lines[2]
+    assert all("config-error" in line for line in lines[3:])
 
 
 def test_sweep_bad_grid_spec(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_gradient_converges_to_profile_derivative(default_params):
 def test_prefix_constant_field_n1(default_params):
     # u == 2, q = 3: J(0.5) = integral of 4 over [-0.5, 0.5] = 4
     g = grid1(M=64, R=1.0)
-    J = nonlocal_prefix(RadialField(g, np.full(g.M + 1, 2.0)), default_params).J
+    J = nonlocal_prefix(RadialField(g, np.full(g.M + 1, 2.0)), default_params)
     assert J[0] == 0.0
     assert J[32] == pytest.approx(4.0, rel=1e-12)
     assert np.all(np.diff(J) >= 0.0)
@@ -100,7 +100,7 @@ def test_prefix_unit_field_n2_gives_ball_area():
     from blowlab.params import validate
     params2 = validate(p=4.0, q=4.5, mu=0.1, dim=2)
     g = grid1(M=128, R=2.0, dim=2)
-    J = nonlocal_prefix(RadialField(g, np.ones(g.M + 1)), params2).J
+    J = nonlocal_prefix(RadialField(g, np.ones(g.M + 1)), params2)
     assert np.allclose(J, np.pi * g.r ** 2, rtol=1e-12, atol=1e-12)
 
 
@@ -109,8 +109,8 @@ def test_prefix_homogeneous_of_degree_q_minus_one(default_params):
     rng = np.random.default_rng(3)
     u = rng.uniform(-1.0, 2.0, g.M + 1)
     lam = 3.7
-    J1 = nonlocal_prefix(RadialField(g, u), default_params).J
-    J2 = nonlocal_prefix(RadialField(g, lam * u), default_params).J
+    J1 = nonlocal_prefix(RadialField(g, u), default_params)
+    J2 = nonlocal_prefix(RadialField(g, lam * u), default_params)
     assert np.allclose(J2, lam ** (default_params.q - 1.0) * J1, rtol=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_prefix_against_quadrature_oracle(default_params):
 
     oracle = 2.0 * quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     g = grid1(M=4096, R=1.0)
-    J = nonlocal_prefix(RadialField(g, amp * f_profile(g.r / ell, p)), p).J
+    J = nonlocal_prefix(RadialField(g, amp * f_profile(g.r / ell, p)), p)
     assert J[-1] == pytest.approx(oracle, rel=5e-6)
 
 

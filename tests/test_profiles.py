@@ -50,7 +50,6 @@ def test_intermediate_prediction_at_origin(default_params):
     # weight equals 1 at x=0
     assert pred.envelope == pytest.approx(
         1e-4 ** (-1 / 3.0) / abs(np.log(1e-4)) ** ((1 - p.beta) / 2), rel=1e-13)
-    assert pred.frame == "intermediate-u"
 
 
 def test_intermediate_prediction_log_degenerate(default_params):

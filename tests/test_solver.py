@@ -1,10 +1,10 @@
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from blowlab.fields import NonFiniteFieldError, RadialField, RadialGrid, sphere_area
+from blowlab.fields import RadialField, RadialGrid, sphere_area
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
@@ -18,14 +18,11 @@ from blowlab.solver import (
     continue_run,
     dt_branch_counts,
     estimate_T,
-    load_checkpoint,
     load_snapshots,
     profile_seeded_field,
     rhs,
     run_until_blowup,
-    save_checkpoint,
     save_snapshots,
-    step,
     trajectory_to_csv,
 )
 
@@ -69,10 +66,11 @@ def test_rhs_matches_fine_grid_oracle():
 def test_step_dt_decreases_with_supnorm(default_params):
     g = RadialGrid(R=1.0, M=64, dim=1)
     config = quiet_config(g, default_params)
+    one_step = replace(config, max_steps=1)
     dts = []
     for amp in (0.1, 1.0, 10.0, 100.0, 1e4):
-        _, dt = step(RadialField(g, np.full(g.M + 1, amp)), config)
-        dts.append(dt)
+        traj = run_until_blowup(RadialField(g, np.full(g.M + 1, amp)), one_step)
+        dts.append(traj.maxnorm_history[1, 3])
     assert all(a >= b for a, b in zip(dts, dts[1:]))
     # diffusion bound caps small-amplitude steps, stiffness bound the rest
     assert dts[0] == pytest.approx(config.dt_safety * g.h ** 2 / 2.0, rel=1e-12)
@@ -162,8 +160,11 @@ def test_overflow_is_flagged_not_silent(default_params):
     traj = run_until_blowup(big, config)
     assert traj.status == STATUS_OVERFLOWED
     assert np.all(np.isfinite(traj.last_field.values))
-    with pytest.raises(NonFiniteFieldError):
-        step(big, config)
+    # the overflowing step itself is rejected: no history row, field unchanged
+    one = run_until_blowup(big, replace(config, max_steps=1))
+    assert one.status == STATUS_OVERFLOWED
+    assert len(one.maxnorm_history) == 1
+    assert np.array_equal(one.last_field.values[:-1], big.values[:-1])
 
 
 def _synthetic_blowup_history(T, kappa, s_values, params, noise=None, seed=0):
@@ -209,38 +210,55 @@ def test_estimate_T_insufficient_growth(default_params):
         estimate_T(traj, default_params)
 
 
-def test_checkpoint_round_trip(small_run, tmp_path):
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(small_run, path)
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.last_field.values, small_run.last_field.values)
-    assert loaded.last_field.time == small_run.last_field.time
-    assert np.array_equal(loaded.maxnorm_history, small_run.maxnorm_history)
-    assert loaded.status == small_run.status
-    assert loaded.config == small_run.config
+def _assert_same_run(loaded, run):
+    assert np.array_equal(loaded.maxnorm_history, run.maxnorm_history)
+    assert loaded._time_comp == run._time_comp
+    assert loaded.status == run.status
+    assert loaded.config == run.config
+    assert len(loaded.snapshots) == len(run.snapshots)
+    for a, b in zip(loaded.snapshots, run.snapshots):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
 
 
-def test_checkpoint_version_mismatch(small_run, tmp_path):
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(small_run, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
+def test_archive_round_trip(small_run, tmp_path):
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    _assert_same_run(load_snapshots(path), small_run)
+
+
+def _rewrite_archive(path, drop=(), **changes):
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files if key not in drop}
+    np.savez_compressed(path, **{**arrays, **changes})
+
+
+def test_archive_version_mismatch(small_run, tmp_path):
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    _rewrite_archive(path, version=np.array(99))
     with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+        load_snapshots(path)
 
 
-def test_checkpoint_corrupted_payload(small_run, tmp_path):
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(small_run, path)
-    doc = json.loads(path.read_text())
-    del doc["values"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="corrupted"):
-        load_checkpoint(path)
-    path.write_text("not json {")
+def test_archive_unreadable_or_incomplete(small_run, tmp_path):
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])  # truncated zip
     with pytest.raises(CheckpointError, match="unreadable"):
-        load_checkpoint(path)
+        load_snapshots(path)
+    path.write_text("not an archive")
+    with pytest.raises(CheckpointError, match="unreadable"):
+        load_snapshots(path)
+    path.write_bytes(whole)
+    _rewrite_archive(path, drop=("history",))  # the layout before the history moved in
+    with pytest.raises(CheckpointError, match="history"):
+        load_snapshots(path)
+    path.write_bytes(whole)
+    _rewrite_archive(path, config=np.array("{}"))
+    with pytest.raises(CheckpointError, match="corrupted"):
+        load_snapshots(path)
 
 
 def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
@@ -251,12 +269,13 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     half = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
                                              blowup_cap=1e4, max_steps=1500))
     assert half.status == STATUS_COMPLETED  # budget stop
-    path = tmp_path / "cp.json"
-    save_checkpoint(half, path)
-    resumed = continue_run(load_checkpoint(path))
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(half, path)
+    resumed = continue_run(load_snapshots(path))
     assert resumed.status == full.status == STATUS_BLOWN_UP
     assert np.array_equal(resumed.maxnorm_history, full.maxnorm_history)
     assert np.array_equal(resumed.last_field.values, full.last_field.values)
+    assert resumed._time_comp == full._time_comp
 
 
 def test_trajectory_csv_layout(small_run):
@@ -389,8 +408,7 @@ def test_dt_overflow_is_flagged_not_raised(default_params):
     config = quiet_config(g, default_params, max_steps=50)
     traj = run_until_blowup(RadialField(g, np.full(g.M + 1, 1e120)), config)
     assert traj.status == STATUS_OVERFLOWED
-    with pytest.raises(NonFiniteFieldError, match="collapsed"):
-        step(RadialField(g, np.full(g.M + 1, 1e120)), config)
+    assert len(traj.maxnorm_history) == 1  # the collapsed step is not taken
 
 
 def test_dt_branch_counts(small_run, heat_params):
@@ -414,32 +432,9 @@ def test_grid_params_dim_mismatch_is_rejected(default_params):
 
 # ------------------------------------------------------ artifact writes
 
-def test_checkpoint_bytes_match_streamed_json(small_run, tmp_path):
-    from blowlab.solver import _ROWS_PER_WRITE
-
-    assert len(small_run._hist) > 2 * _ROWS_PER_WRITE  # the history spans several pieces
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(small_run, path)
-    last = small_run.last_field
-    doc = {
-        "version": 1,
-        "config": small_run.config.to_dict(),
-        "time": last.time,
-        "time_comp": small_run._time_comp,
-        "status": small_run.status,
-        "values": [float(v) for v in last.values],
-        "maxnorm_history": [list(row) for row in small_run._hist],
-    }
-    streamed = tmp_path / "streamed.json"
-    with open(streamed, "w") as fh:
-        json.dump(doc, fh)
-    assert path.read_bytes() == streamed.read_bytes()
-
-
 def test_artifact_writes_leave_no_temp_files(small_run, tmp_path, monkeypatch):
-    save_checkpoint(small_run, tmp_path / "checkpoint.json")
     save_snapshots(small_run, tmp_path / "snapshots.npz")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "snapshots.npz"]
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshots.npz"]
     before = (tmp_path / "snapshots.npz").read_bytes()
 
     def failing_savez(*args, **kwargs):
@@ -450,5 +445,5 @@ def test_artifact_writes_leave_no_temp_files(small_run, tmp_path, monkeypatch):
         save_snapshots(small_run, tmp_path / "snapshots.npz")
     # a failed write keeps the previous archive and cleans up after itself
     assert (tmp_path / "snapshots.npz").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "snapshots.npz"]
-    assert load_snapshots(tmp_path / "snapshots.npz").times.tolist() == small_run.times.tolist()
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshots.npz"]
+    _assert_same_run(load_snapshots(tmp_path / "snapshots.npz"), small_run)
