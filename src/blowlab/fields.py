@@ -105,10 +105,10 @@ class RadialField:
         return RadialField(self.grid, self.values.copy(), self.time)
 
 
-def ensure_finite(values: np.ndarray, what: str = "field") -> None:
+def ensure_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteFieldError(f"non-finite {what} value at node {bad}")
+        raise NonFiniteFieldError(f"non-finite field value at node {bad}")
 
 
 def sphere_area(dim: int) -> float:
@@ -217,17 +217,22 @@ def sup_norm(field: RadialField, radius: float | None = None) -> tuple[float, fl
     return _sup_values(values, field.grid.h)
 
 
+def csv_text(header, rows, comments=()) -> str:
+    """CSV text: one ``# `` line per comment, the header, then one line per
+    row of Python scalars, each written as its ``repr`` (``""`` for None)."""
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join("" if v is None else repr(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def field_to_csv(field: RadialField, params: ModelParams,
                  boundary: str = BOUNDARY_DIRICHLET) -> str:
     """Snapshot CSV body: r,u,du_dr,J with a comment header carrying time
     and the full parameter set."""
     du = _gradient_values(field.values, field.grid.h, boundary)
     J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
-    lines = [f"# time: {field.time!r}"]
-    for key, val in params.to_dict().items():
-        lines.append(f"# {key}: {val!r}")
-    lines.append("r,u,du_dr,J")
-    for r, u, g, j in zip(field.grid.r.tolist(), field.values.tolist(), du.tolist(),
-                          J.tolist()):
-        lines.append(f"{r!r},{u!r},{g!r},{j!r}")
-    return "\n".join(lines) + "\n"
+    comments = [f"time: {field.time!r}"]
+    comments += [f"{key}: {val!r}" for key, val in params.to_dict().items()]
+    rows = zip(field.grid.r.tolist(), field.values.tolist(), du.tolist(), J.tolist())
+    return csv_text(("r", "u", "du_dr", "J"), rows, comments)

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import GridGeometry, RadialField, _gradient_values, _nonlocal_prefix_values
+from .fields import (BOUNDARY_NEUMANN, GridGeometry, RadialField, _gradient_values,
+                     _nonlocal_prefix_values)
 from .params import ModelParams, validate
+from .similarity import S_TURN, scale_radius, scale_radius_inverse
 from .solver import SolverConfig, Trajectory, estimate_T, run_until_blowup
 
 CASE_GT1 = "gt1"
@@ -49,7 +51,7 @@ class IntegralCase:
         object.__setattr__(self, "case", case)
 
 
-def integral_I_numeric(c: IntegralCase, abs_tol: float = 1e-10) -> float:
+def integral_I_numeric(c: IntegralCase) -> float:
     """Adaptive quadrature of I(tau) with the endpoint singularity absorbed.
 
     The substitution s = tau - sigma^(1/(1-alpha)) turns the (tau-s)^(-alpha)
@@ -66,7 +68,7 @@ def integral_I_numeric(c: IntegralCase, abs_tol: float = 1e-10) -> float:
     def integrand(sigma):
         return m * (one_minus_tau + sigma ** m) ** (-theta)
 
-    value, _err = quad(integrand, 0.0, upper, epsabs=abs_tol, epsrel=1e-12, limit=200)
+    value, _err = quad(integrand, 0.0, upper, epsabs=1e-10, epsrel=1e-12, limit=200)
     return float(value)
 
 
@@ -98,31 +100,21 @@ class SweepResult:
         return self.n_failed == 0
 
 
-def integral_sweep(alphas=None, thetas=None, taus=None,
-                   slack: float = 1e-6, bound_scale: float = 1.0) -> SweepResult:
-    """Check numeric <= bound + slack on a grid of cases.
-
-    ``bound_scale`` is a fault-injection hook for the verification driver:
-    scaling the bound below 1 must make the sweep fail.
-    """
-    if alphas is None:
-        alphas = np.linspace(0.1, 0.9, 10)
-    if thetas is None:
-        thetas = np.linspace(0.1, 1.5, 10)
-    if taus is None:
-        taus = [0.0, 0.25, 0.5, 0.9, 0.99]
+def integral_sweep() -> SweepResult:
+    """Check numeric <= bound + 1e-6 on a 10 x 10 x 5 grid of
+    (alpha, theta, tau) cases."""
     rows = []
     n_failed = 0
     worst_margin = -math.inf
     worst_case = None
-    for a in alphas:
-        for th in thetas:
-            for tau in taus:
+    for a in np.linspace(0.1, 0.9, 10):
+        for th in np.linspace(0.1, 1.5, 10):
+            for tau in (0.0, 0.25, 0.5, 0.9, 0.99):
                 case = IntegralCase(float(a), float(th), float(tau))
                 numeric = integral_I_numeric(case)
-                bound = bound_scale * integral_I_bound(case)
+                bound = integral_I_bound(case)
                 margin = numeric - bound
-                ok = margin <= slack
+                ok = margin <= 1e-6
                 if not ok:
                     n_failed += 1
                 if margin > worst_margin:
@@ -254,15 +246,15 @@ class GronwallSuiteResult:
         return self.n_violations == 0
 
 
-def gronwall_suite(n_instances: int = 1000, seed: int = 0,
-                   slack: float = 1e-10) -> GronwallSuiteResult:
-    """Random nonnegative step coefficients; the exact equality solution must
-    sit below the bound (plus rounding slack) at every checked point."""
-    rng = np.random.default_rng(seed)
+def gronwall_suite() -> GronwallSuiteResult:
+    """1000 random instances (seed 0) of nonnegative step coefficients; the
+    exact equality solution must sit below the bound (plus a rounding slack
+    of 1e-10) at every checked point."""
+    rng = np.random.default_rng(0)
     n_points = 0
     n_violations = 0
     worst = -math.inf
-    for _ in range(n_instances):
+    for _ in range(1000):
         t0 = 0.0
         t1 = float(rng.uniform(0.5, 1.5))
         def random_step():
@@ -283,17 +275,17 @@ def gronwall_suite(n_instances: int = 1000, seed: int = 0,
             margin = exact(float(t)) - bound(float(t))
             worst = max(worst, margin)
             n_points += 1
-            if margin > slack:
+            if margin > 1e-10:
                 n_violations += 1
-    return GronwallSuiteResult(n_instances, n_points, n_violations, worst)
+    return GronwallSuiteResult(1000, n_points, n_violations, worst)
 
 
-def gamma_exponent_identity_check(n_samples: int = 1000, seed: int = 0) -> float:
-    """Max |(gamma - 1/2) - (dim/2 - (q-1)/(p-1))| over random admissible
-    parameter tuples; an exact algebraic identity up to rounding."""
-    rng = np.random.default_rng(seed)
+def gamma_exponent_identity_check() -> float:
+    """Max |(gamma - 1/2) - (dim/2 - (q-1)/(p-1))| over 1000 random admissible
+    parameter tuples (seed 0); an exact algebraic identity up to rounding."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(1000):
         p = float(rng.uniform(3.0 + 1e-6, 10.0))
         dim = int(rng.integers(1, 4))
         q_lo = dim * (p - 1) / 2.0 + 1.0
@@ -323,18 +315,11 @@ class DecayFit:
 
 def _resolution_floor(h: float) -> float:
     """Smallest s with sqrt(s |log s|) >= 4h: below it the blow-up core is
-    narrower than the grid can resolve and J is dominated by one node."""
-    target = 16.0 * h * h
-    lo, hi = math.log(1e-280), math.log(math.exp(-1.0))
-    if math.exp(hi) * abs(hi) <= target:
-        return math.exp(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(mid) * abs(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+    narrower than the grid can resolve and J is dominated by one node.
+    When 4h lies past the turn of the map, the floor is the turn, 1/e."""
+    if scale_radius(S_TURN, 1.0) <= 4.0 * h:
+        return S_TURN
+    return scale_radius_inverse(4.0 * h, 1.0)
 
 
 def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
@@ -409,11 +394,9 @@ def _heat_params(dim: int) -> ModelParams:
     return validate(p=p, q=q, mu=0.0, dim=dim)
 
 
-def semigroup_smoothing_check(t_values, test_fields,
-                              boundary: str = "neumann-zero",
-                              dt_safety: float = 0.5) -> SmoothingReport:
-    """Evolve each field by the discrete heat flow up to each time and
-    measure the smoothing ratios of the semigroup."""
+def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
+    """Evolve each field by the discrete heat flow (neumann-zero closure) up
+    to each time and measure the smoothing ratios of the semigroup."""
     rows = []
     max_sup = -math.inf
     max_grad = -math.inf
@@ -427,14 +410,14 @@ def semigroup_smoothing_check(t_values, test_fields,
             if not t > 0.0:
                 raise ValueError(f"t values must be positive, got {t}")
             cfg = SolverConfig(
-                grid=f0.grid, params=params, dt_safety=dt_safety,
-                blowup_cap=1e300, boundary=boundary, record_stride=10 ** 9,
+                grid=f0.grid, params=params,
+                blowup_cap=1e300, boundary=BOUNDARY_NEUMANN, record_stride=10 ** 9,
                 snapshot_growth=1e300, max_steps=50_000_000, t_max=t,
                 reaction=False,
             )
             traj = run_until_blowup(current, cfg)
             current = traj.last_field
-            g = _gradient_values(current.values, f0.grid.h, boundary)
+            g = _gradient_values(current.values, f0.grid.h, BOUNDARY_NEUMANN)
             sup_ratio = float(np.max(np.abs(current.values))) / norm0
             grad_ratio = math.sqrt(t) * float(np.max(np.abs(g))) / norm0
             rows.append((idx, t, sup_ratio, grad_ratio))

@@ -30,6 +30,7 @@ from .solver import STATUS_BLOWN_UP, Trajectory
 # s |log s| increases up to s = 1/e and turns there; the anchor relation is
 # only invertible on the monotone branch.
 S_TURN = math.exp(-1.0)
+S_FLOOR = 1e-280  # lower end of the bracket that scale_radius_inverse searches
 
 
 class CoverageGapError(ValueError):
@@ -41,6 +42,22 @@ def scale_radius(s: float, K0: float) -> float:
     return K0 * math.sqrt(s * abs(math.log(s)))
 
 
+def scale_radius_inverse(x: float, K0: float, s_hi: float = S_TURN) -> float:
+    """The s in [S_FLOOR, s_hi] with scale_radius(s, K0) = x (s_hi <= 1/e), by
+    bisection in log s: uniform relative resolution at every scale.  Callers
+    decide what an x outside the bracket means."""
+    lo, hi = math.log(S_FLOOR), math.log(s_hi)
+    for _ in range(128):
+        mid = 0.5 * (lo + hi)
+        if scale_radius(math.exp(mid), K0) < x:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14:
+            break
+    return math.exp(0.5 * (lo + hi))
+
+
 def default_delta(K0: float) -> float:
     """Plateau radius chosen so that T - t0(delta) = e^-2, safely inside the
     monotone branch."""
@@ -48,7 +65,7 @@ def default_delta(K0: float) -> float:
 
 
 def time_scale_of_x0(x0: float, K0: float, T: float, delta: float | None = None) -> float:
-    """T - t0(x0), solved by bisection on the monotone branch.
+    """T - t0(x0) on the monotone branch, by :func:`scale_radius_inverse`.
 
     Returned at full relative precision (~1e-13); prefer this over
     ``T - t0_of_x0(...)`` whenever T - t0 itself is the quantity of
@@ -76,19 +93,9 @@ def time_scale_of_x0(x0: float, K0: float, T: float, delta: float | None = None)
             f"{scale_radius(S_TURN, K0):.6g} where T-t0 = 1/e"
         )
 
-    # bisection in log s: uniform relative resolution at every scale
-    lo, hi = math.log(1e-280), math.log(s_hi)
-    if scale_radius(math.exp(lo), K0) > x_eff:
+    if scale_radius(S_FLOOR, K0) > x_eff:
         raise ValueError(f"unreachable: |x0|={x_eff:.6g} below the resolvable range")
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        if scale_radius(math.exp(mid), K0) < x_eff:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    return math.exp(0.5 * (lo + hi))
+    return scale_radius_inverse(x_eff, K0, s_hi)
 
 
 def t0_of_x0(x0: float, K0: float, T: float, delta: float | None = None) -> float:
@@ -114,7 +121,6 @@ class SimilarityFrame:
     window_eff: float          # delivered half-width after clipping
     clipped: bool
     tau_max: float             # largest covered tau
-    interpolation: str = "bilinear in (r, t), order 1, nearest-node stencil"
 
     @property
     def log_scale(self) -> float:
@@ -123,8 +129,7 @@ class SimilarityFrame:
 
 
 def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
-                  delta: float | None = None, window: float | None = None,
-                  tau_grid=None, n_xi: int | None = None) -> SimilarityFrame:
+                  window: float | None = None, tau_grid=None) -> SimilarityFrame:
     """Fill a similarity frame from trajectory snapshots.
 
     ``window`` defaults to max(1, 2 |log(T-t0)|^(1/4)), wide enough for every
@@ -135,7 +140,7 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
     """
     grid = trajectory.config.grid
     params = trajectory.config.params
-    s0 = time_scale_of_x0(x0, K0, T, delta)
+    s0 = time_scale_of_x0(x0, K0, T)
     if not s0 < 1.0:
         raise ValueError(f"log degenerate: T-t0 = {s0} >= 1")
     t0 = T - s0
@@ -178,11 +183,8 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
             )
         taus = np.sort(taus)
 
-    if n_xi is None:
-        per_node = window_eff * sqrt_s0 / grid.h
-        n_half = int(min(max(math.ceil(per_node), 32), 512))
-    else:
-        n_half = max(int(n_xi) // 2, 1)
+    per_node = window_eff * sqrt_s0 / grid.h
+    n_half = int(min(max(math.ceil(per_node), 32), 512))
     xi = np.linspace(-window_eff, window_eff, 2 * n_half + 1)
 
     x_phys = x0 + xi * sqrt_s0
@@ -295,12 +297,12 @@ class FrameReport:
         }
 
 
-def frame_report(frame: SimilarityFrame, inner_radius: float = 1.0) -> FrameReport:
+def frame_report(frame: SimilarityFrame) -> FrameReport:
     """Run all four frame diagnostics on an extracted frame."""
     return FrameReport(
         x0=frame.x0, K0=frame.K0, t0=frame.t0,
         eps0_measured=threshold_check(frame),
-        M_measured=boundedness_report(frame, min(inner_radius, frame.window_eff)),
+        M_measured=boundedness_report(frame, min(1.0, frame.window_eff)),
         w_sup_decay=w_smallness(frame),
         v_minus_vK0_sup=v_sharp_behavior(frame),
         clipped=frame.clipped,

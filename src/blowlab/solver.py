@@ -19,6 +19,10 @@ while the field keeps evolving.  Every history row therefore carries its
 own dt; time-to-end quantities are reconstructed by summing dt backwards,
 which stays exact where absolute time cannot.
 
+The history is one (n, 4) float64 array that ``_advance`` builds from
+blocks of ``HISTORY_BLOCK`` rows.  A run stops at the cap, at ``t_max`` or
+at its step budget (``budget-exhausted``, resumable), checked in that order.
+
 A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
 snapshots, dense history, status, config and the time accumulator's Kahan
 compensation, so post-processing and resume read one file.
@@ -54,6 +58,7 @@ from .fields import (
     _laplacian_values,
     _nonlocal_prefix_values,
     _sup_values,
+    csv_text,
 )
 from .params import ModelParams
 from .profiles import f_profile
@@ -64,6 +69,9 @@ STATUS_RUNNING = "running"
 STATUS_BLOWN_UP = "blown-up"
 STATUS_COMPLETED = "completed"
 STATUS_OVERFLOWED = "overflowed"
+STATUS_BUDGET = "budget-exhausted"
+
+HISTORY_BLOCK = 4096  # history rows buffered as tuples before a flush to floats
 
 
 class CheckpointError(ValueError):
@@ -135,15 +143,15 @@ class SolverConfig:
 class Trajectory:
     """Time-ordered record of a run: snapshots, dense max-norm history, status.
 
-    History rows are (t, supnorm, argmax_radius, dt_of_the_step); the initial
-    row carries dt = 0.  Snapshot times are strictly increasing (deep-tail
-    snapshots whose rounded time ties the previous one replace it).
+    History rows are (t, supnorm, argmax_radius, dt_of_the_step) in one (n, 4)
+    float array; the initial row has dt = 0.  Snapshot times are strictly
+    increasing (a deep-tail snapshot whose time ties the last one replaces it).
     """
 
     config: SolverConfig
     snapshots: list[RadialField]
     status: str = STATUS_RUNNING
-    _hist: list = dc_field(default_factory=list)
+    maxnorm_history: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 4)))
     _time_comp: float = 0.0  # Kahan compensation for the time accumulator
 
     @classmethod
@@ -154,14 +162,8 @@ class Trajectory:
         if config.boundary == BOUNDARY_DIRICHLET:
             field.values[-1] = 0.0
         m, rarg = _sup_values(field.values, config.grid.h)
-        traj = cls(config=config, snapshots=[field])
-        traj._hist.append((field.time, m, rarg, 0.0))
-        return traj
-
-    @property
-    def maxnorm_history(self) -> np.ndarray:
-        """(n, 4) array with columns t, supnorm, argmax_r, dt."""
-        return np.asarray(self._hist, dtype=float)
+        return cls(config=config, snapshots=[field],
+                   maxnorm_history=np.array([[field.time, m, rarg, 0.0]]))
 
     @property
     def last_field(self) -> RadialField:
@@ -299,7 +301,7 @@ def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
 
 
 def continue_run(trajectory: Trajectory) -> Trajectory:
-    """Resume a run (after a budget stop or :func:`load_snapshots`) in place.
+    """Resume a run in place, typically a ``budget-exhausted`` one.
 
     Stepping depends only on the current field, so a resumed run reproduces
     the uninterrupted history exactly.
@@ -327,6 +329,7 @@ def _advance(traj: Trajectory) -> Trajectory:
     m, rarg = _sup_values(values, h)
     last_snap_m = max(m, np.finfo(float).tiny)
     steps = 0
+    blocks, rows = [traj.maxnorm_history], []
 
     def snapshot():
         fld = RadialField(grid, values.copy(), t)
@@ -335,15 +338,17 @@ def _advance(traj: Trajectory) -> Trajectory:
         else:
             traj.snapshots.append(fld)
 
-    status = STATUS_COMPLETED
     # one error-state scope for the whole loop: overflow is detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps < config.max_steps:
+        while True:
             if m >= cap:
                 status = STATUS_BLOWN_UP
                 break
             if t_max is not None and t >= t_max * (1.0 - 1e-15):
                 status = STATUS_COMPLETED
+                break
+            if steps >= config.max_steps:
+                status = STATUS_BUDGET
                 break
             try:
                 dt = _dt_of(config, m)
@@ -364,12 +369,16 @@ def _advance(traj: Trajectory) -> Trajectory:
             values = new_values
             steps += 1
             m, rarg = _sup_values(values, h)
-            traj._hist.append((t, m, rarg, dt))
+            rows.append((t, m, rarg, dt))
+            if len(rows) == HISTORY_BLOCK:
+                blocks.append(np.array(rows))
+                rows = []
             if steps % stride == 0 or m >= growth * last_snap_m:
                 snapshot()
                 last_snap_m = max(m, np.finfo(float).tiny)
 
     snapshot()
+    traj.maxnorm_history = np.concatenate(blocks + [np.array(rows).reshape(-1, 4)])
     traj.status = status
     traj._time_comp = comp
     return traj
@@ -429,10 +438,9 @@ def dt_branch_counts(trajectory: Trajectory) -> tuple[int, int]:
     the run from the history's dt and sup columns, so the step loop pays
     nothing.  A step clipped to ``t_max`` counts in neither."""
     config = trajectory.config
-    hist = trajectory._hist
-    n = len(hist)
-    dt = np.fromiter((row[3] for row in hist), float, n)[1:]
-    sup_before = np.fromiter((row[1] for row in hist), float, n)[:-1]
+    hist = trajectory.maxnorm_history
+    dt = hist[1:, 3]
+    sup_before = hist[:-1, 1].copy()
     p = config.params.p
     # in place: this runs beside the whole trajectory, and fresh
     # temporaries here raised a run's peak memory
@@ -526,19 +534,21 @@ def load_snapshots(path) -> Trajectory:
         config = SolverConfig.from_dict(json.loads(str(arrays["config"])))
         snapshots = [RadialField(config.grid, row, t)
                      for t, row in zip(arrays["times"].tolist(), arrays["values"])]
-        hist = list(map(tuple, arrays["history"].tolist()))
+        hist = arrays["history"]
+        if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4:
+            raise ValueError(f"history is {hist.dtype} {hist.shape}, need float64 (n, 4)")
         return Trajectory(config=config, snapshots=snapshots, status=str(arrays["status"]),
-                          _hist=hist, _time_comp=float(arrays["time_comp"]))
+                          maxnorm_history=hist, _time_comp=float(arrays["time_comp"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupted run archive {path}: {exc}") from exc
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:
     """CSV body (t, supnorm, argmax_r, dt) with a parameter comment header."""
-    lines = [f"# status: {trajectory.status}"]
-    for key, val in trajectory.config.params.to_dict().items():
-        lines.append(f"# {key}: {val!r}")
-    lines.append("t,supnorm,argmax_r,dt")
-    for t, m, rarg, dt in trajectory._hist:
-        lines.append(f"{t!r},{m!r},{rarg!r},{dt!r}")
-    return "\n".join(lines) + "\n"
+    comments = [f"status: {trajectory.status}"]
+    comments += [f"{key}: {val!r}" for key, val in trajectory.config.params.to_dict().items()]
+    hist = trajectory.maxnorm_history
+    # one block at a time: a nested list of the whole history outweighs the run
+    rows = (row for i in range(0, len(hist), HISTORY_BLOCK)
+            for row in hist[i:i + HISTORY_BLOCK].tolist())
+    return csv_text(("t", "supnorm", "argmax_r", "dt"), rows, comments)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from blowlab import lemmas
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
 
@@ -170,6 +171,24 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     assert "history" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_text, argv, message", [
+    (TINY_CONFIG + "max_steps = 100\n", [], "need 'blown-up'"),  # no fit, no --T
+    (TINY_CONFIG, ["--x0", "5"], "unreachable"),
+    (TINY_CONFIG, ["--K0", "-1"], "K0 must be positive"),
+    (TINY_CONFIG, ["--T", "-1"], "T must be positive"),
+])
+def test_frames_bad_request_is_config_error(tmp_path, capsys, config_text, argv, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, config_text),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["frames", "--out", str(out), "--x0", "0.1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not list(out.glob("frame*"))  # nothing half-written
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_stock_passes(capsys, tmp_path):
@@ -185,8 +204,10 @@ def test_verify_stock_passes(capsys, tmp_path):
     assert len(sweep_lines) == 501  # header + 500 cases
 
 
-def test_verify_fault_injection(capsys):
-    assert main(["verify", "--bound-scale", "0.5"]) == 4
+def test_verify_fault_injection(capsys, monkeypatch):
+    bound = lemmas.integral_I_bound
+    monkeypatch.setattr(lemmas, "integral_I_bound", lambda c: 0.5 * bound(c))
+    assert main(["verify"]) == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "alpha=" in out  # names the failing case
@@ -269,6 +290,10 @@ def test_text_outputs_carry_no_numpy_reprs(tmp_path, capsys):
         stdout.append(capsys.readouterr().out)
     assert not any("np.float64" in text for text in stdout)
     assert "np.float64" not in (tmp_path / "sweep" / "sweep_summary.csv").read_text()
+    frame_csv = out / "frame_x0_0p2.csv"
+    assert "np.float64" not in frame_csv.read_text()
+    frame = np.loadtxt(frame_csv, delimiter=",", skiprows=1)
+    assert frame.shape[1] == 7 and np.all(frame[:, 0] == 0.2)
     # numpy's skiprows counts the comment lines too, so skip through the header
     header_row = (out / "field_final.csv").read_text().splitlines().index("r,u,du_dr,J")
     field = np.loadtxt(out / "field_final.csv", delimiter=",", comments="#",

@@ -12,6 +12,7 @@ from blowlab.similarity import (
     final_profile_extract,
     frame_report,
     scale_radius,
+    scale_radius_inverse,
     t0_of_x0,
     threshold_check,
     time_scale_of_x0,
@@ -86,6 +87,7 @@ def test_t0_round_trip_sample():
         x0 = scale_radius(s, K0)
         x_back = scale_radius(time_scale_of_x0(x0, K0, T), K0)
         assert abs(x_back / x0 - 1.0) < 1e-10
+        assert scale_radius_inverse(x0, K0) == pytest.approx(s, rel=1e-13)
 
 
 # ---------------------------------------------------------------- frames

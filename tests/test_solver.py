@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from blowlab import solver
 from blowlab.fields import RadialField, RadialGrid, sphere_area
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
     STATUS_BLOWN_UP,
+    STATUS_BUDGET,
     STATUS_COMPLETED,
     STATUS_OVERFLOWED,
     CheckpointError,
@@ -122,7 +124,7 @@ def test_zero_initial_data_stays_zero(default_params):
     u0 = RadialField(g, np.zeros(g.M + 1))
     config = quiet_config(g, default_params, blowup_cap=10.0, max_steps=500)
     traj = run_until_blowup(u0, config)
-    assert traj.status == STATUS_COMPLETED
+    assert traj.status == STATUS_BUDGET
     assert np.all(traj.last_field.values == 0.0)
 
 
@@ -132,7 +134,7 @@ def test_small_data_does_not_blow_up(heat_params):
     bump = 1e-3 * np.clip(1.0 - (g.r / 0.25) ** 2, 0.0, None) ** 2
     config = quiet_config(g, heat_params, blowup_cap=1.0, max_steps=50_000)
     traj = run_until_blowup(RadialField(g, bump), config)
-    assert traj.status == STATUS_COMPLETED
+    assert traj.status == STATUS_BUDGET
     assert traj.maxnorm_history[-1, 1] < 1e-3  # decayed, not grown
 
 
@@ -180,7 +182,7 @@ def _synthetic_blowup_history(T, kappa, s_values, params, noise=None, seed=0):
         hist.append((ts[i], m[i], 0.0, ts[i] - ts[i - 1]))
     field = RadialField(g, np.zeros(9), time=float(ts[-1]))
     return Trajectory(config=config, snapshots=[field], status=STATUS_BLOWN_UP,
-                      _hist=hist)
+                      maxnorm_history=np.array(hist))
 
 
 def test_estimate_T_exact_power_law(default_params):
@@ -267,8 +269,9 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     full = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
                                              blowup_cap=1e4, max_steps=5000))
     half = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
-                                             blowup_cap=1e4, max_steps=1500))
-    assert half.status == STATUS_COMPLETED  # budget stop
+                                             blowup_cap=1e4, max_steps=2825))
+    assert half.status == STATUS_BUDGET
+    assert half._time_comp != 0.0  # so the resume must carry the compensation
     path = tmp_path / "snapshots.npz"
     save_snapshots(half, path)
     resumed = continue_run(load_snapshots(path))
@@ -276,6 +279,33 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     assert np.array_equal(resumed.maxnorm_history, full.maxnorm_history)
     assert np.array_equal(resumed.last_field.values, full.last_field.values)
     assert resumed._time_comp == full._time_comp
+
+
+def test_cap_is_checked_before_the_budget(default_params):
+    """This run reaches the cap on exactly its last budgeted step."""
+    g = RadialGrid(R=1.0, M=256, dim=1)
+    u0 = profile_seeded_field(g, default_params, t_star=0.01)
+    traj = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
+                                             blowup_cap=1e4, max_steps=2848))
+    assert len(traj.maxnorm_history) - 1 == 2848
+    assert traj.maxnorm_history[-1, 1] >= 1e4
+    assert traj.status == STATUS_BLOWN_UP
+
+
+def test_history_block_size_leaves_runs_unchanged(default_params, monkeypatch):
+    """Flushing the history every 7 rows instead of every HISTORY_BLOCK gives
+    the same arrays, for a fresh run and for a resume that crosses a flush."""
+    g = RadialGrid(R=1.0, M=64, dim=1)
+    u0 = profile_seeded_field(g, default_params, t_star=0.01)
+    config = SolverConfig(grid=g, params=default_params, blowup_cap=1e4, max_steps=600)
+    default = run_until_blowup(u0, config)
+    monkeypatch.setattr(solver, "HISTORY_BLOCK", 7)
+    half = run_until_blowup(u0, replace(config, max_steps=10))  # one flush, 3 rows left
+    resumed = continue_run(replace(half, config=replace(config, max_steps=590)))
+    for traj in (run_until_blowup(u0, config), resumed):
+        assert np.array_equal(traj.maxnorm_history, default.maxnorm_history)
+        assert traj._time_comp == default._time_comp
+        assert traj.status == default.status
 
 
 def test_trajectory_csv_layout(small_run):
