@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .fields import RadialField, RadialGrid, csv_text, field_to_csv
+from .fields import RadialField, RadialGrid, field_to_csv, write_csv
 from .lemmas import (
     gamma_exponent_identity_check,
     gronwall_suite,
@@ -64,12 +65,13 @@ def _manifest(command: str, config_path, out_dir, run_config: RunConfig | None) 
     }
 
 
-def _write_text(path: Path, text: str) -> None:
-    write_atomic(path, lambda fh: fh.write(text.encode()))
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text), text=True)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    write_atomic(path, lambda fh: write_csv(fh, header, rows), text=True)
 
 
 def _print_table(rows, header) -> None:
@@ -93,7 +95,7 @@ def cmd_run(args) -> int:
     if args.dry_run:
         window = beta_window(params.p, params.q, params.dim, params.mu)
         doc = {
-            "params": params.to_dict(),
+            "params": asdict(params),
             "derived": {"b": params.b, "gamma": params.gamma, "kappa": params.kappa,
                         "beta_window": [window.lo, window.hi]},
         }
@@ -119,12 +121,13 @@ def cmd_run(args) -> int:
     diffusion_steps, reaction_steps = dt_branch_counts(trajectory)
 
     start = perf_counter()
-    version_line = f"# blowlab {__version__}\n"
-    _write_text(out / "trajectory.csv", version_line + trajectory_to_csv(trajectory))
+    version = (f"blowlab {__version__}",)
+    write_atomic(out / "trajectory.csv",
+                 lambda fh: trajectory_to_csv(fh, trajectory, version), text=True)
     save_snapshots(trajectory, out / RUN_ARCHIVE)
-    _write_text(out / "field_final.csv",
-                version_line
-                + field_to_csv(trajectory.last_field, params, run_config.solver.boundary))
+    write_atomic(out / "field_final.csv",
+                 lambda fh: field_to_csv(fh, trajectory.last_field, params,
+                                         run_config.solver.boundary, version), text=True)
     writes_s = perf_counter() - start
 
     summary = {"manifest": manifest, "status": trajectory.status,
@@ -136,10 +139,9 @@ def cmd_run(args) -> int:
                "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
     if trajectory.status == STATUS_BLOWN_UP:
         try:
-            estimate = estimate_T(trajectory, params)
-            _write_json(out / "blowup_estimate.json",
-                        {"manifest": manifest, **estimate.to_dict()})
-            summary["estimate"] = estimate.to_dict()
+            estimate = asdict(estimate_T(trajectory, params))
+            _write_json(out / "blowup_estimate.json", {"manifest": manifest, **estimate})
+            summary["estimate"] = estimate
         except InsufficientGrowthError as exc:
             summary["estimate_error"] = str(exc)
         # single-point headline: the far field must sit still while the core explodes
@@ -203,7 +205,7 @@ def cmd_frames(args) -> int:
             T = estimate_T(trajectory, trajectory.config.params).T_est
         frames = [extract_frame(trajectory, x0, args.K0, T, window=args.window)
                   for x0 in x0_list]
-        reports = [frame_report(frame).to_dict() for frame in frames]
+        reports = [asdict(frame_report(frame)) for frame in frames]
         table = final_profile_extract(trajectory, sorted(x0_list))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -217,14 +219,14 @@ def cmd_frames(args) -> int:
                 for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
                                              frame.w.tolist())
                 for cells in zip(xi, v_row, w_row))
-        _write_text(out / f"frame_{tag}.csv",
-                    csv_text(("x0", "K0", "t0", "tau", "xi", "v", "w"), rows))
+        _write_csv(out / f"frame_{tag}.csv", ("x0", "K0", "t0", "tau", "xi", "v", "w"), rows)
         _write_json(out / f"frame_report_{tag}.json", {"manifest": manifest, **report})
 
-    _write_json(out / "final_profile.json", {"manifest": manifest, **table.to_dict()})
+    final_profile = asdict(table)
+    _write_json(out / "final_profile.json", {"manifest": manifest, **final_profile})
 
     doc = {"manifest": manifest, "T": T, "K0": args.K0, "reports": reports,
-           "final_profile": table.to_dict()}
+           "final_profile": final_profile}
     _write_json(out / "frames_summary.json", doc)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -305,9 +307,8 @@ def cmd_verify(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "verification_report.json", doc)
-        _write_text(out / "integral_sweep.csv", csv_text(
-            ("alpha", "theta", "tau", "numeric", "bound", "ok"),
-            ((*row[:5], int(row[5])) for row in sweep.rows)))
+        _write_csv(out / "integral_sweep.csv", ("alpha", "theta", "tau", "numeric", "bound", "ok"),
+                   ((*row[:5], int(row[5])) for row in sweep.rows))
 
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -347,7 +348,8 @@ def _sweep_worker(job):
                               taper_start=run_config.taper_start)
     trajectory = run_until_blowup(u0, run_config.solver)
     save_snapshots(trajectory, point_dir / RUN_ARCHIVE)
-    _write_text(point_dir / "trajectory.csv", trajectory_to_csv(trajectory))
+    write_atomic(point_dir / "trajectory.csv",
+                 lambda fh: trajectory_to_csv(fh, trajectory), text=True)
     row = {"index": index, **overrides, "status": trajectory.status,
            "t_last": trajectory.last_field.time,
            "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
@@ -387,8 +389,7 @@ def cmd_sweep(args) -> int:
 
     keys = ["index"] + [k for k, _ in axes] + ["status", "t_last", "supnorm_last",
                                                "T_est", "kappa_est", "error"]
-    _write_text(out / "sweep_summary.csv",
-                csv_text(keys, ([row.get(k) for k in keys] for row in results)))
+    _write_csv(out / "sweep_summary.csv", keys, ([row.get(k) for k in keys] for row in results))
     print(f"{len(results)} sweep points -> {out / 'sweep_summary.csv'}")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import BOUNDARIES, RadialGrid
+from .fields import RadialGrid
 from .params import ModelParams, ParameterError, validate
 from .solver import SolverConfig, check_seed
 
@@ -98,10 +98,6 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         )
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    if merged["boundary"] not in BOUNDARIES:
-        raise ConfigError(
-            f"boundary must be one of {BOUNDARIES}, got {merged['boundary']!r}"
-        )
     try:
         grid = RadialGrid(R=float(merged["R"]), M=int(merged["M"]), dim=params.dim)
         solver = SolverConfig(

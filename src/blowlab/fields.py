@@ -7,8 +7,9 @@ boundary mode ("dirichlet-zero" or "neumann-zero").
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +47,6 @@ class RadialGrid:
     @property
     def r(self) -> np.ndarray:
         return np.linspace(0.0, self.R, self.M + 1)
-
-    def to_dict(self) -> dict:
-        return {"R": self.R, "M": self.M, "dim": self.dim}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadialGrid":
-        return cls(R=float(data["R"]), M=int(data["M"]), dim=int(data["dim"]))
 
 
 @dataclass(frozen=True)
@@ -217,22 +211,37 @@ def sup_norm(field: RadialField, radius: float | None = None) -> tuple[float, fl
     return _sup_values(values, field.grid.h)
 
 
-def csv_text(header, rows, comments=()) -> str:
-    """CSV text: one ``# `` line per comment, the header, then one line per
-    row of Python scalars, each written as its ``repr`` (``""`` for None)."""
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join("" if v is None else repr(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def write_csv(fh, header, rows, comments=()) -> None:
+    """Write CSV to the text stream ``fh``: one ``# `` line per comment, the
+    header, then one line per row, written as it comes, so a generator
+    never holds the whole table.
+
+    A number is written as its ``repr`` (the shortest round-trip form), None
+    as an empty cell and a string as :func:`_csv_text` quotes it, so
+    ``csv.reader`` reads every cell back.  ``csv.writer`` would take ~1.4x
+    as long on the float tables."""
+    for comment in comments:
+        fh.write(f"# {comment}\n")
+    for row in itertools.chain([header], rows):
+        fh.write(",".join(["" if v is None else _csv_text(v) if v.__class__ is str
+                           else repr(v) for v in row]) + "\n")
 
 
-def field_to_csv(field: RadialField, params: ModelParams,
-                 boundary: str = BOUNDARY_DIRICHLET) -> str:
-    """Snapshot CSV body: r,u,du_dr,J with a comment header carrying time
-    and the full parameter set."""
+def _csv_text(text: str) -> str:
+    """A text cell, quoted with its quotes doubled when it holds a comma, a
+    quote or a line break (``csv.QUOTE_MINIMAL``)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def field_to_csv(fh, field: RadialField, params: ModelParams, boundary: str,
+                 comments=()) -> None:
+    """Snapshot CSV (r, u, du_dr, J) after ``comments``, a comment carrying
+    the time and one per parameter."""
     du = _gradient_values(field.values, field.grid.h, boundary)
     J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
-    comments = [f"time: {field.time!r}"]
-    comments += [f"{key}: {val!r}" for key, val in params.to_dict().items()]
+    comments = [*comments, f"time: {field.time!r}"]
+    comments += [f"{key}: {val!r}" for key, val in asdict(params).items()]
     rows = zip(field.grid.r.tolist(), field.values.tolist(), du.tolist(), J.tolist())
-    return csv_text(("r", "u", "du_dr", "J"), rows, comments)
+    write_csv(fh, ("r", "u", "du_dr", "J"), rows, comments)

@@ -236,7 +236,6 @@ def gronwall_equality_solution(y0: float, r: StepFunction, q: StepFunction):
 
 @dataclass(frozen=True)
 class GronwallSuiteResult:
-    n_instances: int
     n_points: int
     n_violations: int
     worst_margin: float  # max of exact - bound over all evaluation points
@@ -277,7 +276,7 @@ def gronwall_suite() -> GronwallSuiteResult:
             n_points += 1
             if margin > 1e-10:
                 n_violations += 1
-    return GronwallSuiteResult(1000, n_points, n_violations, worst)
+    return GronwallSuiteResult(n_points, n_violations, worst)
 
 
 def gamma_exponent_identity_check() -> float:
@@ -307,10 +306,6 @@ class DecayFit:
     s_lo: float
     s_hi: float
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "C_eta": self.C_eta,
-                "s_lo": self.s_lo, "s_hi": self.s_hi, "n_points": self.n_points}
 
 
 def _resolution_floor(h: float) -> float:
@@ -383,7 +378,6 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
 class SmoothingReport:
     max_sup_ratio: float    # worst ||S(t)f|| / ||f||      (expected <= 1 + O(h^2))
     max_grad_ratio: float   # worst sqrt(t) ||d/dr S(t)f|| / ||f|| (measured constant)
-    rows: list              # (case index, t, sup_ratio, grad_ratio)
 
 
 def _heat_params(dim: int) -> ModelParams:
@@ -397,7 +391,6 @@ def _heat_params(dim: int) -> ModelParams:
 def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
     """Evolve each field by the discrete heat flow (neumann-zero closure) up
     to each time and measure the smoothing ratios of the semigroup."""
-    rows = []
     max_sup = -math.inf
     max_grad = -math.inf
     for idx, f0 in enumerate(test_fields):
@@ -420,7 +413,6 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
             g = _gradient_values(current.values, f0.grid.h, BOUNDARY_NEUMANN)
             sup_ratio = float(np.max(np.abs(current.values))) / norm0
             grad_ratio = math.sqrt(t) * float(np.max(np.abs(g))) / norm0
-            rows.append((idx, t, sup_ratio, grad_ratio))
             max_sup = max(max_sup, sup_ratio)
             max_grad = max(max_grad, grad_ratio)
-    return SmoothingReport(max_sup_ratio=max_sup, max_grad_ratio=max_grad, rows=rows)
+    return SmoothingReport(max_sup_ratio=max_sup, max_grad_ratio=max_grad)

@@ -22,7 +22,7 @@ All inequalities are strict (boundary values are rejected).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class ParameterError(ValueError):
@@ -67,19 +67,11 @@ class ModelParams:
     gamma: float   # (p-q)/(p-1) + (dim-1)/2, scaling gain of the non-local term
     kappa: float   # (p-1)^(-1/(p-1)), flat blow-up amplitude
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        """Rebuild from the primary fields, re-running validation."""
-        return validate(
-            p=float(data["p"]),
-            q=float(data["q"]),
-            mu=float(data["mu"]),
-            dim=int(data["dim"]),
-            beta=float(data["beta"]) if data.get("beta") is not None else None,
-        )
+        """Rebuild from the primary fields of ``dataclasses.asdict``, re-running
+        validation (the derived constants are computed afresh)."""
+        return validate(**{name: data[name] for name in ("p", "q", "mu", "dim", "beta")})
 
 
 def gamma_of(p: float, q: float, dim: int) -> float:

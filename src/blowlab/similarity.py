@@ -80,21 +80,21 @@ def time_scale_of_x0(x0: float, K0: float, T: float, delta: float | None = None)
     if delta is None:
         delta = default_delta(K0)
     x_eff = min(abs(x0), delta)
+    radius = f"|x0|={abs(x0):.6g}"
+    if abs(x0) > delta:
+        radius += f" (clipped to delta={delta:.6g})"
 
     s_hi = min(S_TURN, T)
     if scale_radius(s_hi, K0) < x_eff:
         if s_hi < S_TURN:
-            raise ValueError(
-                f"unreachable: |x0|={x_eff:.6g} needs T-t0 > T={T:.6g} (t0 < 0)"
-            )
+            raise ValueError(f"unreachable: {radius} needs T-t0 > T={T:.6g} (t0 < 0)")
         raise ValueError(
-            "non-monotone regime: "
-            f"|x0|={x_eff:.6g} unreachable, the scale map peaks at "
+            f"non-monotone regime: {radius} unreachable, the scale map peaks at "
             f"{scale_radius(S_TURN, K0):.6g} where T-t0 = 1/e"
         )
 
     if scale_radius(S_FLOOR, K0) > x_eff:
-        raise ValueError(f"unreachable: |x0|={x_eff:.6g} below the resolvable range")
+        raise ValueError(f"unreachable: {radius} below the resolvable range")
     return scale_radius_inverse(x_eff, K0, s_hi)
 
 
@@ -110,7 +110,6 @@ class SimilarityFrame:
     x0: float
     K0: float
     t0: float
-    T: float
     s0: float                  # T - t0 at full precision
     tau_grid: np.ndarray
     xi_grid: np.ndarray
@@ -120,7 +119,6 @@ class SimilarityFrame:
     window: float              # requested half-width in xi
     window_eff: float          # delivered half-width after clipping
     clipped: bool
-    tau_max: float             # largest covered tau
 
     @property
     def log_scale(self) -> float:
@@ -219,10 +217,10 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
         w[j] = amp_w * sign * np.interp(r_phys, nodes, g_t)
 
     return SimilarityFrame(
-        x0=float(x0), K0=float(K0), t0=t0, T=float(T), s0=s0,
+        x0=float(x0), K0=float(K0), t0=t0, s0=s0,
         tau_grid=taus, xi_grid=xi, v=v, w=w, params=params,
         window=float(window), window_eff=float(window_eff),
-        clipped=clipped, tau_max=float(tau_max),
+        clipped=clipped,
     )
 
 
@@ -286,16 +284,6 @@ class FrameReport:
     v_minus_vK0_sup: float
     clipped: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "x0": self.x0, "K0": self.K0, "t0": self.t0,
-            "eps0_measured": self.eps0_measured,
-            "M_measured": self.M_measured,
-            "w_sup_decay": self.w_sup_decay,
-            "v_minus_vK0_sup": self.v_minus_vK0_sup,
-            "clipped": self.clipped,
-        }
-
 
 def frame_report(frame: SimilarityFrame) -> FrameReport:
     """Run all four frame diagnostics on an extracted frame."""
@@ -319,22 +307,11 @@ class FinalProfilePoint:
     grad_envelope_unit: float  # gradient bound shape evaluated with C = 1
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "u_last": self.u_last, "prediction": self.prediction,
-            "ratio": self.ratio, "grad_last": self.grad_last,
-            "grad_envelope_unit": self.grad_envelope_unit,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class FinalProfileTable:
     points: list[FinalProfilePoint]
     grad_C: float  # smallest C validating the gradient bound on the sample
-
-    def to_dict(self) -> dict:
-        return {"points": [p.to_dict() for p in self.points], "grad_C": self.grad_C}
 
 
 def final_profile_extract(trajectory: Trajectory, radii) -> FinalProfileTable:

@@ -43,7 +43,7 @@ import json
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .fields import (
     _laplacian_values,
     _nonlocal_prefix_values,
     _sup_values,
-    csv_text,
+    write_csv,
 )
 from .params import ModelParams
 from .profiles import f_profile
@@ -109,34 +109,21 @@ class SolverConfig:
         if self.grid.dim != self.params.dim:
             raise ValueError(f"grid dim {self.grid.dim} differs from params dim {self.params.dim}")
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "params": self.params.to_dict(),
-            "dt_safety": self.dt_safety,
-            "blowup_cap": self.blowup_cap,
-            "boundary": self.boundary,
-            "record_stride": self.record_stride,
-            "snapshot_growth": self.snapshot_growth,
-            "max_steps": self.max_steps,
-            "t_max": self.t_max,
-            "reaction": self.reaction,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        return cls(
-            grid=RadialGrid.from_dict(data["grid"]),
-            params=ModelParams.from_dict(data["params"]),
-            dt_safety=float(data["dt_safety"]),
-            blowup_cap=float(data["blowup_cap"]),
-            boundary=str(data["boundary"]),
-            record_stride=int(data["record_stride"]),
-            snapshot_growth=float(data.get("snapshot_growth", 1.05)),
-            max_steps=int(data["max_steps"]),
-            t_max=None if data.get("t_max") is None else float(data["t_max"]),
-            reaction=bool(data.get("reaction", True)),
-        )
+        """Inverse of ``dataclasses.asdict``; the parameters are validated again."""
+        data = _exact_keys(cls, data)
+        return cls(**{**data, "grid": RadialGrid(**_exact_keys(RadialGrid, data["grid"])),
+                      "params": ModelParams.from_dict(_exact_keys(ModelParams, data["params"]))})
+
+
+def _exact_keys(record, data: dict) -> dict:
+    """``data``, once it is known to carry exactly the fields of ``record``."""
+    names = {f.name for f in fields(record)}
+    if set(data) != names:
+        raise ValueError(f"{record.__name__} keys: missing {sorted(names - set(data))}, "
+                         f"unexpected {sorted(set(data) - names)}")
+    return data
 
 
 @dataclass
@@ -183,16 +170,6 @@ class BlowupEstimate:
     t_last: float = 0.0      # last history time entering the fit
     delta_end: float = 0.0   # fitted T_est - t_last; kept separately because
                              # the subtraction underflows in float64 near blow-up
-
-    def to_dict(self) -> dict:
-        return {
-            "T_est": self.T_est,
-            "kappa_est": self.kappa_est,
-            "fit_window": list(self.fit_window),
-            "residual": self.residual,
-            "t_last": self.t_last,
-            "delta_end": self.delta_end,
-        }
 
 
 def profile_seeded_field(grid: RadialGrid, params: ModelParams,
@@ -474,13 +451,15 @@ def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_atomic(path, write) -> None:
-    """Call ``write(fh)`` on a binary temp file beside ``path``, then rename
-    it into place, so a reader never sees a partial file."""
+def write_atomic(path, write, text: bool = False) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path`` (binary, or UTF-8
+    text with untranslated line ends when ``text``), then rename it into
+    place, so a reader never sees a partial file."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with (open(tmp, "w", encoding="utf-8", newline="") if text
+              else open(tmp, "wb")) as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -504,7 +483,7 @@ def save_snapshots(trajectory: Trajectory, path) -> None:
     write_atomic(path, lambda fh: np.savez_compressed(
         fh,
         version=np.array(ARCHIVE_VERSION),
-        config=np.array(json.dumps(trajectory.config.to_dict())),
+        config=np.array(json.dumps(asdict(trajectory.config))),
         status=np.array(trajectory.status),
         times=trajectory.times,
         values=values,
@@ -543,12 +522,13 @@ def load_snapshots(path) -> Trajectory:
         raise CheckpointError(f"corrupted run archive {path}: {exc}") from exc
 
 
-def trajectory_to_csv(trajectory: Trajectory) -> str:
-    """CSV body (t, supnorm, argmax_r, dt) with a parameter comment header."""
-    comments = [f"status: {trajectory.status}"]
-    comments += [f"{key}: {val!r}" for key, val in trajectory.config.params.to_dict().items()]
+def trajectory_to_csv(fh, trajectory: Trajectory, comments=()) -> None:
+    """History CSV (t, supnorm, argmax_r, dt) after ``comments``, a status
+    comment and one per parameter."""
+    comments = [*comments, f"status: {trajectory.status}"]
+    comments += [f"{key}: {val!r}" for key, val in asdict(trajectory.config.params).items()]
     hist = trajectory.maxnorm_history
     # one block at a time: a nested list of the whole history outweighs the run
     rows = (row for i in range(0, len(hist), HISTORY_BLOCK)
             for row in hist[i:i + HISTORY_BLOCK].tolist())
-    return csv_text(("t", "supnorm", "argmax_r", "dt"), rows, comments)
+    write_csv(fh, ("t", "supnorm", "argmax_r", "dt"), rows, comments)

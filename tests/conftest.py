@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blowlab.params import validate
 from blowlab.fields import RadialGrid
 from blowlab.solver import SolverConfig, profile_seeded_field, run_until_blowup
+
+# Property tests draw the same examples on every run (no example database,
+# no timing deadline), so the suite stays deterministic and adds seconds.
+settings.register_profile("blowlab", derandomize=True, database=None, deadline=None,
+                          max_examples=30)
+settings.load_profile("blowlab")
 
 
 @pytest.fixture(scope="session")

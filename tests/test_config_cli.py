@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -77,6 +78,9 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         path = write_config(tmp_path, f"{key} = 1.5\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"{key} must be in (0, 1)" in capsys.readouterr().err
+    path = write_config(tmp_path, "boundary = sideways\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "boundary must be one of" in capsys.readouterr().err
 
 
 def test_run_param_override_flags(capsys):
@@ -173,7 +177,7 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
 
 @pytest.mark.parametrize("config_text, argv, message", [
     (TINY_CONFIG + "max_steps = 100\n", [], "need 'blown-up'"),  # no fit, no --T
-    (TINY_CONFIG, ["--x0", "5"], "unreachable"),
+    (TINY_CONFIG, ["--x0", "5"], "unreachable: |x0|=5 (clipped to delta="),
     (TINY_CONFIG, ["--K0", "-1"], "K0 must be positive"),
     (TINY_CONFIG, ["--T", "-1"], "T must be positive"),
 ])
@@ -242,11 +246,15 @@ def test_sweep_records_invalid_points(tmp_path):
     # q=5 is outside the admissible window for p=4, dim=1; t_star=1.5 outside (0, 1)
     assert main(["sweep", "--config", config, "--grid", "q=3:5:2,t_star=0.01:1.5:2",
                  "--out", str(out), "--workers", "1"]) == 0
-    lines = (out / "sweep_summary.csv").read_text().splitlines()
-    assert len(lines) == 5
-    assert "blown-up" in lines[1]
-    assert "config-error" in lines[2] and "t_star" in lines[2]
-    assert all("config-error" in line for line in lines[3:])
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    # an error message with a comma stays one cell: no row is longer (None key)
+    # or shorter (None value) than the header
+    assert all(None not in row and None not in row.values() for row in rows)
+    assert [row["status"] for row in rows] == ["blown-up"] + ["config-error"] * 3
+    assert rows[1]["error"] == "t_star must be in (0, 1), got 1.5"
+    assert rows[2]["error"].startswith("q upper bound violated: q=5.0")
 
 
 def test_sweep_bad_grid_spec(tmp_path, capsys):

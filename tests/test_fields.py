@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -150,8 +152,9 @@ def test_sup_norm_locations(default_params):
 
 def test_field_csv_shape(default_params):
     g = grid1(M=8)
-    text = field_to_csv(RadialField(g, np.ones(9), time=0.25), default_params)
-    lines = text.strip().splitlines()
+    fh = io.StringIO()
+    field_to_csv(fh, RadialField(g, np.ones(9), time=0.25), default_params, "dirichlet-zero")
+    lines = fh.getvalue().strip().splitlines()
     header = [ln for ln in lines if ln.startswith("#")]
     assert any("time: 0.25" in ln for ln in header)
     assert any("mu: 0.1" in ln for ln in header)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def test_non_finite_inputs_rejected():
 
 
 def test_round_trip_dict(default_params):
-    again = type(default_params).from_dict(default_params.to_dict())
+    again = type(default_params).from_dict(asdict(default_params))
     assert again == default_params
 
 

@@ -1,0 +1,114 @@
+"""Property tests: the run archive's config round trip and key check, the
+ball-integral prefix and the CSV cells."""
+import csv
+import io
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from blowlab.fields import BOUNDARIES, RadialField, RadialGrid, nonlocal_prefix, write_csv
+from blowlab.params import beta_window, q_bounds, validate
+from blowlab.solver import (
+    CheckpointError,
+    SolverConfig,
+    Trajectory,
+    load_snapshots,
+    save_snapshots,
+)
+
+
+@st.composite
+def model_params(draw):
+    """An admissible (p, q, mu, dim) with beta left to the midpoint or drawn
+    from inside its window."""
+    p = draw(st.floats(3.01, 10.0))
+    dim = draw(st.integers(1, 3))
+    q_lo, q_hi = q_bounds(p, dim)
+    q = q_lo + draw(st.floats(0.02, 0.98)) * (q_hi - q_lo)
+    mu = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    beta = draw(st.one_of(st.none(), st.floats(0.02, 0.98)))
+    if beta is not None:
+        window = beta_window(p, q, dim, mu)
+        beta = window.lo + beta * (window.hi - window.lo)
+    return validate(p=p, q=q, mu=mu, dim=dim, beta=beta)
+
+
+@st.composite
+def solver_configs(draw):
+    params = draw(model_params())
+    grid = RadialGrid(R=draw(st.floats(0.1, 10.0)), M=draw(st.integers(8, 8192)),
+                      dim=params.dim)
+    return SolverConfig(
+        grid=grid, params=params,
+        dt_safety=draw(st.floats(1e-3, 1.0)),
+        blowup_cap=draw(st.floats(1.0, 1e300)),
+        boundary=draw(st.sampled_from(BOUNDARIES)),
+        record_stride=draw(st.integers(1, 10 ** 6)),
+        snapshot_growth=draw(st.floats(1.0, 1e3, exclude_min=True)),
+        max_steps=draw(st.integers(1, 10 ** 9)),
+        t_max=draw(st.one_of(st.none(), st.floats(1e-6, 10.0))),
+        reaction=draw(st.booleans()),
+    )
+
+
+@given(solver_configs())
+def test_solver_config_round_trips_through_json(config):
+    assert SolverConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
+
+
+@pytest.fixture(scope="module")
+def tiny_archive(tmp_path_factory, default_params):
+    grid = RadialGrid(R=1.0, M=8, dim=1)
+    config = SolverConfig(grid=grid, params=default_params)
+    path = tmp_path_factory.mktemp("archive") / "snapshots.npz"
+    save_snapshots(Trajectory.start(RadialField(grid, np.ones(9)), config), path)
+    with np.load(path) as data:
+        stored = {key: data[key] for key in data.files}
+    return path, stored, asdict(config)
+
+
+@given(level=st.sampled_from([None, "grid", "params"]), drop=st.booleans(),
+       data=st.data())
+def test_archive_config_with_missing_or_extra_key_is_rejected(tiny_archive, level, drop,
+                                                              data):
+    path, stored, config = tiny_archive
+    config = json.loads(json.dumps(config))
+    section = config if level is None else config[level]
+    if drop:
+        del section[data.draw(st.sampled_from(sorted(section)), label="dropped")]
+    else:
+        extra = data.draw(st.text(min_size=1).filter(lambda key: key not in section),
+                          label="extra")
+        section[extra] = 1.0
+    np.savez_compressed(path, **{**stored, "config": np.array(json.dumps(config))})
+    with pytest.raises(CheckpointError, match="keys"):
+        load_snapshots(path)
+
+
+@given(params=model_params(), M=st.integers(8, 256), data=st.data())
+def test_nonlocal_prefix_is_nondecreasing_from_zero(params, M, data):
+    grid = RadialGrid(R=data.draw(st.floats(0.1, 10.0), label="R"), M=M, dim=params.dim)
+    values = data.draw(arrays(np.float64, M + 1, elements=st.floats(-1e3, 1e3)),
+                       label="values")
+    J = nonlocal_prefix(RadialField(grid, values), params)
+    assert J[0] == 0.0
+    assert np.all(np.diff(J) >= 0.0)
+
+
+# text drawn often from CSV's special characters, so quoting is exercised
+cells = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False),
+                  st.text(alphabet=',"\r\n x'),
+                  st.text(alphabet=st.characters(exclude_characters="\x00")))
+
+
+@given(st.lists(st.lists(cells, min_size=2, max_size=5), max_size=5))
+def test_write_csv_cells_read_back(rows):
+    fh = io.StringIO()
+    write_csv(fh, ("a", "b"), rows)
+    expected = [["a", "b"]] + [["" if v is None else v if isinstance(v, str) else repr(v)
+                                for v in row] for row in rows]
+    assert list(csv.reader(io.StringIO(fh.getvalue(), newline=""))) == expected

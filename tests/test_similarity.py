@@ -158,11 +158,11 @@ def test_threshold_resolution_invariance(default_params):
 
 def _manual_frame(default_params, v, w, tau, xi, s0=1e-3):
     return SimilarityFrame(
-        x0=0.3, K0=4.0, t0=T_REF - s0, T=T_REF, s0=s0,
+        x0=0.3, K0=4.0, t0=T_REF - s0, s0=s0,
         tau_grid=np.asarray(tau), xi_grid=np.asarray(xi),
         v=np.asarray(v, dtype=float), w=np.asarray(w, dtype=float),
         params=default_params, window=float(np.max(np.abs(xi))),
-        window_eff=float(np.max(np.abs(xi))), clipped=False, tau_max=float(tau[-1]))
+        window_eff=float(np.max(np.abs(xi))), clipped=False)
 
 
 def test_threshold_check_trivial_cases(default_params):

@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -309,8 +310,9 @@ def test_history_block_size_leaves_runs_unchanged(default_params, monkeypatch):
 
 
 def test_trajectory_csv_layout(small_run):
-    text = trajectory_to_csv(small_run)
-    lines = text.strip().splitlines()
+    fh = io.StringIO()
+    trajectory_to_csv(fh, small_run)
+    lines = fh.getvalue().strip().splitlines()
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "t,supnorm,argmax_r,dt"
     assert len(body) - 1 == len(small_run.maxnorm_history)
