@@ -65,6 +65,16 @@ def _manifest(command: str, config_path, out_dir, run_config: RunConfig | None) 
     }
 
 
+def _out_dir(path) -> Path:
+    """``path`` as a directory, made when missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out}: {exc}") from exc
+    return out
+
+
 def _write_json(path: Path, doc: dict) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_atomic(path, lambda fh: fh.write(text), text=True)
@@ -85,12 +95,7 @@ def _print_table(rows, header) -> None:
 
 def cmd_run(args) -> int:
     overrides = {key: getattr(args, key) for key in ("p", "q", "mu", "dim", "beta")}
-    try:
-        run_config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    run_config = load_config(args.config, overrides)
     params = run_config.params
     if args.dry_run:
         window = beta_window(params.p, params.q, params.dim, params.mu)
@@ -107,8 +112,7 @@ def cmd_run(args) -> int:
             print(f"beta={params.beta!r} in window {window}")
         return EXIT_OK
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest = _manifest("run", args.config, out, run_config)
     _write_json(out / "manifest.json", manifest)
 
@@ -177,39 +181,29 @@ def cmd_frames(args) -> int:
     try:
         x0_list = [float(tok) for tok in args.x0.split(",") if tok.strip()] if args.x0 else []
     except ValueError as exc:
-        print(f"config error: bad --x0 list: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad --x0 list: {exc}") from exc
     if not x0_list:
         print("no x0 values given; nothing to do")
         return EXIT_OK
     if any(x == 0.0 for x in x0_list):
-        print("config error: x0 = 0 is the blow-up point; frames need x0 != 0",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("x0 = 0 is the blow-up point; frames need x0 != 0")
 
     try:
         trajectory = _load_run(out)
     except (OSError, ValueError) as exc:
-        print(f"config error: cannot load run artifacts from {out}: {exc}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot load run artifacts from {out}: {exc}") from exc
 
-    estimate_path = out / "blowup_estimate.json"
     # InsufficientGrowthError and CoverageGapError are ValueErrors too
     try:
-        if args.T is not None:
-            T = args.T
-        elif estimate_path.exists():
-            T = float(json.loads(estimate_path.read_text())["T_est"])
-        else:
+        T = args.T
+        if T is None:  # the fit is deterministic: the T_est that run wrote
             T = estimate_T(trajectory, trajectory.config.params).T_est
         frames = [extract_frame(trajectory, x0, args.K0, T, window=args.window)
                   for x0 in x0_list]
         reports = [asdict(frame_report(frame)) for frame in frames]
         table = final_profile_extract(trajectory, sorted(x0_list))
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
 
     manifest = _manifest("frames", None, out, None)
     for x0, frame, report in zip(x0_list, frames, reports):
@@ -253,6 +247,7 @@ def _semigroup_cases() -> tuple[list, list]:
 
 
 def cmd_verify(args) -> int:
+    out = None if args.out is None else _out_dir(args.out)
     failures = []
     rows = []
 
@@ -281,14 +276,14 @@ def cmd_verify(args) -> int:
         failures.append(f"exponent identity off by {ident:.3e}")
 
     smoothing = semigroup_smoothing_check(*_semigroup_cases())
-    sup_ok = smoothing.max_sup_ratio <= 1.0 + 1e-6
+    sup_ok = smoothing.max_sup_ratio <= 1.0 + 1e-12
     grad_ok = smoothing.max_grad_ratio <= 2.0 / np.sqrt(2.0 * np.e)
     rows.append(("semigroup sup ratio", "3 fields x 4 times",
                  f"max {smoothing.max_sup_ratio:.8f}", "pass" if sup_ok else "FAIL"))
     rows.append(("semigroup grad ratio", "3 fields x 4 times",
                  f"max {smoothing.max_grad_ratio:.6f}", "pass" if grad_ok else "FAIL"))
     if not sup_ok:
-        failures.append(f"semigroup sup ratio {smoothing.max_sup_ratio} > 1 + 1e-6")
+        failures.append(f"semigroup sup ratio {smoothing.max_sup_ratio} > 1 + 1e-12")
     if not grad_ok:
         failures.append(f"semigroup grad ratio {smoothing.max_grad_ratio} too large")
 
@@ -303,9 +298,7 @@ def cmd_verify(args) -> int:
                       "max_grad_ratio": smoothing.max_grad_ratio},
         "failures": failures,
     }
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_json(out / "verification_report.json", doc)
         _write_csv(out / "integral_sweep.csv", ("alpha", "theta", "tau", "numeric", "bound", "ok"),
                    ((*row[:5], int(row[5])) for row in sweep.rows))
@@ -364,14 +357,12 @@ def _sweep_worker(job):
 
 
 def cmd_sweep(args) -> int:
+    run_config = load_config(args.config)
     try:
-        run_config = load_config(args.config)
         axes = _parse_grid_spec(args.grid)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    out = _out_dir(args.out)
     _write_json(out / "manifest.json",
                 {**_manifest("sweep", args.config, out, run_config), "grid": args.grid})
 
@@ -394,41 +385,52 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _report_lines(out: Path, summary: dict) -> list[str]:
+    config = summary["manifest"]["config"]
+    lines = [
+        f"run in {out}",
+        f"  p={config['p']} q={config['q']} mu={config['mu']} dim={config['dim']} "
+        f"beta={config['beta']:.6g}",
+        f"  grid: R={config['R']} M={config['M']}  boundary={config['boundary']}",
+        f"  status: {summary['status']}  steps={summary['steps']}  "
+        f"t_last={summary['t_last']!r}",
+    ]
+    if "steps_diffusion_limited" in summary:
+        lines.append(f"  dt branch: diffusion-limited={summary['steps_diffusion_limited']}  "
+                     f"reaction-limited={summary['steps_reaction_limited']}")
+    if "wall_s" in summary:
+        wall = summary["wall_s"]
+        lines.append(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")
+    if "estimate" in summary:
+        est = summary["estimate"]
+        lines.append(f"  T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "
+                     f"residual={est['residual']:.3g}")
+    frames_path = out / "frames_summary.json"
+    if frames_path.exists():
+        frames = json.loads(frames_path.read_text())
+        lines.append(f"  frames (K0={frames['K0']}):")
+        for rep in frames["reports"]:
+            lines.append(f"    x0={rep['x0']:g}: eps0={rep['eps0_measured']:.4g} "
+                         f"M={rep['M_measured']:.4g} w_small={rep['w_sup_decay']:.4g} "
+                         f"v_sharp={rep['v_minus_vK0_sup']:.4g}")
+    return lines
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     summary_path = out / "run_summary.json"
     if not summary_path.exists():
-        print(f"config error: no run artifacts in {out}", file=sys.stderr)
-        return EXIT_CONFIG
-    summary = json.loads(summary_path.read_text())
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return EXIT_OK
-    config = summary["manifest"]["config"]
-    print(f"run in {out}")
-    print(f"  p={config['p']} q={config['q']} mu={config['mu']} dim={config['dim']} "
-          f"beta={config['beta']:.6g}")
-    print(f"  grid: R={config['R']} M={config['M']}  boundary={config['boundary']}")
-    print(f"  status: {summary['status']}  steps={summary['steps']}  "
-          f"t_last={summary['t_last']!r}")
-    if "steps_diffusion_limited" in summary:
-        print(f"  dt branch: diffusion-limited={summary['steps_diffusion_limited']}  "
-              f"reaction-limited={summary['steps_reaction_limited']}")
-    if "wall_s" in summary:
-        wall = summary["wall_s"]
-        print(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")
-    if "estimate" in summary:
-        est = summary["estimate"]
-        print(f"  T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "
-              f"residual={est['residual']:.3g}")
-    frames_path = out / "frames_summary.json"
-    if frames_path.exists():
-        frames = json.loads(frames_path.read_text())
-        print(f"  frames (K0={frames['K0']}):")
-        for rep in frames["reports"]:
-            print(f"    x0={rep['x0']:g}: eps0={rep['eps0_measured']:.4g} "
-                  f"M={rep['M_measured']:.4g} w_small={rep['w_sup_decay']:.4g} "
-                  f"v_sharp={rep['v_minus_vK0_sup']:.4g}")
+        raise ConfigError(f"no run artifacts in {out}")
+    # the whole report is built before any of it prints, so a damaged
+    # artifact yields a message and no partial report
+    try:
+        summary = json.loads(summary_path.read_text())
+        lines = ([json.dumps(summary, indent=2, sort_keys=True)] if args.json
+                 else _report_lines(out, summary))
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot read the run summary in {out}: {reason}") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -486,7 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the one place an input the command cannot use becomes exit code 2
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ from .solver import SolverConfig, check_seed
 
 
 class ConfigError(ValueError):
-    """Malformed configuration file or inadmissible key/value."""
+    """An input a command cannot use: a malformed configuration file, an
+    inadmissible key/value, or an unusable path, artifact or request."""
 
 
 # key -> (type, default); beta/t_max default to None (absent)

@@ -147,6 +147,8 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
 
     if window is None:
         window = max(1.0, 2.0 * L0 ** 0.25)
+    elif not 0.0 < window < math.inf:
+        raise ValueError(f"window must be finite and positive, got {window}")
     window_eff = window
     clipped = False
     max_extent = (grid.R - abs(x0)) / sqrt_s0

@@ -63,7 +63,8 @@ from .fields import (
 from .params import ModelParams
 from .profiles import f_profile
 
-ARCHIVE_VERSION = 2  # 1 was the JSON checkpoint that held the history apart
+ARCHIVE_VERSION = 3  # 1 was the JSON checkpoint that held the history apart;
+                     # 2 stored a config with the reaction switch
 
 STATUS_RUNNING = "running"
 STATUS_BLOWN_UP = "blown-up"
@@ -93,7 +94,6 @@ class SolverConfig:
     snapshot_growth: float = 1.05  # extra snapshot whenever supnorm grows by this factor
     max_steps: int = 5_000_000     # per-call step budget
     t_max: float | None = None
-    reaction: bool = True          # test hook: False drops the |u|^(p-1) u term
 
     def __post_init__(self):
         if not 0.0 < self.dt_safety <= 1.0:
@@ -199,19 +199,17 @@ def check_seed(t_star: float, taper_start: float) -> None:
 
 
 def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
-                reaction: bool, out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side on the node values, written into ``out`` when given.
 
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
     """
     out = _laplacian_values(u, geom, boundary, out)
-    if reaction or params.mu != 0.0:
-        abs_u = np.abs(u)
-    if reaction:
-        react = abs_u ** (params.p - 1.0)
-        react *= u
-        out += react
+    abs_u = np.abs(u)
+    react = abs_u ** (params.p - 1.0)
+    react *= u
+    out += react
     if params.mu != 0.0:
         g = _gradient_values(u, geom.h, boundary)
         J = _nonlocal_prefix_values(abs_u, geom, params.q)
@@ -225,13 +223,12 @@ def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary
 
 
 def rhs(field: RadialField, params: ModelParams,
-        boundary: str = BOUNDARY_DIRICHLET, reaction: bool = True) -> RadialField:
+        boundary: str = BOUNDARY_DIRICHLET) -> RadialField:
     """Full right-hand side, one ball-integral pass per evaluation."""
     if field.grid.dim != params.dim:
         raise ValueError(f"grid dim {field.grid.dim} differs from params dim {params.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _rhs_values(field.values, GridGeometry.of(field.grid), params, boundary,
-                           reaction)
+        vals = _rhs_values(field.values, GridGeometry.of(field.grid), params, boundary)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFieldError("right-hand side overflowed")
     return RadialField(field.grid, vals, field.time)
@@ -257,10 +254,10 @@ def _heun(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
     stages and the predictor; it may be reused across steps."""
     p = config.params
     k1, predictor, k2 = work
-    _rhs_values(u, geom, p, config.boundary, config.reaction, out=k1)
+    _rhs_values(u, geom, p, config.boundary, out=k1)
     np.multiply(k1, dt, out=predictor)
     predictor += u
-    _rhs_values(predictor, geom, p, config.boundary, config.reaction, out=k2)
+    _rhs_values(predictor, geom, p, config.boundary, out=k2)
     k1 += k2
     k1 *= 0.5 * dt
     return u + k1

@@ -156,6 +156,16 @@ def test_frames_writes_reports(finished_run):
     assert [point["r"] for point in table["points"]] == [0.1, 0.2]
 
 
+def test_frames_fits_T_from_the_archive(finished_run):
+    """frames refits T from the run archive, bit for bit the T that run
+    wrote, so a damaged blowup_estimate.json cannot stop it."""
+    estimate = finished_run / "blowup_estimate.json"
+    T_run = json.loads(estimate.read_text())["T_est"]
+    estimate.write_text("{}")
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 0
+    assert json.loads((finished_run / "frames_summary.json").read_text())["T"] == T_run
+
+
 def test_frames_missing_artifacts(tmp_path, capsys):
     assert main(["frames", "--out", str(tmp_path / "nowhere"), "--x0", "0.1"]) == 2
     assert "cannot load run artifacts" in capsys.readouterr().err
@@ -180,7 +190,11 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     (TINY_CONFIG, ["--x0", "5"], "unreachable: |x0|=5 (clipped to delta="),
     (TINY_CONFIG, ["--K0", "-1"], "K0 must be positive"),
     (TINY_CONFIG, ["--T", "-1"], "T must be positive"),
-])
+    (TINY_CONFIG, ["--window", "0"], "window must be finite and positive, got 0.0"),
+    (TINY_CONFIG, ["--window", "-1"], "window must be finite and positive, got -1.0"),
+    (TINY_CONFIG, ["--window", "nan"], "window must be finite and positive, got nan"),
+], ids=["no-blowup", "x0-unreachable", "K0-negative", "T-negative", "window-zero",
+        "window-negative", "window-nan"])
 def test_frames_bad_request_is_config_error(tmp_path, capsys, config_text, argv, message):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, config_text),
@@ -191,6 +205,43 @@ def test_frames_bad_request_is_config_error(tmp_path, capsys, config_text, argv,
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
     assert not list(out.glob("frame*"))  # nothing half-written
+
+
+# ------------------------------------------------------ unusable paths
+
+def _out_is_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "taken")]
+
+
+def _out_under_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["verify", "--out", str(tmp_path / "taken" / "report")]
+
+
+def _summary_not_json(tmp_path):
+    (tmp_path / "run_summary.json").write_text("{not json")
+    return ["report", "--out", str(tmp_path)]
+
+
+def _summary_without_keys(tmp_path):
+    (tmp_path / "run_summary.json").write_text('{"status": "blown-up"}')
+    return ["report", "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_out_is_file, "cannot write to --out"),
+    (_out_under_file, "cannot write to --out"),
+    (_summary_not_json, "cannot read the run summary"),
+    (_summary_without_keys, "missing key 'manifest'"),
+], ids=["run-out-is-file", "verify-out-under-file", "report-not-json",
+        "report-missing-keys"])
+def test_unusable_paths_are_config_errors(tmp_path, capsys, setup, message):
+    assert main(setup(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no partial report
 
 
 # ----------------------------------------------------------------- verify

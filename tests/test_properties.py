@@ -51,7 +51,6 @@ def solver_configs(draw):
         snapshot_growth=draw(st.floats(1.0, 1e3, exclude_min=True)),
         max_steps=draw(st.integers(1, 10 ** 9)),
         t_max=draw(st.one_of(st.none(), st.floats(1e-6, 10.0))),
-        reaction=draw(st.booleans()),
     )
 
 

@@ -81,17 +81,19 @@ def test_step_dt_decreases_with_supnorm(default_params):
 
 
 def test_pure_heat_matches_gaussian_kernel(heat_params):
-    """Reaction disabled, mu=0: the spreading Gaussian is reproduced to 1e-4
-    relative at t=0.1 (closed-form heat-kernel oracle)."""
+    """mu=0 and amplitude 1e-3, so the reaction term is below 1e-9 of the
+    field: the spreading Gaussian is reproduced to 1e-4 relative at t=0.1
+    (closed-form heat-kernel oracle)."""
     a0 = 0.04
+    amp = 1e-3
     g = RadialGrid(R=4.0, M=1024, dim=1)
-    u0 = RadialField(g, np.exp(-g.r ** 2 / (4.0 * a0)))
-    config = quiet_config(g, heat_params, t_max=0.1, reaction=False)
+    u0 = RadialField(g, amp * np.exp(-g.r ** 2 / (4.0 * a0)))
+    config = quiet_config(g, heat_params, t_max=0.1)
     traj = run_until_blowup(u0, config)
     assert traj.status == STATUS_COMPLETED
     t = traj.last_field.time
     assert t == pytest.approx(0.1, abs=1e-12)
-    exact = np.sqrt(a0 / (a0 + t)) * np.exp(-g.r ** 2 / (4.0 * (a0 + t)))
+    exact = amp * np.sqrt(a0 / (a0 + t)) * np.exp(-g.r ** 2 / (4.0 * (a0 + t)))
     err = np.max(np.abs(traj.last_field.values - exact)) / np.max(exact)
     assert err < 1e-4  # measured ~5e-6
 
@@ -362,11 +364,10 @@ def _ref_prefix(u, r, q, dim):
     return sphere_area(dim) * cumulative_trapezoid(integrand, r, initial=0.0)
 
 
-def _ref_rhs(u, r, h, params, boundary, reaction):
+def _ref_rhs(u, r, h, params, boundary):
     with np.errstate(over="ignore", invalid="ignore"):
         out = _ref_laplacian(u, h, params.dim, boundary)
-        if reaction:
-            out += np.abs(u) ** (params.p - 1.0) * u
+        out += np.abs(u) ** (params.p - 1.0) * u
         if params.mu != 0.0:
             g = _ref_gradient(u, h, boundary)
             J = _ref_prefix(u, r, params.q, params.dim)
@@ -377,7 +378,7 @@ def _ref_rhs(u, r, h, params, boundary, reaction):
 
 
 def _ref_heun(u, r, dt, config):
-    args = (r, config.grid.h, config.params, config.boundary, config.reaction)
+    args = (r, config.grid.h, config.params, config.boundary)
     k1 = _ref_rhs(u, *args)
     with np.errstate(over="ignore", invalid="ignore"):
         predictor = u + dt * k1
@@ -416,15 +417,14 @@ def _ref_run(u0, config):
     return np.asarray(hist, dtype=float), values, comp
 
 
-@pytest.mark.parametrize("reaction", [True, False])
 @pytest.mark.parametrize("mu", [0.0, 0.1])
 @pytest.mark.parametrize("boundary", ["dirichlet-zero", "neumann-zero"])
 @pytest.mark.parametrize("dim,q", [(1, 3.0), (2, 4.6)])
-def test_run_is_bit_identical_to_reference_stepper(dim, q, boundary, mu, reaction):
+def test_run_is_bit_identical_to_reference_stepper(dim, q, boundary, mu):
     params = validate(p=4.0, q=q, mu=mu, dim=dim)
     g = RadialGrid(R=1.0, M=64, dim=dim)
     u0 = profile_seeded_field(g, params, t_star=0.01)
-    config = SolverConfig(grid=g, params=params, boundary=boundary, reaction=reaction,
+    config = SolverConfig(grid=g, params=params, boundary=boundary,
                           blowup_cap=1e6, max_steps=600, record_stride=100)
     traj = run_until_blowup(u0, config)
     hist, values, comp = _ref_run(u0, config)
@@ -449,7 +449,7 @@ def test_dt_branch_counts(small_run, heat_params):
     assert diffusion + reaction == len(small_run.maxnorm_history) - 1
     # the last step of a t_max run is clipped and belongs to neither branch
     g = RadialGrid(R=1.0, M=64, dim=1)
-    config = quiet_config(g, heat_params, t_max=0.01, reaction=False)
+    config = quiet_config(g, heat_params, t_max=0.01)
     traj = run_until_blowup(RadialField(g, np.cos(0.5 * np.pi * g.r)), config)
     assert dt_branch_counts(traj) == (len(traj.maxnorm_history) - 2, 0)
 
