@@ -35,7 +35,6 @@ from .solver import (
     STATUS_OVERFLOWED,
     InsufficientGrowthError,
     Trajectory,
-    dt_branch_counts,
     estimate_T,
     far_field_report,
     load_snapshots,
@@ -122,7 +121,6 @@ def cmd_run(args) -> int:
     start = perf_counter()
     trajectory = run_until_blowup(u0, run_config.solver)
     stepping_s = perf_counter() - start
-    diffusion_steps, reaction_steps = dt_branch_counts(trajectory)
 
     start = perf_counter()
     version = (f"blowlab {__version__}",)
@@ -136,8 +134,6 @@ def cmd_run(args) -> int:
 
     summary = {"manifest": manifest, "status": trajectory.status,
                "steps": len(trajectory.maxnorm_history) - 1,
-               "steps_diffusion_limited": diffusion_steps,
-               "steps_reaction_limited": reaction_steps,
                "wall_s": {"stepping": stepping_s, "writes": writes_s},
                "t_last": trajectory.last_field.time,
                "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
@@ -369,7 +365,8 @@ def cmd_sweep(args) -> int:
     points = [{}]
     for key, values in axes:
         points = [{**pt, key: float(v)} for pt in points for v in values]
-    jobs = [(i, run_config.to_dict(), pt, str(out)) for i, pt in enumerate(points)]
+    # the keys as the file set them: each point resolves its own beta
+    jobs = [(i, run_config.raw, pt, str(out)) for i, pt in enumerate(points)]
 
     if args.workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
@@ -395,9 +392,6 @@ def _report_lines(out: Path, summary: dict) -> list[str]:
         f"  status: {summary['status']}  steps={summary['steps']}  "
         f"t_last={summary['t_last']!r}",
     ]
-    if "steps_diffusion_limited" in summary:
-        lines.append(f"  dt branch: diffusion-limited={summary['steps_diffusion_limited']}  "
-                     f"reaction-limited={summary['steps_reaction_limited']}")
     if "wall_s" in summary:
         wall = summary["wall_s"]
         lines.append(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")

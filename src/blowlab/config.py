@@ -7,7 +7,7 @@ configs should not rot silently).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .fields import RadialGrid
 from .params import ModelParams, ParameterError, validate
@@ -19,7 +19,20 @@ class ConfigError(ValueError):
     inadmissible key/value, or an unusable path, artifact or request."""
 
 
-# key -> (type, default); beta/t_max default to None (absent)
+# the SolverConfig keys and their types; their defaults are SolverConfig's
+_SOLVER_TYPES = {
+    "dt_safety": float,
+    "blowup_cap": float,
+    "boundary": str,
+    "record_stride": int,
+    "snapshot_growth": float,
+    "max_steps": int,
+    "t_max": float,
+}
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+
+# key -> (type, default); beta/t_max default to None (absent), and only
+# they accept the value "none"
 _SCHEMA = {
     "p": (float, 4.0),
     "q": (float, 3.0),
@@ -28,13 +41,7 @@ _SCHEMA = {
     "beta": (float, None),
     "R": (float, 1.0),
     "M": (int, 4096),
-    "dt_safety": (float, 0.5),
-    "blowup_cap": (float, 1e8),
-    "boundary": (str, "dirichlet-zero"),
-    "record_stride": (int, 2000),
-    "snapshot_growth": (float, 1.05),
-    "max_steps": (int, 5_000_000),
-    "t_max": (float, None),
+    **{key: (typ, _SOLVER_DEFAULTS[key]) for key, typ in _SOLVER_TYPES.items()},
     "t_star": (float, 0.01),
     "taper_start": (float, 0.85),
 }
@@ -42,7 +49,10 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: validated params, solver config, seed knobs."""
+    """Everything a run needs: validated params, solver config, seed knobs.
+
+    ``raw`` holds the keys as the file and the overrides set them (``beta``
+    may be None); :meth:`to_dict` echoes them with the resolved beta."""
 
     params: ModelParams
     solver: SolverConfig
@@ -51,7 +61,7 @@ class RunConfig:
     raw: dict
 
     def to_dict(self) -> dict:
-        return dict(self.raw)
+        return {**self.raw, "beta": self.params.beta}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -68,11 +78,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        typ, _default = _SCHEMA[key]
+        typ, default = _SCHEMA[key]
         try:
             if typ is str:
                 raw[key] = value
-            elif value.lower() == "none":
+            elif default is None and value.lower() == "none":
                 raw[key] = None
             else:
                 raw[key] = typ(value)
@@ -101,22 +111,14 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     try:
         grid = RadialGrid(R=float(merged["R"]), M=int(merged["M"]), dim=params.dim)
-        solver = SolverConfig(
-            grid=grid, params=params,
-            dt_safety=float(merged["dt_safety"]),
-            blowup_cap=float(merged["blowup_cap"]),
-            boundary=str(merged["boundary"]),
-            record_stride=int(merged["record_stride"]),
-            snapshot_growth=float(merged["snapshot_growth"]),
-            max_steps=int(merged["max_steps"]),
-            t_max=None if merged["t_max"] is None else float(merged["t_max"]),
-        )
+        solver = SolverConfig(grid=grid, params=params, **{
+            key: None if merged[key] is None else typ(merged[key])
+            for key, typ in _SOLVER_TYPES.items()})
         t_star = float(merged["t_star"])
         taper_start = float(merged["taper_start"])
         check_seed(t_star, taper_start)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    merged["beta"] = params.beta  # echo the resolved beta into artifacts
     return RunConfig(params=params, solver=solver, t_star=t_star,
                      taper_start=taper_start, raw=merged)
 

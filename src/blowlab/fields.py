@@ -138,6 +138,31 @@ def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
     return out
 
 
+def _laplacian_bands(geom: GridGeometry, boundary: str) -> tuple[np.ndarray, ...]:
+    """(lower, diagonal, upper) bands of the matrix that :func:`_laplacian_values`
+    applies: the same ghost-node origin row and closure row, so the matrix is
+    tridiagonal for every ``dim``.  Each entry is the stencil's own value on
+    a unit vector."""
+    inv_h2 = geom.inv_h2
+    n = len(geom.dr) + 1
+    lower = np.full(n - 1, inv_h2)
+    diagonal = np.full(n, -2.0 * inv_h2)
+    upper = np.full(n - 1, inv_h2)
+    if geom.lap_coef is not None:
+        drift = geom.lap_coef / (2.0 * geom.h)
+        lower[:-1] -= drift  # rows 1..M-1
+        upper[1:] += drift
+    diagonal[0] = -2.0 * geom.dim * inv_h2
+    upper[0] = 2.0 * geom.dim * inv_h2
+    if boundary == BOUNDARY_DIRICHLET:
+        lower[-1] = diagonal[-1] = 0.0
+    elif boundary == BOUNDARY_NEUMANN:
+        lower[-1] = 2.0 * inv_h2
+    else:
+        raise ValueError(f"unknown boundary {boundary!r}")
+    return lower, diagonal, upper
+
+
 def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Radial derivative: central interior, 0 at the origin by symmetry,
     second-order one-sided at r = R (0 under the neumann closure)."""

@@ -1,17 +1,30 @@
-"""Explicit time integration toward blow-up, detection, and bookkeeping.
+"""Time integration toward blow-up, detection, and bookkeeping.
 
 The right-hand side is
 
     du/dt = Lap(u) + |u|^(p-1) u + mu * |du/dr| * J(r),
 
-with J the running ball integral of |u|^(q-1).  Stepping is explicit
-second-order (Heun) under the dual step-size law
+with J the running ball integral of |u|^(q-1).  Stepping is the IMEX
+scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997):
+the Laplacian is implicit, as the tridiagonal matrix L of its stencil
+(``fields._laplacian_bands``), and the rest, N(u) = |u|^(p-1) u +
+mu * |du/dr| * J, is explicit.  With gamma = 1 - 1/sqrt(2) and
+delta = 1 - 1/(2*gamma), one step from u solves twice with one matrix:
 
-    dt = dt_safety * min( h^2/(2*dim),  1/(1 + p * supnorm^(p-1)) ),
+    (I - gamma*dt*L) Y     = u + gamma*dt*N(u)
+    (I - gamma*dt*L) u_new = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y)
 
-whose second branch resolves the local reaction time scale all the way to
-the cap.  Runs are strictly sequential and deterministic: identical config
-and initial data give bit-identical trajectories.
+The scheme is second order, L-stable and stiffly accurate (u_new is the
+last stage).  Diffusion puts no bound on the step, so the step-size law
+has one branch, the local reaction time scale,
+
+    dt = dt_safety / (1 + p * supnorm^(p-1)),
+
+and the step count does not grow with the grid size M.  ``_advance``
+builds the run's fixed geometry, the Laplacian bands and a reused stage
+buffer once per call and holds one ``np.errstate`` scope around the step
+loop.  Runs are strictly sequential and deterministic: identical config and
+initial data give bit-identical trajectories.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -24,28 +37,21 @@ blocks of ``HISTORY_BLOCK`` rows.  A run stops at the cap, at ``t_max`` or
 at its step budget (``budget-exhausted``, resumable), checked in that order.
 
 A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
-snapshots, dense history, status, config and the time accumulator's Kahan
-compensation, so post-processing and resume read one file.
-
-Bit-identity invariant: a change that is meant to leave the numerics alone
-must leave every run bit-identical (history, snapshots, Kahan compensation).
-The step kernels therefore keep each arithmetic operation and its order; a
-speed-up may only move work out of the loop.  ``_advance`` builds the run's
-fixed geometry (:class:`~blowlab.fields.GridGeometry`: panel widths, radial
-weights, the Laplacian's 1/r coefficients, 1/h^2) and a reused stage buffer
-once per call, and holds one ``np.errstate`` scope around the whole step
-loop.  ``tests/test_solver.py`` checks the loop against a reference stepper
-written with the original per-call formulas.
+snapshots, dense history, status, config, the time accumulator's Kahan
+compensation and the field of a run stopped between snapshots, so
+post-processing and resume read one file.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import (
     BOUNDARIES,
@@ -55,6 +61,7 @@ from .fields import (
     RadialField,
     RadialGrid,
     _gradient_values,
+    _laplacian_bands,
     _laplacian_values,
     _nonlocal_prefix_values,
     _sup_values,
@@ -63,8 +70,13 @@ from .fields import (
 from .params import ModelParams
 from .profiles import f_profile
 
-ARCHIVE_VERSION = 3  # 1 was the JSON checkpoint that held the history apart;
-                     # 2 stored a config with the reaction switch
+ARCHIVE_VERSION = 4  # 1 was the JSON checkpoint that held the history apart;
+                     # 2 stored a config with the reaction switch; 3 held
+                     # runs of the explicit Heun stepper and no stop field
+
+# ARS(2,2,2) coefficients
+_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+_DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 
 STATUS_RUNNING = "running"
 STATUS_BLOWN_UP = "blown-up"
@@ -87,11 +99,11 @@ class InsufficientGrowthError(ValueError):
 class SolverConfig:
     grid: RadialGrid
     params: ModelParams
-    dt_safety: float = 0.5
+    dt_safety: float = 0.05
     blowup_cap: float = 1e8
     boundary: str = BOUNDARY_DIRICHLET
     record_stride: int = 2000
-    snapshot_growth: float = 1.05  # extra snapshot whenever supnorm grows by this factor
+    snapshot_growth: float = 1.15  # extra snapshot whenever supnorm grows by this factor
     max_steps: int = 5_000_000     # per-call step budget
     t_max: float | None = None
 
@@ -133,6 +145,10 @@ class Trajectory:
     History rows are (t, supnorm, argmax_radius, dt_of_the_step) in one (n, 4)
     float array; the initial row has dt = 0.  Snapshot times are strictly
     increasing (a deep-tail snapshot whose time ties the last one replaces it).
+    The snapshots are the initial field, the scheduled ones and, once the run
+    ends, the final field.  A run stopped by its budget between two scheduled
+    snapshots holds its field in ``_stop_field`` instead, so a resumed run
+    takes exactly the snapshots of an uninterrupted one.
     """
 
     config: SolverConfig
@@ -140,6 +156,7 @@ class Trajectory:
     status: str = STATUS_RUNNING
     maxnorm_history: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 4)))
     _time_comp: float = 0.0  # Kahan compensation for the time accumulator
+    _stop_field: RadialField | None = None
 
     @classmethod
     def start(cls, u0: RadialField, config: SolverConfig) -> "Trajectory":
@@ -154,7 +171,8 @@ class Trajectory:
 
     @property
     def last_field(self) -> RadialField:
-        return self.snapshots[-1]
+        """The field where the run stands."""
+        return self.snapshots[-1] if self._stop_field is None else self._stop_field
 
     @property
     def times(self) -> np.ndarray:
@@ -198,18 +216,17 @@ def check_seed(t_star: float, taper_start: float) -> None:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side on the node values, written into ``out`` when given.
+def _explicit_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
+    written into ``out`` when given.
 
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
     """
-    out = _laplacian_values(u, geom, boundary, out)
     abs_u = np.abs(u)
-    react = abs_u ** (params.p - 1.0)
-    react *= u
-    out += react
+    out = np.power(abs_u, params.p - 1.0, out=out)
+    out *= u
     if params.mu != 0.0:
         g = _gradient_values(u, geom.h, boundary)
         J = _nonlocal_prefix_values(abs_u, geom, params.q)
@@ -219,6 +236,14 @@ def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary
         out += g
     if boundary == BOUNDARY_DIRICHLET:
         out[-1] = 0.0
+    return out
+
+
+def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams,
+                boundary: str) -> np.ndarray:
+    """The full right-hand side: the Laplacian plus :func:`_explicit_values`."""
+    out = _explicit_values(u, geom, params, boundary)
+    out += _laplacian_values(u, geom, boundary)
     return out
 
 
@@ -235,32 +260,43 @@ def rhs(field: RadialField, params: ModelParams,
 
 
 def _dt_of(config: SolverConfig, supnorm: float) -> float:
-    h = config.grid.h
     p = config.params.p
-    dt_diff = h * h / (2.0 * config.grid.dim)
     try:
-        dt_stiff = 1.0 / (1.0 + p * supnorm ** (p - 1.0))
+        dt = config.dt_safety / (1.0 + p * supnorm ** (p - 1.0))
     except OverflowError:  # float power raises instead of returning inf
-        dt_stiff = 0.0
-    dt = config.dt_safety * min(dt_diff, dt_stiff)
+        dt = 0.0
     if not dt > 0.0 or not np.isfinite(dt):
         raise NonFiniteFieldError(f"step size collapsed (supnorm={supnorm})")
     return dt
 
 
-def _heun(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
-          work: np.ndarray) -> np.ndarray:
-    """One Heun step.  ``work`` is a (3, M+1) work block that holds the
-    stages and the predictor; it may be reused across steps."""
-    p = config.params
-    k1, predictor, k2 = work
-    _rhs_values(u, geom, p, config.boundary, out=k1)
-    np.multiply(k1, dt, out=predictor)
-    predictor += u
-    _rhs_values(predictor, geom, p, config.boundary, out=k2)
-    k1 += k2
-    k1 *= 0.5 * dt
-    return u + k1
+def _ars222(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
+            bands: tuple[np.ndarray, ...], work: np.ndarray) -> np.ndarray:
+    """One ARS(2,2,2) step (see the module docstring).  ``bands`` are the
+    Laplacian's; ``work`` is a (3, M+1) block that holds the explicit stages
+    and the right-hand sides of the solves, reused across steps."""
+    params, boundary = config.params, config.boundary
+    n1, n2, b = work
+    lower, diagonal, upper = bands
+    gdt = _GAMMA * dt
+    # LU of I - gamma*dt*L, shared by both solves
+    dl, d, du, du2, ipiv, info = dgttrf(lower * -gdt, 1.0 - gdt * diagonal, upper * -gdt)
+    if info != 0:
+        raise NonFiniteFieldError(f"implicit matrix is singular (dt={dt})")
+    _explicit_values(u, geom, params, boundary, out=n1)
+    np.multiply(n1, gdt, out=b)
+    b += u
+    y, _ = dgttrs(dl, d, du, du2, ipiv, b)
+    _explicit_values(y, geom, params, boundary, out=n2)
+    _laplacian_values(y, geom, boundary, out=b)
+    b *= 1.0 - _GAMMA
+    n1 *= _DELTA
+    b += n1
+    n2 *= 1.0 - _DELTA
+    b += n2
+    b *= dt
+    b += u
+    return dgttrs(dl, d, du, du2, ipiv, b)[0]
 
 
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
@@ -277,8 +313,9 @@ def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
 def continue_run(trajectory: Trajectory) -> Trajectory:
     """Resume a run in place, typically a ``budget-exhausted`` one.
 
-    Stepping depends only on the current field, so a resumed run reproduces
-    the uninterrupted history exactly.
+    Stepping depends only on the current field and the snapshot schedule
+    only on the run's step count and last snapshot, so a resumed run
+    reproduces the uninterrupted history and snapshots exactly.
     """
     if trajectory.status in (STATUS_BLOWN_UP, STATUS_OVERFLOWED):
         return trajectory
@@ -290,6 +327,7 @@ def _advance(traj: Trajectory) -> Trajectory:
     config = traj.config
     grid = config.grid
     geom = GridGeometry.of(grid)
+    bands = _laplacian_bands(geom, config.boundary)
     work = np.empty((3, grid.M + 1))
     h = grid.h
     cap = config.blowup_cap
@@ -299,9 +337,14 @@ def _advance(traj: Trajectory) -> Trajectory:
 
     values = traj.last_field.values.copy()
     t = traj.last_field.time
+    on_schedule = traj._stop_field is None  # the field is the last snapshot
+    traj._stop_field = None
     comp = traj._time_comp
     m, rarg = _sup_values(values, h)
-    last_snap_m = max(m, np.finfo(float).tiny)
+    # the schedule reads the last snapshot and the run's step count, so a
+    # resumed run continues it where the uninterrupted run would be
+    last_snap_m = max(_sup_values(traj.snapshots[-1].values, h)[0], np.finfo(float).tiny)
+    step = len(traj.maxnorm_history) - 1
     steps = 0
     blocks, rows = [traj.maxnorm_history], []
 
@@ -328,7 +371,7 @@ def _advance(traj: Trajectory) -> Trajectory:
                 dt = _dt_of(config, m)
                 if t_max is not None:
                     dt = min(dt, t_max - t)
-                new_values = _heun(values, dt, config, geom, work)
+                new_values = _ars222(values, dt, config, geom, bands, work)
             except (NonFiniteFieldError, FloatingPointError):
                 status = STATUS_OVERFLOWED
                 break
@@ -342,16 +385,21 @@ def _advance(traj: Trajectory) -> Trajectory:
             t = t_new
             values = new_values
             steps += 1
+            step += 1
             m, rarg = _sup_values(values, h)
             rows.append((t, m, rarg, dt))
             if len(rows) == HISTORY_BLOCK:
                 blocks.append(np.array(rows))
                 rows = []
-            if steps % stride == 0 or m >= growth * last_snap_m:
+            on_schedule = step % stride == 0 or m >= growth * last_snap_m
+            if on_schedule:
                 snapshot()
                 last_snap_m = max(m, np.finfo(float).tiny)
 
-    snapshot()
+    if status != STATUS_BUDGET:
+        snapshot()
+    elif not on_schedule:
+        traj._stop_field = RadialField(grid, values, t)
     traj.maxnorm_history = np.concatenate(blocks + [np.array(rows).reshape(-1, 4)])
     traj.status = status
     traj._time_comp = comp
@@ -407,28 +455,6 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
     )
 
 
-def dt_branch_counts(trajectory: Trajectory) -> tuple[int, int]:
-    """(diffusion-limited, reaction-limited) step counts, recomputed after
-    the run from the history's dt and sup columns, so the step loop pays
-    nothing.  A step clipped to ``t_max`` counts in neither."""
-    config = trajectory.config
-    hist = trajectory.maxnorm_history
-    dt = hist[1:, 3]
-    sup_before = hist[:-1, 1].copy()
-    p = config.params.p
-    # in place: this runs beside the whole trajectory, and fresh
-    # temporaries here raised a run's peak memory
-    with np.errstate(over="ignore"):
-        dt_react = np.power(sup_before, p - 1.0, out=sup_before)
-    dt_react *= p
-    dt_react += 1.0
-    np.divide(config.dt_safety, dt_react, out=dt_react)
-    dt_diff = config.dt_safety * config.grid.h ** 2 / (2.0 * config.grid.dim)
-    diffusion = dt >= dt_diff * (1.0 - 1e-12)
-    reaction = ~diffusion & (np.abs(dt - dt_react) <= 1e-12 * dt_react)
-    return int(np.sum(diffusion)), int(np.sum(reaction))
-
-
 def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
     """Per-snapshot far-field levels: (t, global supnorm, sup_{r>=r_min}|u|,
     sup_{r>=r_min}|du/dr|).  The localization diagnostic of a single-point
@@ -464,7 +490,8 @@ def write_atomic(path, write, text: bool = False) -> None:
             os.unlink(tmp)
 
 
-_ARCHIVE_KEYS = ("history", "time_comp", "version", "config", "status", "times", "values")
+_ARCHIVE_KEYS = ("history", "time_comp", "version", "config", "status", "times", "values",
+                 "stop_field")
 
 
 def save_snapshots(trajectory: Trajectory, path) -> None:
@@ -473,9 +500,12 @@ def save_snapshots(trajectory: Trajectory, path) -> None:
 
     Keys: ``times`` and ``values`` (every snapshot), ``history`` (the dense
     (n, 4) max-norm history), ``time_comp`` (the Kahan compensation of the
-    time accumulator), ``status``, ``config`` (JSON) and ``version``.
+    time accumulator), ``stop_field`` (the field of a run stopped between
+    snapshots, at the last history time; empty otherwise), ``status``,
+    ``config`` (JSON) and ``version``.
     """
     values = np.stack([s.values for s in trajectory.snapshots])
+    stop = trajectory._stop_field
     # a file handle, so numpy does not append ".npz" to the temp name
     write_atomic(path, lambda fh: np.savez_compressed(
         fh,
@@ -486,12 +516,14 @@ def save_snapshots(trajectory: Trajectory, path) -> None:
         values=values,
         history=trajectory.maxnorm_history,
         time_comp=np.array(trajectory._time_comp),
+        stop_field=np.empty(0) if stop is None else stop.values,
     ))
 
 
 def load_snapshots(path) -> Trajectory:
     """Inverse of :func:`save_snapshots`: the complete trajectory (snapshots,
-    history, status, time compensation), ready for :func:`continue_run`.
+    history, status, time compensation, stop field), ready for
+    :func:`continue_run`.
 
     Raises :class:`CheckpointError` when the file is not a readable archive,
     lacks a key (archives written before the history moved in, for one), or
@@ -513,9 +545,12 @@ def load_snapshots(path) -> Trajectory:
         hist = arrays["history"]
         if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4:
             raise ValueError(f"history is {hist.dtype} {hist.shape}, need float64 (n, 4)")
+        stop = arrays["stop_field"]
         return Trajectory(config=config, snapshots=snapshots, status=str(arrays["status"]),
-                          maxnorm_history=hist, _time_comp=float(arrays["time_comp"]))
-    except (KeyError, TypeError, ValueError) as exc:
+                          maxnorm_history=hist, _time_comp=float(arrays["time_comp"]),
+                          _stop_field=RadialField(config.grid, stop, float(hist[-1, 0]))
+                          if stop.size else None)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupted run archive {path}: {exc}") from exc
 
 

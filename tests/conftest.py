@@ -38,13 +38,21 @@ def small_run(default_params):
 @pytest.fixture(scope="session")
 def acceptance_run(default_params):
     """The desk-scale reference run: p=4, q=3, N=1, mu=0.1, profile seed with
-    t_star=0.01, M=4096, R=1, cap 1e8.  Takes a couple of minutes; shared by
-    every acceptance criterion that inspects the real simulation."""
+    t_star=0.01, M=4096, R=1, cap 1e8 (~1,370 steps, about a second); shared
+    by every acceptance criterion that inspects the real simulation."""
     grid = RadialGrid(R=1.0, M=4096, dim=1)
     u0 = profile_seeded_field(grid, default_params, t_star=0.01)
     config = SolverConfig(grid=grid, params=default_params)
     return run_until_blowup(u0, config)
 
 
-def make_rng(seed=0):
-    return np.random.default_rng(seed)
+def assert_same_steps(a, b):
+    """History, Kahan compensation, status, snapshots and the field where the
+    run stands all equal."""
+    assert np.array_equal(a.maxnorm_history, b.maxnorm_history)
+    assert a._time_comp == b._time_comp
+    assert a.status == b.status
+    assert len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.snapshots + [a.last_field], b.snapshots + [b.last_field]):
+        assert x.time == y.time
+        assert np.array_equal(x.values, y.values)

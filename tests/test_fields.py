@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from blowlab.fields import (
+    BOUNDARIES,
+    GridGeometry,
     NonFiniteFieldError,
     RadialField,
     RadialGrid,
@@ -13,6 +15,8 @@ from blowlab.fields import (
     laplacian,
     nonlocal_prefix,
     sup_norm,
+    _laplacian_bands,
+    _laplacian_values,
 )
 from blowlab.profiles import f_profile, grad_f_profile
 
@@ -68,6 +72,18 @@ def test_laplacian_second_order_convergence():
 
     ratio = err(64) / err(128)
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_laplacian_bands_are_the_stencil_matrix(dim, boundary):
+    """The tridiagonal bands the implicit step solves with equal, entry for
+    entry, the stencil applied to each unit vector."""
+    geom = GridGeometry.of(grid1(M=16, dim=dim))
+    lower, diagonal, upper = _laplacian_bands(geom, boundary)
+    banded = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
+    stencil = np.apply_along_axis(_laplacian_values, 0, np.eye(17), geom, boundary)
+    assert np.array_equal(banded, stencil)
 
 
 def test_gradient_exact_on_r_squared():
