@@ -14,14 +14,14 @@ Everything here is deterministic: repeated runs give bit-identical numbers.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
 
-from .fields import (BOUNDARY_NEUMANN, GridGeometry, _gradient_values, _laplacian_values,
+from .fields import (BOUNDARY_NEUMANN, GridGeometry, _gradient_values, _laplacian_bands,
                      _nonlocal_prefix_values)
 from .params import ModelParams, validate
 from .similarity import S_TURN, scale_radius, scale_radius_inverse
@@ -60,6 +60,7 @@ def integral_I_numeric(c: IntegralCase) -> float:
     factor into a constant Jacobian, leaving the perfectly regular integrand
     m (1 - tau + sigma^m)^(-theta) with m = 1/(1-alpha).
     """
+    from scipy.integrate import quad  # deferred: it pulls in scipy.optimize
     if c.tau == 0.0:
         return 0.0
     m = 1.0 / (1.0 - c.alpha)
@@ -128,7 +129,7 @@ def integral_sweep() -> SweepResult:
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Piecewise-constant function: values[i] on [breaks[i], breaks[i+1])."""
+    """Piecewise-constant: values[i] on [breaks[i], breaks[i+1]), end values outside."""
 
     breaks: np.ndarray
     values: np.ndarray
@@ -140,6 +141,7 @@ class StepFunction:
             raise ValueError("need len(breaks) == len(values) + 1")
         if np.any(np.diff(self.breaks) <= 0.0):
             raise ValueError("breaks must be strictly increasing")
+        object.__setattr__(self, "_inner", self.breaks[1:-1].tolist())
 
     @property
     def t0(self) -> float:
@@ -150,9 +152,7 @@ class StepFunction:
         return float(self.breaks[-1])
 
     def __call__(self, t: float) -> float:
-        i = int(np.searchsorted(self.breaks, t, side="right")) - 1
-        i = min(max(i, 0), len(self.values) - 1)
-        return float(self.values[i])
+        return float(self.values[bisect.bisect_right(self._inner, t)])
 
     @classmethod
     def constant(cls, value: float, t0: float, t1: float) -> "StepFunction":
@@ -164,9 +164,26 @@ def _merged_segments(r: StepFunction, q: StepFunction):
     if r.t0 != q.t0 or r.t1 != q.t1:
         raise ValueError("r and q must share the same interval")
     breaks = np.unique(np.concatenate([r.breaks, q.breaks]))
-    rv = np.array([r(0.5 * (a + b)) for a, b in zip(breaks[:-1], breaks[1:])])
-    qv = np.array([q(0.5 * (a + b)) for a, b in zip(breaks[:-1], breaks[1:])])
-    return breaks, rv, qv
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    # the segment index is the count of inner breaks at or below the point
+    rv = r.values[np.searchsorted(r.breaks[1:-1], mids, side="right")]
+    qv = q.values[np.searchsorted(q.breaks[1:-1], mids, side="right")]
+    return breaks.tolist(), rv.tolist(), qv.tolist()
+
+
+def _weighted_q(qi: float, R: float, ri: float, dt: float) -> float:
+    """int q exp(-int r) over dt into a segment where r = ri, q = qi and
+    int r = R at its start."""
+    scaled = qi * math.exp(-R)
+    return scaled * (-math.expm1(-ri * dt)) / ri if ri != 0.0 else scaled * dt
+
+
+def _propagate(y: float, ri: float, qi: float, dt: float) -> float:
+    """Solution of y' = ri y + qi after dt, from y."""
+    if ri != 0.0:
+        grow = math.exp(ri * dt)
+        return y * grow + qi * (grow - 1.0) / ri
+    return y + qi * dt
 
 
 def gronwall_bound(y0: float, r: StepFunction, q: StepFunction):
@@ -175,31 +192,22 @@ def gronwall_bound(y0: float, r: StepFunction, q: StepFunction):
     segment by segment.  Returns a callable of t on [t0, t1]."""
     breaks, rv, qv = _merged_segments(r, q)
     # prefix integrals at the breakpoints
-    R_at = np.zeros(len(breaks))   # int_{t0}^{b_j} r
-    A_at = np.zeros(len(breaks))   # int_{t0}^{b_j} q exp(-R)
+    R_at = [0.0] * len(breaks)   # int_{t0}^{b_j} r
+    A_at = [0.0] * len(breaks)   # int_{t0}^{b_j} q exp(-R)
     for i in range(len(rv)):
         dt = breaks[i + 1] - breaks[i]
-        ri, qi = rv[i], qv[i]
-        if ri != 0.0:
-            A_at[i + 1] = A_at[i] + qi * math.exp(-R_at[i]) * (-math.expm1(-ri * dt)) / ri
-        else:
-            A_at[i + 1] = A_at[i] + qi * math.exp(-R_at[i]) * dt
-        R_at[i + 1] = R_at[i] + ri * dt
+        A_at[i + 1] = A_at[i] + _weighted_q(qv[i], R_at[i], rv[i], dt)
+        R_at[i + 1] = R_at[i] + rv[i] * dt
 
-    t0, t1 = breaks[0], breaks[-1]
+    t0, t1, inner = breaks[0], breaks[-1], breaks[1:-1]
 
     def bound(t: float) -> float:
         if not t0 <= t <= t1:
             raise ValueError(f"t={t} outside [{t0}, {t1}]")
-        i = min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(rv) - 1)
+        i = bisect.bisect_right(inner, t)
         dt = t - breaks[i]
-        ri, qi = rv[i], qv[i]
-        R_t = R_at[i] + ri * dt
-        if ri != 0.0:
-            A_t = A_at[i] + qi * math.exp(-R_at[i]) * (-math.expm1(-ri * dt)) / ri
-        else:
-            A_t = A_at[i] + qi * math.exp(-R_at[i]) * dt
-        return math.exp(R_t) * (y0 + A_t)
+        A_t = A_at[i] + _weighted_q(qv[i], R_at[i], rv[i], dt)
+        return math.exp(R_at[i] + rv[i] * dt) * (y0 + A_t)
 
     return bound
 
@@ -209,29 +217,17 @@ def gronwall_equality_solution(y0: float, r: StepFunction, q: StepFunction):
     y' = r y + q, propagated segment-wise in closed form.  Independent of
     :func:`gronwall_bound` (different closed forms, same function)."""
     breaks, rv, qv = _merged_segments(r, q)
-    y_at = np.zeros(len(breaks))
-    y_at[0] = y0
+    y_at = [y0]
     for i in range(len(rv)):
-        dt = breaks[i + 1] - breaks[i]
-        ri, qi = rv[i], qv[i]
-        if ri != 0.0:
-            grow = math.exp(ri * dt)
-            y_at[i + 1] = y_at[i] * grow + qi * (grow - 1.0) / ri
-        else:
-            y_at[i + 1] = y_at[i] + qi * dt
+        y_at.append(_propagate(y_at[i], rv[i], qv[i], breaks[i + 1] - breaks[i]))
 
-    t0, t1 = breaks[0], breaks[-1]
+    t0, t1, inner = breaks[0], breaks[-1], breaks[1:-1]
 
     def solution(t: float) -> float:
         if not t0 <= t <= t1:
             raise ValueError(f"t={t} outside [{t0}, {t1}]")
-        i = min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(rv) - 1)
-        dt = t - breaks[i]
-        ri, qi = rv[i], qv[i]
-        if ri != 0.0:
-            grow = math.exp(ri * dt)
-            return y_at[i] * grow + qi * (grow - 1.0) / ri
-        return y_at[i] + qi * dt
+        i = bisect.bisect_right(inner, t)
+        return _propagate(y_at[i], rv[i], qv[i], t - breaks[i])
 
     return solution
 
@@ -272,8 +268,8 @@ def gronwall_suite() -> GronwallSuiteResult:
         bound = gronwall_bound(y0, r, q)
         ts = np.concatenate([np.unique(np.concatenate([r.breaks, q.breaks])),
                              rng.uniform(t0, t1, size=5)])
-        for t in ts:
-            margin = exact(float(t)) - bound(float(t))
+        for t in ts.tolist():
+            margin = exact(t) - bound(t)
             worst = max(worst, margin)
             n_points += 1
             if margin > 1e-10:
@@ -387,25 +383,31 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
     each time and measure its smoothing ratios.
 
     L is the matrix of the neumann-zero closure of the radial Laplacian,
-    assembled column by column from the stencil in :mod:`blowlab.fields`.
-    Its rows sum to zero and, for dim <= 3, its off-diagonal entries are
-    nonnegative, so S(t) keeps the maximum principle exactly: the sup ratio
-    exceeds 1 only by rounding.
+    filled from the stencil's bands in :mod:`blowlab.fields`.  Its rows sum
+    to zero and, for dim <= 3, its off-diagonal entries are nonnegative, so
+    S(t) keeps the maximum principle exactly: the sup ratio exceeds 1 only
+    by rounding.  Fields on one grid share L and each S(t).
     """
-    max_sup = -math.inf
-    max_grad = -math.inf
+    for t in t_values:
+        if not t > 0.0:
+            raise ValueError(f"t values must be positive, got {t}")
+    by_grid = {}
     for idx, f0 in enumerate(test_fields):
         norm0 = float(np.max(np.abs(f0.values)))
         if norm0 == 0.0:
             raise ValueError(f"test field {idx} is identically zero")
-        geom = GridGeometry.of(f0.grid)
-        L = np.apply_along_axis(_laplacian_values, 0, np.eye(f0.grid.M + 1), geom,
-                                BOUNDARY_NEUMANN)
+        by_grid.setdefault(f0.grid, []).append((f0.values, norm0))
+    max_sup = max_grad = -math.inf
+    for grid, group in by_grid.items():
+        n = grid.M + 1
+        L = np.zeros((n, n))
+        L.flat[n::n + 1], L.flat[::n + 1], L.flat[1::n + 1] = _laplacian_bands(
+            GridGeometry.of(grid), BOUNDARY_NEUMANN)
         for t in t_values:
-            if not t > 0.0:
-                raise ValueError(f"t values must be positive, got {t}")
-            u = expm(t * L) @ f0.values
-            g = _gradient_values(u, f0.grid.h, BOUNDARY_NEUMANN)
-            max_sup = max(max_sup, float(np.max(np.abs(u))) / norm0)
-            max_grad = max(max_grad, math.sqrt(t) * float(np.max(np.abs(g))) / norm0)
+            S = expm(t * L)
+            for values, norm0 in group:
+                u = S @ values  # one product per field: a stacked one may round apart
+                g = _gradient_values(u, grid.h, BOUNDARY_NEUMANN)
+                max_sup = max(max_sup, float(np.max(np.abs(u))) / norm0)
+                max_grad = max(max_grad, math.sqrt(t) * float(np.max(np.abs(g))) / norm0)
     return SmoothingReport(max_sup_ratio=max_sup, max_grad_ratio=max_grad)

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blowlab
 from blowlab import lemmas
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
@@ -286,6 +291,21 @@ def test_verify_json_output(capsys):
     assert doc["gronwall"]["n_violations"] == 0
 
 
+def test_import_leaves_quadrature_unloaded_and_verify_passes():
+    """``import blowlab.cli`` loads neither scipy.integrate nor
+    scipy.optimize; ``verify`` still passes in that process, importing the
+    quadrature when the singular-integral sweep first needs it."""
+    code = ("import sys, blowlab, blowlab.cli\n"
+            "assert not {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
+            "sys.exit(blowlab.cli.main(['verify']))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(blowlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_two_points(tmp_path):
@@ -343,6 +363,29 @@ def test_sweep_bad_grid_spec(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["sweep", "--config", config, "--grid", "nonsense",
                  "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "p=3:4",            # two fields
+    "p=3:4:x",          # n not an integer
+    "p=3:4:2.0",
+    "p=3:4:-1",         # n below 1
+    "p=3:4:0",
+    "p=nan:4:2",        # bounds not finite
+    "p=3:inf:2",
+    "p=a:4:2",
+    "zz=1:2:2",         # not a config key
+    "boundary=1:2:2",   # not a numeric key
+    "mu=0:0.1:2,p=3:4:2,p=3:4:2",  # repeated key
+])
+def test_sweep_malformed_grid_part_exits_2_naming_it(tmp_path, capsys, spec):
+    config = write_config(tmp_path)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", config, "--grid", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--grid part {spec.split(',')[-1]!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before any point runs
 
 
 # ----------------------------------------------------------------- report

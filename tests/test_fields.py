@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from blowlab.fields import (
     BOUNDARIES,
+    BOUNDARY_NEUMANN,
     GridGeometry,
     NonFiniteFieldError,
     RadialField,
@@ -83,6 +84,16 @@ def test_laplacian_bands_are_the_stencil_matrix(dim, boundary):
     lower, diagonal, upper = _laplacian_bands(geom, boundary)
     banded = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
     stencil = np.apply_along_axis(_laplacian_values, 0, np.eye(17), geom, boundary)
+    assert np.array_equal(banded, stencil)
+
+
+def test_laplacian_bands_are_the_stencil_matrix_on_verify_grid():
+    """``verify``'s heat-semigroup check fills its dense L from the bands:
+    on its grid (R=4, M=256, dim 1, neumann) they equal the stencil too."""
+    geom = GridGeometry.of(grid1(M=256, R=4.0))
+    lower, diagonal, upper = _laplacian_bands(geom, BOUNDARY_NEUMANN)
+    banded = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
+    stencil = np.apply_along_axis(_laplacian_values, 0, np.eye(257), geom, BOUNDARY_NEUMANN)
     assert np.array_equal(banded, stencil)
 
 

@@ -1,10 +1,15 @@
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from blowlab import lemmas
-from blowlab.fields import RadialField, RadialGrid
+from blowlab.cli import _semigroup_cases
+from blowlab.fields import (BOUNDARY_NEUMANN, GridGeometry, RadialField, RadialGrid,
+                            _gradient_values, _laplacian_values)
 from blowlab.lemmas import (
     IntegralCase,
     StepFunction,
@@ -13,6 +18,7 @@ from blowlab.lemmas import (
     gronwall_equality_solution,
     gronwall_suite,
     integral_I_bound,
+    SmoothingReport,
     integral_I_numeric,
     integral_sweep,
     nonlocal_decay_fit,
@@ -221,3 +227,103 @@ def test_semigroup_input_validation():
     grid = constant.grid
     with pytest.raises(ValueError, match="zero"):
         semigroup_smoothing_check([0.1], [RadialField(grid, np.zeros(grid.M + 1))])
+
+
+def _per_field_semigroup(t_values, test_fields):
+    """The check as it was before exponentials were shared: L assembled
+    from the stencil and expm(t L) taken anew for every field and time."""
+    max_sup = max_grad = -math.inf
+    for f0 in test_fields:
+        norm0 = float(np.max(np.abs(f0.values)))
+        L = np.apply_along_axis(_laplacian_values, 0, np.eye(f0.grid.M + 1),
+                                GridGeometry.of(f0.grid), BOUNDARY_NEUMANN)
+        for t in t_values:
+            u = expm(t * L) @ f0.values
+            g = _gradient_values(u, f0.grid.h, BOUNDARY_NEUMANN)
+            max_sup = max(max_sup, float(np.max(np.abs(u))) / norm0)
+            max_grad = max(max_grad, math.sqrt(t) * float(np.max(np.abs(g))) / norm0)
+    return SmoothingReport(max_sup_ratio=max_sup, max_grad_ratio=max_grad)
+
+
+def test_semigroup_shared_exponentials_match_per_field_loop():
+    """Sharing L and S(t) among the fields of a grid changes no bit of the
+    report: verify's three fields plus one on a second grid, placed between
+    them, together and one at a time."""
+    t_values, (constant, spike, gaussian) = _semigroup_cases()
+    grid2 = RadialGrid(R=2.0, M=64, dim=2)
+    other = RadialField(grid2, np.exp(-grid2.r ** 2 / 0.2))
+    for test_fields in ([constant, other, spike, gaussian],
+                        [constant], [spike], [gaussian], [other]):
+        assert (semigroup_smoothing_check(t_values, test_fields)
+                == _per_field_semigroup(t_values, test_fields))
+
+
+def _searchsorted_step(f, t):
+    """StepFunction evaluation as it was: a clipped np.searchsorted."""
+    i = min(max(int(np.searchsorted(f.breaks, t, side="right")) - 1, 0), len(f.values) - 1)
+    return float(f.values[i])
+
+
+def _searchsorted_closures(y0, r, q):
+    """gronwall_bound and gronwall_equality_solution as they were: scalar
+    midpoint evaluations, numpy prefix arrays and np.searchsorted lookups."""
+    breaks = np.unique(np.concatenate([r.breaks, q.breaks]))
+    mids = [0.5 * (a + b) for a, b in zip(breaks[:-1], breaks[1:])]
+    rv = np.array([_searchsorted_step(r, m) for m in mids])
+    qv = np.array([_searchsorted_step(q, m) for m in mids])
+    R_at, A_at, y_at = (np.zeros(len(breaks)) for _ in range(3))
+    y_at[0] = y0
+
+    def pieces(i, dt):
+        ri, qi = rv[i], qv[i]
+        if ri != 0.0:
+            grow = math.exp(ri * dt)
+            return (A_at[i] + qi * math.exp(-R_at[i]) * (-math.expm1(-ri * dt)) / ri,
+                    y_at[i] * grow + qi * (grow - 1.0) / ri)
+        return A_at[i] + qi * math.exp(-R_at[i]) * dt, y_at[i] + qi * dt
+
+    for i in range(len(rv)):
+        dt = breaks[i + 1] - breaks[i]
+        A_at[i + 1], y_at[i + 1] = pieces(i, dt)
+        R_at[i + 1] = R_at[i] + rv[i] * dt
+
+    def evaluate(t):
+        i = min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(rv) - 1)
+        dt = t - breaks[i]
+        A_t, y_t = pieces(i, dt)
+        return math.exp(R_at[i] + rv[i] * dt) * (y0 + A_t), y_t
+
+    return evaluate
+
+
+@st.composite
+def step_pair(draw):
+    """Two step functions on one drawn interval, with some breaks shared and
+    some coefficients exactly zero."""
+    t1 = draw(st.floats(0.1, 3.0))
+    coef = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+    def step():
+        inner = draw(st.lists(st.floats(0.0, t1, exclude_min=True, exclude_max=True),
+                              max_size=6, unique=True))
+        breaks = [0.0, *sorted(inner), t1]
+        return StepFunction(breaks, draw(st.lists(coef, min_size=len(breaks) - 1,
+                                                  max_size=len(breaks) - 1)))
+
+    r = step()
+    q = step()
+    return r, q, draw(st.floats(0.0, 3.0)), draw(st.lists(st.floats(0.0, t1), max_size=5))
+
+
+@given(step_pair())
+def test_gronwall_closures_match_searchsorted_evaluation(case):
+    r, q, y0, interior = case
+    bound = gronwall_bound(y0, r, q)
+    solution = gronwall_equality_solution(y0, r, q)
+    reference = _searchsorted_closures(y0, r, q)
+    points = [*r.breaks.tolist(), *q.breaks.tolist(), *interior]
+    for t in points:
+        assert (bound(t), solution(t)) == reference(t)
+    for f in (r, q):
+        for t in [-1.0, *points, f.t1 + 1.0]:
+            assert f(t) == _searchsorted_step(f, t)
