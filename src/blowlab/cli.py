@@ -182,8 +182,10 @@ def cmd_frames(args) -> int:
     if not x0_list:
         print("no x0 values given; nothing to do")
         return EXIT_OK
-    if any(x == 0.0 for x in x0_list):
-        raise ConfigError("x0 = 0 is the blow-up point; frames need x0 != 0")
+    bad = [x for x in x0_list if x == 0.0 or not math.isfinite(x)]
+    if bad:
+        raise ConfigError(f"frames need a finite x0 != 0 (x0 = 0 is the blow-up point), "
+                          f"got {bad[0]!r}")
 
     try:
         trajectory = _load_run(out)
@@ -198,18 +200,21 @@ def cmd_frames(args) -> int:
         frames = [extract_frame(trajectory, x0, args.K0, T, window=args.window)
                   for x0 in x0_list]
         reports = [asdict(frame_report(frame)) for frame in frames]
-        table = final_profile_extract(trajectory, sorted(x0_list))
+        table = final_profile_extract(trajectory, sorted(abs(x0) for x0 in x0_list))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     manifest = _manifest("frames", None, out, None)
     for x0, frame, report in zip(x0_list, frames, reports):
         tag = f"x0_{x0:g}".replace(".", "p").replace("-", "m")
-        xi = frame.xi_grid.tolist()
-        rows = ((x0, args.K0, frame.t0, tau, *cells)
+        # shared cells render once: x0, K0 and t0 per file, tau per block, xi per frame
+        head = f"{x0!r},{args.K0!r},{frame.t0!r},"
+        xi = [repr(x) for x in frame.xi_grid.tolist()]
+        rows = (f"{lead}{x},{v!r},{w!r}\n"
                 for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
                                              frame.w.tolist())
-                for cells in zip(xi, v_row, w_row))
+                for lead in (f"{head}{tau!r},",)
+                for x, v, w in zip(xi, v_row, w_row))
         _write_csv(out / f"frame_{tag}.csv", ("x0", "K0", "t0", "tau", "xi", "v", "w"), rows)
         _write_json(out / f"frame_report_{tag}.json", {"manifest": manifest, **report})
 

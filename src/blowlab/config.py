@@ -7,6 +7,7 @@ configs should not rot silently).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .fields import RadialGrid
@@ -91,6 +92,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return raw
 
 
+def _integral(key: str, value) -> int:
+    """``value`` as an int, refused rather than truncated when not integral."""
+    if isinstance(value, (int, float)) and math.isfinite(value) and int(value) == value:
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Turn a raw key dict (plus CLI overrides) into validated objects."""
     merged = dict(raw)
@@ -100,7 +108,8 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
                 continue
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown override key {key!r}")
-            merged[key] = value
+            # a --grid axis sets an int key as a float: 128.0 passes, 65.5 does not
+            merged[key] = _integral(key, value) if _SCHEMA[key][0] is int else value
     try:
         params = validate(
             p=float(merged["p"]), q=float(merged["q"]), mu=float(merged["mu"]),

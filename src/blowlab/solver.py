@@ -375,7 +375,9 @@ def _advance(traj: Trajectory) -> Trajectory:
             except (NonFiniteFieldError, FloatingPointError):
                 status = STATUS_OVERFLOWED
                 break
-            if not np.all(np.isfinite(new_values)):
+            # argmax of |u| finds the first nan or inf: a finite sup, a finite field
+            m_new, rarg_new = _sup_values(new_values, h)
+            if not math.isfinite(m_new):
                 status = STATUS_OVERFLOWED
                 break
             # Kahan-compensated time accumulation
@@ -386,7 +388,7 @@ def _advance(traj: Trajectory) -> Trajectory:
             values = new_values
             steps += 1
             step += 1
-            m, rarg = _sup_values(values, h)
+            m, rarg = m_new, rarg_new
             rows.append((t, m, rarg, dt))
             if len(rows) == HISTORY_BLOCK:
                 blocks.append(np.array(rows))

@@ -13,7 +13,9 @@ import blowlab
 from blowlab import lemmas
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
+from blowlab.fields import write_csv
 from blowlab.params import beta_window
+from blowlab.similarity import extract_frame
 from blowlab.solver import SolverConfig, load_snapshots
 
 TINY_CONFIG = """
@@ -68,6 +70,17 @@ def test_load_config_defaults_are_valid():
     # the file's keys stay as set; the echo carries the resolved beta
     assert run_config.raw["beta"] is None
     assert run_config.to_dict()["beta"] == pytest.approx(run_config.params.beta)
+
+
+def test_int_keys_refuse_non_integral_values():
+    """An int key takes an integral float (a --grid axis is floats) and
+    refuses any other value instead of truncating it."""
+    for key, value in (("M", 150.5), ("dim", 1.5), ("max_steps", float("inf")),
+                       ("record_stride", float("nan"))):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
+            load_config(None, {key: value})
+    run_config = load_config(None, {"M": 128.0})
+    assert run_config.solver.grid.M == 128 and run_config.raw["M"].__class__ is int
 
 
 def test_build_config_rejects_bad_window(tmp_path):
@@ -172,6 +185,32 @@ def test_frames_writes_reports(finished_run):
     assert [point["r"] for point in table["points"]] == [0.1, 0.2]
 
 
+def _tuple_row_frame_csv(trajectory, x0, K0, T, window) -> bytes:
+    """A frame CSV as tuple rows render it, every cell on every line: the
+    reference the frames command's pre-rendered lines must match."""
+    frame = extract_frame(trajectory, x0, K0, T, window=window)
+    xi = frame.xi_grid.tolist()
+    rows = ((x0, K0, frame.t0, tau, *cells)
+            for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
+                                         frame.w.tolist())
+            for cells in zip(xi, v_row, w_row))
+    fh = io.StringIO()
+    write_csv(fh, ("x0", "K0", "t0", "tau", "xi", "v", "w"), rows)
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("K0, window", [(2.0, None), (8.0, 1.5)])
+def test_frame_csv_bytes_match_tuple_rows(finished_run, K0, window):
+    argv = ["--window", repr(window)] if window is not None else []
+    assert main(["frames", "--out", str(finished_run), "--x0=0.1,-0.15",
+                 "--K0", repr(K0), *argv]) == 0
+    trajectory = load_snapshots(finished_run / "snapshots.npz")
+    T = json.loads((finished_run / "frames_summary.json").read_text())["T"]
+    for x0, tag in ((0.1, "0p1"), (-0.15, "m0p15")):
+        assert ((finished_run / f"frame_x0_{tag}.csv").read_bytes()
+                == _tuple_row_frame_csv(trajectory, x0, K0, T, window))
+
+
 def test_frames_fits_T_from_the_archive(finished_run):
     """frames refits T from the run archive, bit for bit the T that run
     wrote, so a damaged blowup_estimate.json cannot stop it."""
@@ -209,8 +248,12 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     (TINY_CONFIG, ["--window", "0"], "window must be finite and positive, got 0.0"),
     (TINY_CONFIG, ["--window", "-1"], "window must be finite and positive, got -1.0"),
     (TINY_CONFIG, ["--window", "nan"], "window must be finite and positive, got nan"),
+    (TINY_CONFIG, ["--x0", "nan"], "need a finite x0 != 0 (x0 = 0 is the blow-up point), "
+                                   "got nan"),
+    (TINY_CONFIG, ["--x0", "0.1,inf"], "need a finite x0 != 0 (x0 = 0 is the blow-up point), "
+                                       "got inf"),
 ], ids=["no-blowup", "x0-unreachable", "K0-negative", "T-negative", "window-zero",
-        "window-negative", "window-nan"])
+        "window-negative", "window-nan", "x0-nan", "x0-inf"])
 def test_frames_bad_request_is_config_error(tmp_path, capsys, config_text, argv, message):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, config_text),
@@ -337,6 +380,27 @@ def test_sweep_records_invalid_points(tmp_path):
     assert [row["status"] for row in rows] == ["blown-up"] + ["config-error"] * 3
     assert rows[1]["error"] == "t_star must be in (0, 1), got 1.5"
     assert rows[2]["error"].startswith("q upper bound violated: q=5.0")
+
+
+def test_sweep_refuses_non_integral_int_keys(tmp_path):
+    """A grid point that puts a non-integral value on an int key is a
+    config-error naming it; the points around it run as labelled."""
+    config = write_config(tmp_path)
+    for spec, statuses, error in (
+            ("M=64:65:3", ["blown-up", "config-error", "blown-up"],
+             "M must be an integer, got 64.5"),
+            # dim=2 passes the int check and fails the dim=2 q window
+            ("dim=1:2:3", ["blown-up", "config-error", "config-error"],
+             "dim must be an integer, got 1.5")):
+        out = tmp_path / spec.partition("=")[0]
+        assert main(["sweep", "--config", config, "--grid", spec,
+                     "--out", str(out), "--workers", "1"]) == 0
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == statuses
+        assert rows[1]["error"] == error
+    assert load_snapshots(tmp_path / "M" / "point_0002" / "snapshots.npz").config.grid.M == 65
+    assert rows[2]["error"].startswith("q lower bound violated")
 
 
 def test_sweep_points_resolve_their_own_beta(tmp_path):

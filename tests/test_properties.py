@@ -1,6 +1,6 @@
 """Property tests: the run archive's config round trip and key check, the
-ball-integral prefix, the CSV cells, and the stepper's positivity,
-determinism and resume."""
+ball-integral prefix, the CSV cells and pre-rendered lines, and the
+stepper's positivity, determinism and resume."""
 import csv
 import io
 import json
@@ -117,6 +117,18 @@ def test_write_csv_cells_read_back(rows):
     expected = [["a", "b"]] + [["" if v is None else v if isinstance(v, str) else repr(v)
                                 for v in row] for row in rows]
     assert list(csv.reader(io.StringIO(fh.getvalue(), newline=""))) == expected
+
+
+@given(st.lists(st.tuples(st.booleans(), st.lists(st.floats(), min_size=1, max_size=7)),
+                max_size=8))
+def test_write_csv_str_rows_match_tuple_rows(drawn):
+    """Rows a caller renders itself as str lines, mixed in any order with
+    tuple rows, write the same text as the tuple rows alone."""
+    tuples, mixed = io.StringIO(), io.StringIO()
+    write_csv(tuples, ("a", "b"), [tuple(row) for _, row in drawn])
+    write_csv(mixed, ("a", "b"), [",".join(f"{v!r}" for v in row) + "\n" if as_str
+                                  else tuple(row) for as_str, row in drawn])
+    assert mixed.getvalue() == tuples.getvalue()
 
 
 @st.composite
