@@ -32,6 +32,7 @@ from .solver import (
     load_snapshots,
     profile_seeded_field,
     rhs,
+    run_together,
     run_until_blowup,
     save_snapshots,
 )

@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
@@ -40,6 +41,7 @@ from .solver import (
     far_field_report,
     load_snapshots,
     profile_seeded_field,
+    run_together,
     run_until_blowup,
     save_snapshots,
     trajectory_to_csv,
@@ -52,6 +54,8 @@ EXIT_OVERFLOW = 3
 EXIT_VERIFY = 4
 
 RUN_ARCHIVE = "snapshots.npz"  # the run archive that frames, report and resume read
+SWEEP_CHUNK = 16  # most sweep points one worker steps together
+HEARTBEAT_S = 2.0  # least time between two sweep progress lines
 
 
 def _manifest(command: str, config_path, out_dir, run_config: RunConfig | None) -> dict:
@@ -340,20 +344,56 @@ def _parse_grid_spec(spec: str) -> list[tuple[str, np.ndarray]]:
     return list(axes.items())
 
 
-def _sweep_worker(job):
-    index, raw, overrides, out_dir = job
-    from .config import build_run_config
+def _point_row(index: int, overrides: dict, status: str, error: str) -> dict:
+    return {"index": index, **overrides, "status": status, "error": error}
 
-    point_dir = Path(out_dir) / f"point_{index:04d}"
-    point_dir.mkdir(parents=True, exist_ok=True)
+
+def _sweep_worker(job):
+    """Run one chunk of sweep points that share a grid and a boundary
+    closure, stepped together; returns one summary row per point.  ``job``
+    is (index of the chunk's first point, [(index, overrides, RunConfig)],
+    output directory).  A point whose seeding, stepping, estimate or writes
+    raise gets a row with status ``error`` and the message; the other points
+    of the chunk finish."""
+    _, points, out_dir = job
+    rows, runs = [], []
+    for index, overrides, run_config in points:
+        try:
+            point_dir = Path(out_dir) / f"point_{index:04d}"
+            point_dir.mkdir(parents=True, exist_ok=True)
+            u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
+                                      t_star=run_config.t_star,
+                                      taper_start=run_config.taper_start)
+            runs.append((index, overrides, run_config, point_dir, u0,
+                         Trajectory.start(u0, run_config.solver)))
+        except Exception as exc:  # the point's row carries it
+            rows.append(_error_row(index, overrides, exc))
     try:
-        run_config = build_run_config(raw, overrides)
-    except ConfigError as exc:
-        return {"index": index, **overrides, "status": "config-error", "error": str(exc)}
-    u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
-                              t_star=run_config.t_star,
-                              taper_start=run_config.taper_start)
-    trajectory = run_until_blowup(u0, run_config.solver)
+        run_together([run[-1] for run in runs])
+        batch_failed = False
+    except Exception:  # a failure of the batch names no point: step each alone
+        batch_failed = True
+    for index, overrides, run_config, point_dir, u0, trajectory in runs:
+        try:
+            if batch_failed:
+                trajectory = run_until_blowup(u0, run_config.solver)
+            rows.append(_point_summary(index, overrides, run_config, point_dir, trajectory))
+        except Exception as exc:
+            rows.append(_error_row(index, overrides, exc))
+    return rows
+
+
+def _error_row(index: int, overrides: dict, exc: Exception) -> dict:
+    """The summary row of a point that raised ``exc``; the traceback goes
+    to stderr."""
+    print(f"sweep: point {index} failed", file=sys.stderr)
+    traceback.print_exception(exc, file=sys.stderr)
+    return _point_row(index, overrides, "error", f"{type(exc).__name__}: {exc}")
+
+
+def _point_summary(index: int, overrides: dict, run_config: RunConfig, point_dir: Path,
+                   trajectory: Trajectory) -> dict:
+    """Write a sweep point's run archive and history; its summary row."""
     save_snapshots(trajectory, point_dir / RUN_ARCHIVE)
     write_atomic(point_dir / "trajectory.csv",
                  lambda fh: trajectory_to_csv(fh, trajectory), text=True)
@@ -370,7 +410,39 @@ def _sweep_worker(job):
     return row
 
 
+class _Heartbeat:
+    """Prints ``sweep: i/n points done (x.x s)`` on stderr as chunks finish,
+    at most once every ``HEARTBEAT_S`` seconds, so a sweep shorter than that
+    prints nothing."""
+
+    def __init__(self, done: int, total: int):
+        self.done, self.total = done, total
+        self.start = self.last = perf_counter()
+
+    def add(self, points: int) -> None:
+        self.done += points
+        now = perf_counter()
+        if now - self.last >= HEARTBEAT_S:
+            self.last = now
+            print(f"sweep: {self.done}/{self.total} points done ({now - self.start:.1f} s)",
+                  file=sys.stderr)
+
+
+def _sweep_chunks(points: list[tuple], workers: int) -> list[list[tuple]]:
+    """The points grouped by (grid, boundary closure), in index order, and
+    cut into chunks of about ceil(points / workers), at most SWEEP_CHUNK."""
+    groups = {}
+    for point in points:
+        solver_config = point[2].solver
+        groups.setdefault((solver_config.grid, solver_config.boundary), []).append(point)
+    size = max(1, min(SWEEP_CHUNK, math.ceil(len(points) / max(workers, 1))))
+    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
+
+
 def cmd_sweep(args) -> int:
+    # looked up when the sweep runs, so a wrapper set on the module applies
+    from .config import build_run_config
+
     run_config = load_config(args.config)
     try:
         axes = _parse_grid_spec(args.grid)
@@ -383,14 +455,33 @@ def cmd_sweep(args) -> int:
     points = [{}]
     for key, values in axes:
         points = [{**pt, key: float(v)} for pt in points for v in values]
-    # the keys as the file set them: each point resolves its own beta
-    jobs = [(i, run_config.raw, pt, str(out)) for i, pt in enumerate(points)]
+    results, admissible = [], []
+    for index, overrides in enumerate(points):
+        # the keys as the file set them: each point resolves its own beta
+        try:
+            admissible.append((index, overrides, build_run_config(run_config.raw, overrides)))
+        except ConfigError as exc:
+            (out / f"point_{index:04d}").mkdir(exist_ok=True)
+            results.append(_point_row(index, overrides, "config-error", str(exc)))
+    chunks = _sweep_chunks(admissible, args.workers)
+    jobs = [(chunk[0][0], chunk, str(out)) for chunk in chunks]
+    heartbeat = _Heartbeat(len(results), len(points))
 
     if args.workers <= 1:
-        results = [_sweep_worker(job) for job in jobs]
+        for job in jobs:
+            results += _sweep_worker(job)
+            heartbeat.add(len(job[1]))
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            futures = {pool.submit(_sweep_worker, job): job for job in jobs}
+            for future in as_completed(futures):
+                job = futures[future]
+                try:
+                    results += future.result()
+                except Exception as exc:  # a lost worker loses its chunk only
+                    results += [_error_row(index, overrides, exc)
+                                for index, overrides, _ in job[1]]
+                heartbeat.add(len(job[1]))
     results.sort(key=lambda row: row["index"])
 
     keys = ["index"] + [k for k, _ in axes] + ["status", "t_last", "supnorm_last",

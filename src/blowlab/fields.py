@@ -112,7 +112,10 @@ def sphere_area(dim: int) -> float:
 
 def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Radial Laplacian u'' + (dim-1)/r u' on the node values.
+    """Radial Laplacian u'' + (dim-1)/r u' on the node values, along the last
+    axis (``u`` may hold several fields as rows; ``u.T[i]`` is node i of
+    every row, a scalar for one 1-D field, which numpy handles faster than a
+    one-element array).
 
     Origin: the removable singularity gives dim * u''(0), discretized with
     the even-symmetry ghost node.  r = R: per the boundary closure.  Writes
@@ -121,18 +124,27 @@ def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
     if out is None:
         out = np.empty_like(u)
     inv_h2 = geom.inv_h2
-    # interior second derivative + first-derivative term
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
+    # interior second derivative + first-derivative term, written in place:
+    # (u[i+1] - 2 u[i] + u[i-1]) / h^2 + (dim-1)/r_i (u[i+1] - u[i-1]) / (2h)
+    inner = out[..., 1:-1]
+    np.multiply(u[..., 1:-1], 2.0, out=inner)
+    np.subtract(u[..., 2:], inner, out=inner)
+    inner += u[..., :-2]
+    inner *= inv_h2
     if geom.lap_coef is not None:
-        out[1:-1] += geom.lap_coef * (u[2:] - u[:-2]) / (2.0 * geom.h)
+        drift = u[..., 2:] - u[..., :-2]
+        drift *= geom.lap_coef
+        drift /= 2.0 * geom.h
+        inner += drift
+    node, out_node = u.T, out.T
     # origin: ghost u(-h) = u(h)
-    out[0] = 2.0 * geom.dim * (u[1] - u[0]) * inv_h2
+    out_node[0] = 2.0 * geom.dim * (node[1] - node[0]) * inv_h2
     if boundary == BOUNDARY_DIRICHLET:
         # boundary node is pinned; its time derivative is forced to zero
-        out[-1] = 0.0
+        out_node[-1] = 0.0
     elif boundary == BOUNDARY_NEUMANN:
         # ghost u(R+h) = u(R-h); the (dim-1)/r u' term vanishes with u'(R)=0
-        out[-1] = 2.0 * (u[-2] - u[-1]) * inv_h2
+        out_node[-1] = 2.0 * (node[-2] - node[-1]) * inv_h2
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
     return out
@@ -164,15 +176,19 @@ def _laplacian_bands(geom: GridGeometry, boundary: str) -> tuple[np.ndarray, ...
 
 
 def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """Radial derivative: central interior, 0 at the origin by symmetry,
-    second-order one-sided at r = R (0 under the neumann closure)."""
+    """Radial derivative along the last axis (as :func:`_laplacian_values`):
+    central interior, 0 at the origin by symmetry, second-order one-sided at
+    r = R (0 under the neumann closure)."""
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    out[0] = 0.0
+    inner = out[..., 1:-1]
+    np.subtract(u[..., 2:], u[..., :-2], out=inner)
+    inner /= 2.0 * h
+    node, out_node = u.T, out.T
+    out_node[0] = 0.0
     if boundary == BOUNDARY_NEUMANN:
-        out[-1] = 0.0
+        out_node[-1] = 0.0
     else:
-        out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+        out_node[-1] = (3.0 * node[-1] - 4.0 * node[-2] + node[-3]) / (2.0 * h)
     return out
 
 
@@ -188,22 +204,31 @@ def gradient(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialFi
     return RadialField(field.grid, vals, field.time)
 
 
-def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry, q: float) -> np.ndarray:
-    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr.
+def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
+                            q: float | list) -> np.ndarray:
+    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr, along
+    the last axis.
 
     Takes |u| (the right-hand side computes it once for both of its terms).
-    The prefix sum is the cumulative trapezoid rule written out, with the
-    same operations in the same order as scipy's ``cumulative_trapezoid``.
+    ``q`` is a float, or for a stack of fields a list of (rows, q) pairs
+    that cover it, each block of rows raised to its own scalar power.  The
+    prefix sum is the cumulative trapezoid rule written out, with the same
+    operations in the same order as scipy's ``cumulative_trapezoid``.
     """
-    integrand = abs_u ** (q - 1.0)
+    if isinstance(q, list):
+        integrand = np.empty_like(abs_u)
+        for rows, q_rows in q:
+            integrand[rows] = abs_u[rows] ** (q_rows - 1.0)
+    else:
+        integrand = abs_u ** (q - 1.0)
     if geom.r_pow is not None:
         integrand *= geom.r_pow
-    panels = integrand[1:] + integrand[:-1]
+    panels = integrand[..., 1:] + integrand[..., :-1]
     panels *= geom.dr
     panels /= 2.0
     J = np.empty_like(integrand)
-    J[0] = 0.0
-    np.cumsum(panels, out=J[1:])
+    J.T[0] = 0.0
+    np.cumsum(panels, axis=-1, out=J[..., 1:])
     J *= geom.area
     return J
 

@@ -161,14 +161,20 @@ class StepFunction:
 
 def _merged_segments(r: StepFunction, q: StepFunction):
     """Common refinement of two step functions on their shared interval."""
-    if r.t0 != q.t0 or r.t1 != q.t1:
+    return _segments(r.breaks.tolist(), r.values.tolist(), q.breaks.tolist(), q.values.tolist())
+
+
+def _segments(r_breaks: list, r_values: list, q_breaks: list, q_values: list):
+    """(breaks, r values, q values) of the common refinement of two step
+    functions given as lists of floats."""
+    if r_breaks[0] != q_breaks[0] or r_breaks[-1] != q_breaks[-1]:
         raise ValueError("r and q must share the same interval")
-    breaks = np.unique(np.concatenate([r.breaks, q.breaks]))
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    # the segment index is the count of inner breaks at or below the point
-    rv = r.values[np.searchsorted(r.breaks[1:-1], mids, side="right")]
-    qv = q.values[np.searchsorted(q.breaks[1:-1], mids, side="right")]
-    return breaks.tolist(), rv.tolist(), qv.tolist()
+    breaks = sorted(set(r_breaks).union(q_breaks))
+    r_inner, q_inner = r_breaks[1:-1], q_breaks[1:-1]
+    # the segment index is the count of inner breaks at or below the midpoint
+    mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
+    return (breaks, [r_values[bisect.bisect_right(r_inner, m)] for m in mids],
+            [q_values[bisect.bisect_right(q_inner, m)] for m in mids])
 
 
 def _weighted_q(qi: float, R: float, ri: float, dt: float) -> float:
@@ -190,7 +196,11 @@ def gronwall_bound(y0: float, r: StepFunction, q: StepFunction):
     """Bound exp(int r) [y0 + int q exp(-int r)] for a solution of the
     integral inequality y <= y0 + int y r + int q, evaluated exactly
     segment by segment.  Returns a callable of t on [t0, t1]."""
-    breaks, rv, qv = _merged_segments(r, q)
+    return _bound(y0, *_merged_segments(r, q))
+
+
+def _bound(y0: float, breaks: list, rv: list, qv: list):
+    """:func:`gronwall_bound` on the merged segments."""
     # prefix integrals at the breakpoints
     R_at = [0.0] * len(breaks)   # int_{t0}^{b_j} r
     A_at = [0.0] * len(breaks)   # int_{t0}^{b_j} q exp(-R)
@@ -216,7 +226,11 @@ def gronwall_equality_solution(y0: float, r: StepFunction, q: StepFunction):
     """Exact solution of y(t) = y0 + int_{t0}^t y r + int_{t0}^t q, i.e. of
     y' = r y + q, propagated segment-wise in closed form.  Independent of
     :func:`gronwall_bound` (different closed forms, same function)."""
-    breaks, rv, qv = _merged_segments(r, q)
+    return _equality_solution(y0, *_merged_segments(r, q))
+
+
+def _equality_solution(y0: float, breaks: list, rv: list, qv: list):
+    """:func:`gronwall_equality_solution` on the merged segments."""
     y_at = [y0]
     for i in range(len(rv)):
         y_at.append(_propagate(y_at[i], rv[i], qv[i], breaks[i + 1] - breaks[i]))
@@ -246,7 +260,8 @@ class GronwallSuiteResult:
 def gronwall_suite() -> GronwallSuiteResult:
     """1000 random instances (seed 0) of nonnegative step coefficients; the
     exact equality solution must sit below the bound (plus a rounding slack
-    of 1e-10) at every checked point."""
+    of 1e-10) at every checked point: the breaks and a few random times.
+    The step functions stay lists of floats, merged once per instance."""
     rng = np.random.default_rng(0)
     n_points = 0
     n_violations = 0
@@ -254,21 +269,17 @@ def gronwall_suite() -> GronwallSuiteResult:
     for _ in range(1000):
         t0 = 0.0
         t1 = float(rng.uniform(0.5, 1.5))
+
         def random_step():
             k = int(rng.integers(1, 7))
-            inner = np.sort(rng.uniform(t0, t1, size=k - 1))
-            breaks = np.concatenate([[t0], inner, [t1]])
-            breaks = np.unique(breaks)
-            vals = rng.uniform(0.0, 2.0, size=len(breaks) - 1)
-            return StepFunction(breaks, vals)
-        r = random_step()
-        q = random_step()
+            breaks = sorted({t0, *rng.uniform(t0, t1, size=k - 1).tolist(), t1})
+            return breaks, rng.uniform(0.0, 2.0, size=len(breaks) - 1).tolist()
+
+        segments = _segments(*random_step(), *random_step())
         y0 = float(rng.uniform(0.0, 2.0))
-        exact = gronwall_equality_solution(y0, r, q)
-        bound = gronwall_bound(y0, r, q)
-        ts = np.concatenate([np.unique(np.concatenate([r.breaks, q.breaks])),
-                             rng.uniform(t0, t1, size=5)])
-        for t in ts.tolist():
+        exact = _equality_solution(y0, *segments)
+        bound = _bound(y0, *segments)
+        for t in segments[0] + rng.uniform(t0, t1, size=5).tolist():
             margin = exact(t) - bound(t)
             worst = max(worst, margin)
             n_points += 1

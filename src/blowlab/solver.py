@@ -20,11 +20,21 @@ has one branch, the local reaction time scale,
 
     dt = dt_safety / (1 + p * supnorm^(p-1)),
 
-and the step count does not grow with the grid size M.  ``_advance``
-builds the run's fixed geometry, the Laplacian bands and a reused stage
-buffer once per call and holds one ``np.errstate`` scope around the step
-loop.  Runs are strictly sequential and deterministic: identical config and
-initial data give bit-identical trajectories.
+and the step count does not grow with the grid size M.
+
+Runs that share one grid and one boundary closure step in lockstep
+(:func:`run_together`): their fields are the rows of one (k, M+1) array,
+the kernels work along the last axis, and the two solves of a step are
+one LAPACK call each on the block-diagonal system of all rows.  Each row
+keeps its own parameters and its own scalars as Python floats (step size,
+Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
+when it stops.  A single run is a batch of one (:func:`run_until_blowup`,
+:func:`continue_run`), stepped as a 1-D field.  Every row is bit-identical
+to its run stepped alone: ``_Terms`` and ``_Batch`` say what that takes.
+``_advance`` builds the grid's fixed geometry, the Laplacian bands and
+reused buffers once per batch and holds one ``np.errstate`` scope around
+the step loop.  Runs are deterministic: identical config and initial data
+give bit-identical trajectories, alone or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -216,33 +226,85 @@ def check_seed(t_star: float, taper_start: float) -> None:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-def _explicit_values(u: np.ndarray, geom: GridGeometry, params: ModelParams, boundary: str,
+class _Terms:
+    """The explicit term's coefficients for a stack of rows.
+
+    The rows come sorted by (mu == 0, p, q), so every group of rows that
+    shares an exponent is contiguous and is raised to that scalar exponent:
+    numpy picks its ``pow`` kernel by memory layout and takes a fast path
+    for a scalar 2.0, so this is what keeps each row bit-identical to the
+    run stepped alone.  The rows with mu == 0 come last and skip the
+    nonlocal term, as a single run does: adding +0 would turn -0 cells
+    into +0.  A coefficient that all its rows share is held as one float
+    and applied to the whole array, which also serves a single 1-D field.
+    """
+
+    def __init__(self, params: list[ModelParams]):
+        n_nl = sum(pr.mu != 0.0 for pr in params)
+        if any(pr.mu == 0.0 for pr in params[:n_nl]):
+            raise ValueError("rows with mu == 0 must come last")
+        self.p = _runs([pr.p for pr in params])
+        # mu is None when no row has the nonlocal term; the rows that have
+        # it are all of them (None) or the first n_nl
+        self.nonlocal_rows = None if n_nl == len(params) else slice(0, n_nl)
+        self.q = _runs([pr.q for pr in params[:n_nl]])
+        mu = [pr.mu for pr in params[:n_nl]]
+        self.mu = (None if not mu else mu[0] if len(set(mu)) == 1
+                   else np.array(mu).reshape(-1, 1))
+
+
+def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
+    """The value all rows share, or (rows, value) for each maximal run of
+    equal values."""
+    if len(set(values)) <= 1:
+        return values[0] if values else None
+    runs, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            runs.append((slice(start, i), values[start]))
+            start = i
+    return runs
+
+
+def _explicit_values(u: np.ndarray, geom: GridGeometry, terms: _Terms, boundary: str,
                      out: np.ndarray | None = None) -> np.ndarray:
     """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
-    written into ``out`` when given.
+    of each row of ``u``, written into ``out`` when given.
 
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
     """
     abs_u = np.abs(u)
-    out = np.power(abs_u, params.p - 1.0, out=out)
+    if out is None:
+        out = np.empty_like(u)
+    if isinstance(terms.p, list):
+        for rows, p in terms.p:
+            np.power(abs_u[rows], p - 1.0, out=out[rows])
+    else:
+        np.power(abs_u, terms.p - 1.0, out=out)
     out *= u
-    if params.mu != 0.0:
+    if terms.mu is not None:
+        rows = terms.nonlocal_rows
+        if rows is not None:
+            u, abs_u = u[rows], abs_u[rows]
         g = _gradient_values(u, geom.h, boundary)
-        J = _nonlocal_prefix_values(abs_u, geom, params.q)
+        J = _nonlocal_prefix_values(abs_u, geom, terms.q)
         np.abs(g, out=g)
-        g *= params.mu
+        g *= terms.mu
         g *= J
-        out += g
+        if rows is None:
+            out += g
+        else:
+            out[rows] += g
     if boundary == BOUNDARY_DIRICHLET:
-        out[-1] = 0.0
+        out.T[-1] = 0.0
     return out
 
 
 def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams,
                 boundary: str) -> np.ndarray:
     """The full right-hand side: the Laplacian plus :func:`_explicit_values`."""
-    out = _explicit_values(u, geom, params, boundary)
+    out = _explicit_values(u, geom, _Terms([params]), boundary)
     out += _laplacian_values(u, geom, boundary)
     return out
 
@@ -270,33 +332,82 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
     return dt
 
 
-def _ars222(u: np.ndarray, dt: float, config: SolverConfig, geom: GridGeometry,
-            bands: tuple[np.ndarray, ...], work: np.ndarray) -> np.ndarray:
-    """One ARS(2,2,2) step (see the module docstring).  ``bands`` are the
-    Laplacian's; ``work`` is a (3, M+1) block that holds the explicit stages
-    and the right-hand sides of the solves, reused across steps."""
-    params, boundary = config.params, config.boundary
-    n1, n2, b = work
-    lower, diagonal, upper = bands
+class _Batch:
+    """What stepping k rows on one grid together reuses from step to step.
+
+    The two solves of a step are one LAPACK call each on the block-diagonal
+    system of all rows.  Between two blocks sit two separator unknowns, an
+    identity row with right-hand side +0 and zero coupling, so the products
+    with the coupling zeros that the tridiagonal elimination forms are
+    +0 * +0 and every block's arithmetic is exactly its own system's.  A
+    non-finite row still crosses over (0 * NaN), which the caller detects.
+    A single row has no separators and is stepped as a 1-D field: numpy's
+    per-call cost on the cells at r = 0 and r = R is lower for scalars than
+    for one-element arrays.
+    """
+
+    def __init__(self, params: list[ModelParams], geom: GridGeometry, boundary: str):
+        k, n = len(params), len(geom.dr) + 1
+        self.terms = _Terms(params)
+        self.geom, self.boundary = geom, boundary
+        self.bands = _laplacian_bands(geom, boundary)
+        self.n = n
+        self.single = k == 1
+        # the system's bands and the right-hand sides of its two solves, row
+        # by row: the separators' entries are written here and, since the
+        # factorization and the first solve work in place, keep their values
+        padded = (n,) if k == 1 else (k, n + 2)
+        lower, diagonal, upper = np.zeros(padded), np.ones(padded), np.zeros(padded)
+        self.rhs = np.zeros((2, *padded))
+        self.lower, self.diagonal, self.upper = (lower[..., :n - 1], diagonal[..., :n],
+                                                 upper[..., :n - 1])
+        self.flat = (lower.reshape(-1)[:-1], diagonal.reshape(-1), upper.reshape(-1)[:-1])
+        self.b = tuple(self.rhs[..., :n])
+        self.rhs_flat = tuple(self.rhs.reshape(2, -1))
+        self.work = np.empty((2, *self.b[0].shape))  # the two explicit stages
+
+    def solve(self, lu, stage: int) -> np.ndarray:
+        """The rows' fields that solve the system with right-hand side
+        ``b[stage]``, given the ``dgttrf`` factors ``lu``: in place for the
+        first stage, into a new array for the second, the step's result."""
+        solution = dgttrs(*lu, self.rhs_flat[stage], overwrite_b=stage == 0)[0]
+        return solution if self.single else solution.reshape(self.rhs.shape[1:])[:, :self.n]
+
+
+def _ars222(values: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
+    """One ARS(2,2,2) step (see the module docstring) of every row of the
+    (k, M+1) ``values``, row i by ``dts[i]``."""
+    geom, boundary = batch.geom, batch.boundary
+    u = values[0] if batch.single else values
+    n1, n2 = batch.work
+    b1, b2 = batch.b
+    lower, diagonal, upper = batch.bands
+    # a single row multiplies by Python floats, as a scalar step does
+    dt = dts[0] if batch.single else np.array(dts).reshape(-1, 1)
     gdt = _GAMMA * dt
-    # LU of I - gamma*dt*L, shared by both solves
-    dl, d, du, du2, ipiv, info = dgttrf(lower * -gdt, 1.0 - gdt * diagonal, upper * -gdt)
+    # LU of I - gamma*dt*L, shared by both solves, in place of the bands
+    np.multiply(lower, -gdt, out=batch.lower)
+    np.multiply(gdt, diagonal, out=batch.diagonal)
+    np.subtract(1.0, batch.diagonal, out=batch.diagonal)
+    np.multiply(upper, -gdt, out=batch.upper)
+    *lu, info = dgttrf(*batch.flat, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
-        raise NonFiniteFieldError(f"implicit matrix is singular (dt={dt})")
-    _explicit_values(u, geom, params, boundary, out=n1)
-    np.multiply(n1, gdt, out=b)
-    b += u
-    y, _ = dgttrs(dl, d, du, du2, ipiv, b)
-    _explicit_values(y, geom, params, boundary, out=n2)
-    _laplacian_values(y, geom, boundary, out=b)
-    b *= 1.0 - _GAMMA
+        raise NonFiniteFieldError(f"implicit matrix is singular (dt={dts})")
+    _explicit_values(u, geom, batch.terms, boundary, out=n1)
+    np.multiply(n1, gdt, out=b1)
+    b1 += u
+    y = batch.solve(lu, 0)
+    _explicit_values(y, geom, batch.terms, boundary, out=n2)
+    _laplacian_values(y, geom, boundary, out=b2)
+    b2 *= 1.0 - _GAMMA
     n1 *= _DELTA
-    b += n1
+    b2 += n1
     n2 *= 1.0 - _DELTA
-    b += n2
-    b *= dt
-    b += u
-    return dgttrs(dl, d, du, du2, ipiv, b)[0]
+    b2 += n2
+    b2 *= dt
+    b2 += u
+    new = batch.solve(lu, 1)
+    return new[None] if batch.single else new
 
 
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
@@ -307,7 +418,7 @@ def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
     sup-norm has grown by ``snapshot_growth`` since the last snapshot, so
     coverage stays dense (logarithmically) on approach to blow-up.
     """
-    return _advance(Trajectory.start(u0, config))
+    return _advance([Trajectory.start(u0, config)])[0]
 
 
 def continue_run(trajectory: Trajectory) -> Trajectory:
@@ -317,95 +428,189 @@ def continue_run(trajectory: Trajectory) -> Trajectory:
     only on the run's step count and last snapshot, so a resumed run
     reproduces the uninterrupted history and snapshots exactly.
     """
-    if trajectory.status in (STATUS_BLOWN_UP, STATUS_OVERFLOWED):
-        return trajectory
-    trajectory.status = STATUS_RUNNING
-    return _advance(trajectory)
+    return run_together([trajectory])[0]
 
 
-def _advance(traj: Trajectory) -> Trajectory:
-    config = traj.config
-    grid = config.grid
-    geom = GridGeometry.of(grid)
-    bands = _laplacian_bands(geom, config.boundary)
-    work = np.empty((3, grid.M + 1))
-    h = grid.h
-    cap = config.blowup_cap
-    t_max = config.t_max
-    stride = config.record_stride
-    growth = config.snapshot_growth
+def run_together(trajectories: list[Trajectory]) -> list[Trajectory]:
+    """Step runs that share one grid and one boundary closure in lockstep,
+    in place: fresh ones from :meth:`Trajectory.start` or resumed ones, as
+    :func:`continue_run` takes them.  Each run comes out bit-identical to
+    the same run stepped alone; one that has blown up or overflowed is left
+    as it is."""
+    live = [traj for traj in trajectories
+            if traj.status not in (STATUS_BLOWN_UP, STATUS_OVERFLOWED)]
+    for traj in live:
+        traj.status = STATUS_RUNNING
+    _advance(live)
+    return trajectories
 
-    values = traj.last_field.values.copy()
-    t = traj.last_field.time
-    on_schedule = traj._stop_field is None  # the field is the last snapshot
-    traj._stop_field = None
-    comp = traj._time_comp
-    m, rarg = _sup_values(values, h)
-    # the schedule reads the last snapshot and the run's step count, so a
-    # resumed run continues it where the uninterrupted run would be
-    last_snap_m = max(_sup_values(traj.snapshots[-1].values, h)[0], np.finfo(float).tiny)
-    step = len(traj.maxnorm_history) - 1
-    steps = 0
-    blocks, rows = [traj.maxnorm_history], []
 
-    def snapshot():
-        fld = RadialField(grid, values.copy(), t)
-        if traj.snapshots and traj.snapshots[-1].time == t:
-            traj.snapshots[-1] = fld  # deep tail: keep the latest state at a tied time
+class _Row:
+    """One run's place in a batch: its config's scalars as Python floats,
+    its Kahan-summed time, sup-norm, step counts, history rows and snapshot
+    schedule, each handled exactly as a run stepped alone handles them."""
+
+    def __init__(self, traj: Trajectory):
+        config = traj.config
+        h = config.grid.h
+        self.traj, self.config, self.params = traj, config, config.params
+        self.values = traj.last_field.values
+        self.t = traj.last_field.time
+        self.on_schedule = traj._stop_field is None  # the field is the last snapshot
+        traj._stop_field = None
+        self.comp = traj._time_comp
+        self.m, _ = _sup_values(self.values, h)
+        # the schedule reads the last snapshot and the run's step count, so a
+        # resumed run continues it where the uninterrupted run would be
+        self.last_snap_m = max(_sup_values(traj.snapshots[-1].values, h)[0], _TINY)
+        self.step = len(traj.maxnorm_history) - 1
+        self.steps = 0
+        self.blocks, self.rows = [traj.maxnorm_history], []
+
+    def stop(self) -> str | None:
+        """The status the run stops with before its next step, if any."""
+        config = self.config
+        if self.m >= config.blowup_cap:
+            return STATUS_BLOWN_UP
+        if config.t_max is not None and self.t >= config.t_max * (1.0 - 1e-15):
+            return STATUS_COMPLETED
+        if self.steps >= config.max_steps:
+            return STATUS_BUDGET
+        return None
+
+    def dt(self) -> float:
+        dt = _dt_of(self.config, self.m)
+        if self.config.t_max is not None:
+            dt = min(dt, self.config.t_max - self.t)
+        return dt
+
+    def accept(self, values: np.ndarray, m: float, rarg: float, dt: float) -> None:
+        # Kahan-compensated time accumulation
+        y = dt - self.comp
+        t_new = self.t + y
+        self.comp = (t_new - self.t) - y
+        self.t = t_new
+        self.steps += 1
+        self.step += 1
+        self.m = m
+        self.rows.append((t_new, m, rarg, dt))
+        if len(self.rows) == HISTORY_BLOCK:
+            self.blocks.append(np.array(self.rows))
+            self.rows = []
+        self.on_schedule = (self.step % self.config.record_stride == 0
+                            or m >= self.config.snapshot_growth * self.last_snap_m)
+        if self.on_schedule:
+            self.snapshot(values)
+            self.last_snap_m = max(m, _TINY)
+
+    def snapshot(self, values: np.ndarray) -> None:
+        fld = RadialField(self.config.grid, values.copy(), self.t)
+        snapshots = self.traj.snapshots
+        if snapshots and snapshots[-1].time == self.t:
+            snapshots[-1] = fld  # deep tail: keep the latest state at a tied time
         else:
-            traj.snapshots.append(fld)
+            snapshots.append(fld)
+
+    def finish(self, status: str, values: np.ndarray) -> None:
+        traj = self.traj
+        if status != STATUS_BUDGET:
+            self.snapshot(values)
+        elif not self.on_schedule:
+            traj._stop_field = RadialField(self.config.grid, values.copy(), self.t)
+        traj.maxnorm_history = np.concatenate(self.blocks + [np.array(self.rows).reshape(-1, 4)])
+        traj.status = status
+        traj._time_comp = self.comp
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _sups(values: np.ndarray, h: float) -> tuple[list[float], list[float]]:
+    """:func:`_sup_values` of each row: (max |row|, its radius) as lists."""
+    if len(values) == 1:
+        m, rarg = _sup_values(values[0], h)
+        return [m], [rarg]
+    a = np.abs(values)
+    idx = a.argmax(axis=1)
+    return a[np.arange(len(a)), idx].tolist(), [i * h for i in idx.tolist()]
+
+
+def _advance(trajs: list[Trajectory]) -> list[Trajectory]:
+    """Step the runs in lockstep until each stops; see :func:`run_together`.
+
+    Each step first lets every run that stops (cap, ``t_max``, budget, a
+    collapsed step size) leave, then steps the rest as the rows of one
+    array.  A step that leaves any row non-finite is taken again row by row,
+    since a non-finite row reaches the others through the joint solve; the
+    rows still non-finite then leave as overflowed, with their last field.
+    """
+    if not trajs:
+        return trajs
+    grid, boundary = trajs[0].config.grid, trajs[0].config.boundary
+    if any(t.config.grid != grid or t.config.boundary != boundary for t in trajs):
+        raise ValueError("runs stepped together must share one grid and boundary closure")
+    geom = GridGeometry.of(grid)
+    h = grid.h
+    rows = sorted((_Row(traj) for traj in trajs),
+                  key=lambda row: (row.params.mu == 0.0, row.params.p, row.params.q))
+    values = np.stack([row.values for row in rows])
+    batch = None
 
     # one error-state scope for the whole loop: overflow is detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if m >= cap:
-                status = STATUS_BLOWN_UP
-                break
-            if t_max is not None and t >= t_max * (1.0 - 1e-15):
-                status = STATUS_COMPLETED
-                break
-            if steps >= config.max_steps:
-                status = STATUS_BUDGET
-                break
+            dts, keep = [], []
+            for i, row in enumerate(rows):
+                status = row.stop()
+                if status is None:
+                    try:
+                        dts.append(row.dt())
+                        keep.append(i)
+                        continue
+                    except NonFiniteFieldError:
+                        status = STATUS_OVERFLOWED
+                row.finish(status, values[i])
+            if len(keep) < len(rows):
+                rows, values, batch = [rows[i] for i in keep], values[keep], None
+            if not rows:
+                return trajs
+            if batch is None:
+                batch = _Batch([row.params for row in rows], geom, boundary)
             try:
-                dt = _dt_of(config, m)
-                if t_max is not None:
-                    dt = min(dt, t_max - t)
-                new_values = _ars222(values, dt, config, geom, bands, work)
+                new_values = _ars222(values, dts, batch)
+                m, rarg = _sups(new_values, h)
             except (NonFiniteFieldError, FloatingPointError):
-                status = STATUS_OVERFLOWED
-                break
+                new_values, m, rarg = values, [math.nan] * len(rows), [0.0] * len(rows)
             # argmax of |u| finds the first nan or inf: a finite sup, a finite field
-            m_new, rarg_new = _sup_values(new_values, h)
-            if not math.isfinite(m_new):
-                status = STATUS_OVERFLOWED
-                break
-            # Kahan-compensated time accumulation
-            y = dt - comp
-            t_new = t + y
-            comp = (t_new - t) - y
-            t = t_new
+            if len(rows) > 1 and not all(map(math.isfinite, m)):
+                new_values, m, rarg = _step_alone(values, dts, rows, geom, boundary, h)
+                batch = None  # its buffers may hold the non-finite values
+            keep = []
+            for i, row in enumerate(rows):
+                if math.isfinite(m[i]):
+                    row.accept(new_values[i], m[i], rarg[i], dts[i])
+                    keep.append(i)
+                else:  # the overflowing step itself is rejected
+                    row.finish(STATUS_OVERFLOWED, values[i])
+            if len(keep) < len(rows):
+                rows, new_values, batch = [rows[i] for i in keep], new_values[keep], None
             values = new_values
-            steps += 1
-            step += 1
-            m, rarg = m_new, rarg_new
-            rows.append((t, m, rarg, dt))
-            if len(rows) == HISTORY_BLOCK:
-                blocks.append(np.array(rows))
-                rows = []
-            on_schedule = step % stride == 0 or m >= growth * last_snap_m
-            if on_schedule:
-                snapshot()
-                last_snap_m = max(m, np.finfo(float).tiny)
 
-    if status != STATUS_BUDGET:
-        snapshot()
-    elif not on_schedule:
-        traj._stop_field = RadialField(grid, values, t)
-    traj.maxnorm_history = np.concatenate(blocks + [np.array(rows).reshape(-1, 4)])
-    traj.status = status
-    traj._time_comp = comp
-    return traj
+
+def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], geom: GridGeometry,
+                boundary: str, h: float) -> tuple[np.ndarray, list[float], list[float]]:
+    """The step of each row taken by itself; a row whose step fails gets a
+    nan sup-norm."""
+    new_values = np.empty_like(values)
+    m, rarg = [math.nan] * len(rows), [0.0] * len(rows)
+    for i, row in enumerate(rows):
+        try:
+            new_values[i] = _ars222(values[i:i + 1], dts[i:i + 1],
+                                    _Batch([row.params], geom, boundary))[0]
+        except (NonFiniteFieldError, FloatingPointError):
+            continue
+        m[i], rarg[i] = _sup_values(new_values[i], h)
+    return new_values, m, rarg
 
 
 def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:

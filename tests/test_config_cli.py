@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 import blowlab
-from blowlab import lemmas
+from blowlab import cli, lemmas, solver
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
 from blowlab.fields import write_csv
 from blowlab.params import beta_window
 from blowlab.similarity import extract_frame
-from blowlab.solver import SolverConfig, load_snapshots
+from blowlab.solver import SolverConfig, load_snapshots, profile_seeded_field, run_until_blowup
+from conftest import assert_same_steps
 
 TINY_CONFIG = """
 # fast blow-up for integration tests
@@ -421,6 +423,87 @@ def test_sweep_points_resolve_their_own_beta(tmp_path):
         assert params.beta == pytest.approx(0.5 * (window.lo + window.hi), rel=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["beta"] == load_config(config).params.beta
+
+
+def _summary_rows(out):
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _assert_point_is_its_run_alone(config, out, row):
+    overrides = {key: float(row[key]) for key in ("M", "mu") if key in row}
+    run_config = load_config(config, overrides)
+    u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
+                              t_star=run_config.t_star, taper_start=run_config.taper_start)
+    stored = load_snapshots(out / f"point_{int(row['index']):04d}" / "snapshots.npz")
+    assert_same_steps(stored, run_until_blowup(u0, run_config.solver))
+
+
+def test_sweep_is_the_same_at_one_and_two_workers(tmp_path):
+    """Points that share a grid are stepped together in chunks, and the
+    chunks depend on --workers; neither changes a byte of the summary, and
+    each point's archive holds its run stepped alone.  The grid spans two
+    M values and a non-integral M, which is a config-error."""
+    config = write_config(tmp_path)
+    spec = "M=48:65:3,mu=0:0.2:3"
+    outs = []
+    for workers in ("1", "2"):
+        outs.append(tmp_path / f"workers{workers}")
+        assert main(["sweep", "--config", config, "--grid", spec,
+                     "--out", str(outs[-1]), "--workers", workers]) == 0
+    assert ((outs[0] / "sweep_summary.csv").read_bytes()
+            == (outs[1] / "sweep_summary.csv").read_bytes())
+    rows = _summary_rows(outs[1])
+    assert [row["status"] for row in rows] == ["blown-up"] * 3 + ["config-error"] * 3 + [
+        "blown-up"] * 3
+    for row in rows:
+        if row["status"] == "blown-up":
+            for out in outs:
+                _assert_point_is_its_run_alone(config, out, row)
+
+
+@pytest.mark.parametrize("stage", ["seed", "step", "estimate"])
+def test_one_failing_point_never_aborts_a_sweep(tmp_path, monkeypatch, stage):
+    """An exception while seeding, stepping or estimating one point of a
+    chunk becomes that point's error row; the other points finish as they
+    would alone."""
+    config = write_config(tmp_path)
+    target = {"seed": (cli, "profile_seeded_field"), "step": (solver, "_dt_of"),
+              "estimate": (cli, "estimate_T")}[stage]
+    original = getattr(*target)
+
+    def failing(*args, **kwargs):
+        params = args[1] if stage != "step" else args[0].params
+        if params.mu == 0.1:
+            raise RuntimeError(f"injected {stage} failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(*target, failing)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--grid", "mu=0:0.2:3",
+                 "--out", str(out), "--workers", "1"]) == 0
+    monkeypatch.undo()
+    rows = _summary_rows(out)
+    assert [row["status"] for row in rows] == ["blown-up", "error", "blown-up"]
+    assert rows[1]["error"] == f"RuntimeError: injected {stage} failure"
+    for row in (rows[0], rows[2]):
+        _assert_point_is_its_run_alone(config, out, row)
+
+
+@pytest.mark.parametrize("tick,lines", [
+    (1.5, ["sweep: 2/3 points done (3.0 s)"]),  # the first and third chunk are too soon
+    (0.5, []),                                  # a sweep shorter than 2 s prints nothing
+])
+def test_sweep_heartbeat_prints_at_most_every_two_seconds(tmp_path, capsys, monkeypatch,
+                                                          tick, lines):
+    """Three grids make three chunks; the clock moves ``tick`` seconds per
+    reading, and the parent reads it at the start and as each chunk ends."""
+    clock = itertools.count(0.0, tick)
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    config = write_config(tmp_path)
+    assert main(["sweep", "--config", config, "--grid", "M=32:64:3",
+                 "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == lines
 
 
 def test_sweep_bad_grid_spec(tmp_path, capsys):

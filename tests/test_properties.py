@@ -1,6 +1,6 @@
 """Property tests: the run archive's config round trip and key check, the
-ball-integral prefix, the CSV cells and pre-rendered lines, and the
-stepper's positivity, determinism and resume."""
+ball-integral prefix, the CSV cells and pre-rendered lines, the stepper's
+positivity, determinism and resume, and runs stepped together."""
 import csv
 import io
 import json
@@ -8,19 +8,21 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blowlab.fields import BOUNDARIES, RadialField, RadialGrid, nonlocal_prefix, write_csv
 from blowlab.params import beta_window, q_bounds, validate
 from blowlab.solver import (
     STATUS_BUDGET,
+    STATUS_OVERFLOWED,
     CheckpointError,
     SolverConfig,
     Trajectory,
     continue_run,
     load_snapshots,
     profile_seeded_field,
+    run_together,
     run_until_blowup,
     save_snapshots,
 )
@@ -182,3 +184,75 @@ def test_resume_at_any_budget_is_the_uninterrupted_run(tmp_path_factory, run, bu
     save_snapshots(half, path)
     resumed = load_snapshots(path)
     assert_same_steps(continue_run(replace(resumed, config=config)), full)
+
+
+@st.composite
+def batches(draw, budgets=True):
+    """1-6 profile-seeded runs on one shared grid (M 16-64, either closure)
+    that mix p, q (each from a few values, so rows share exponents), mu
+    (exactly 0 included), dt_safety, blowup_cap, record_stride and, when
+    ``budgets``, max_steps, so the rows stop at different steps."""
+    dim = draw(st.integers(1, 2))
+    grid = RadialGrid(R=1.0, M=draw(st.integers(16, 64)), dim=dim)
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from((3.5, 4.0, 5.0)))
+        q_lo, q_hi = q_bounds(p, dim)
+        q = q_lo + draw(st.sampled_from((0.25, 0.5, 0.75))) * (q_hi - q_lo)
+        mu = draw(st.one_of(st.just(0.0), st.sampled_from((-0.1, 0.1)), st.floats(-0.2, 0.2)))
+        params = validate(p=p, q=q, mu=mu, dim=dim)
+        u0 = profile_seeded_field(grid, params, t_star=draw(st.floats(0.005, 0.05)))
+        config = SolverConfig(
+            grid=grid, params=params, boundary=boundary,
+            dt_safety=draw(st.sampled_from((0.025, 0.05, 0.1))),
+            blowup_cap=draw(st.sampled_from((1e3, 1e4))),
+            record_stride=draw(st.integers(1, 200)),
+            max_steps=draw(st.integers(1, 1500)) if budgets else 10 ** 6)
+        runs.append((u0, config))
+    return runs
+
+
+@settings(max_examples=10)
+@given(batches())
+def test_runs_stepped_together_are_the_runs_alone(runs):
+    together = run_together([Trajectory.start(u0, config) for u0, config in runs])
+    for traj, (u0, config) in zip(together, runs):
+        assert_same_steps(traj, run_until_blowup(u0, config))
+
+
+def test_an_overflowing_row_leaves_its_neighbours_unchanged(default_params):
+    """The 1e80 field overflows on its first step; the joint solve would
+    carry its NaN into the rows on both sides, which must come out as if
+    stepped alone."""
+    grid = RadialGrid(R=1.0, M=16, dim=1)
+    big = RadialField(grid, np.full(grid.M + 1, 1e80))
+    runs = [(profile_seeded_field(grid, params, t_star=0.01),
+             SolverConfig(grid=grid, params=params, blowup_cap=1e4))
+            for params in (validate(p=3.5, q=3.0, mu=0.1, dim=1),
+                           validate(p=4.5, q=3.0, mu=0.1, dim=1))]
+    # sorted by p, the p=4 row sits between the other two
+    runs.insert(1, (big, SolverConfig(grid=grid, params=default_params, blowup_cap=1e300,
+                                      record_stride=10 ** 9, snapshot_growth=1e300,
+                                      max_steps=50)))
+    together = run_together([Trajectory.start(u0, config) for u0, config in runs])
+    assert together[1].status == STATUS_OVERFLOWED
+    assert len(together[1].maxnorm_history) == 1
+    for traj, (u0, config) in zip(together, runs):
+        assert_same_steps(traj, run_until_blowup(u0, config))
+
+
+@settings(max_examples=5)
+@given(batches(budgets=False), st.integers(1, 1200))
+def test_batch_resumed_from_archives_is_the_uninterrupted_runs(tmp_path_factory, runs, budget):
+    """Runs stopped together by a budget, archived, loaded and resumed
+    together take the same steps and snapshots as each run alone."""
+    half = run_together([Trajectory.start(u0, replace(config, max_steps=budget))
+                         for u0, config in runs])
+    folder = tmp_path_factory.mktemp("batch")
+    for i, traj in enumerate(half):
+        save_snapshots(traj, folder / f"{i}.npz")
+    resumed = run_together([replace(load_snapshots(folder / f"{i}.npz"), config=config)
+                            for i, (_, config) in enumerate(runs)])
+    for traj, (u0, config) in zip(resumed, runs):
+        assert_same_steps(traj, run_until_blowup(u0, config))
