@@ -329,6 +329,19 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert "alpha=" in out  # names the failing case
 
 
+@pytest.mark.parametrize("target, nan, row", [
+    ("_propagate", np.nan, "gronwall suite"),
+    ("_gradient_values", np.full(257, np.nan), "semigroup grad ratio"),
+], ids=["gronwall", "semigroup"])
+def test_verify_fails_closed_on_nan(capsys, monkeypatch, target, nan, row):
+    """A NaN margin or ratio is a failure, not a value the running maximum drops."""
+    monkeypatch.setattr(lemmas, target, lambda *args: nan)
+    assert main(["verify"]) == 4
+    failing = [line for line in capsys.readouterr().out.splitlines()
+               if line.rstrip().endswith("FAIL")]
+    assert len(failing) == 1 and failing[0].startswith(row) and "nan" in failing[0]
+
+
 def test_verify_json_output(capsys):
     assert main(["verify", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

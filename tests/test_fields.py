@@ -88,8 +88,9 @@ def test_laplacian_bands_are_the_stencil_matrix(dim, boundary):
 
 
 def test_laplacian_bands_are_the_stencil_matrix_on_verify_grid():
-    """``verify``'s heat-semigroup check fills its dense L from the bands:
-    on its grid (R=4, M=256, dim 1, neumann) they equal the stencil too."""
+    """``verify``'s heat-semigroup check symmetrizes and diagonalizes the
+    bands: on its grid (R=4, M=256, dim 1, neumann) they equal the stencil
+    too."""
     geom = GridGeometry.of(grid1(M=256, R=4.0))
     lower, diagonal, upper = _laplacian_bands(geom, BOUNDARY_NEUMANN)
     banded = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)

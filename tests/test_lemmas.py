@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_integral_sweep_fault_injection(monkeypatch):
     assert bad.worst_case is not None
 
 
+def test_integral_sweep_names_a_nan_case(monkeypatch):
+    """A NaN quadrature fails its case, and that case is the one reported."""
+    numeric = lemmas.integral_I_numeric
+    monkeypatch.setattr(lemmas, "integral_I_numeric",
+                        lambda c: math.nan if c.tau == 0.5 and c.theta > 1.0 else numeric(c))
+    bad = integral_sweep()
+    assert bad.n_failed == 40  # 10 alphas x 4 thetas above 1
+    assert math.isnan(bad.worst_margin)
+    assert bad.worst_case.tau == 0.5 and bad.worst_case.theta > 1.0
+
+
 def test_gronwall_trivial_cases():
     r0 = StepFunction.constant(0.0, 0.0, 2.0)
     q0 = StepFunction.constant(0.0, 0.0, 2.0)
@@ -124,8 +136,25 @@ def test_gronwall_suite_1000_instances():
     assert elapsed < 2.0
 
 
+def test_gronwall_suite_counts_nan_margins(monkeypatch):
+    """A NaN margin is a violation and the worst margin, not a value the
+    running maximum drops."""
+    monkeypatch.setattr(lemmas, "_propagate", lambda *args: math.nan)
+    result = gronwall_suite()
+    assert not result.passed
+    assert result.n_violations == result.n_points
+    assert math.isnan(result.worst_margin)
+
+
 def test_gamma_exponent_identity():
     assert gamma_exponent_identity_check() <= 1e-14
+
+
+def test_gamma_exponent_identity_reports_nan(monkeypatch):
+    """A NaN difference is not dropped by the running maximum, so verify's <= gate fails it."""
+    validate = lemmas.validate
+    monkeypatch.setattr(lemmas, "validate", lambda **kw: replace(validate(**kw), gamma=math.nan))
+    assert math.isnan(gamma_exponent_identity_check())
 
 
 def profile_trajectory(params, R=20.0, M=32768, s_lo=1e-4, s_hi=1e-2, n=25, T=1.0):
@@ -222,16 +251,39 @@ def test_semigroup_matches_2d_heat_kernel(t):
 
 def test_semigroup_input_validation():
     constant, _, _ = _smoothing_fields()
-    with pytest.raises(ValueError, match="positive"):
-        semigroup_smoothing_check([0.0], [constant])
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            semigroup_smoothing_check([0.1, t], [constant])
     grid = constant.grid
     with pytest.raises(ValueError, match="zero"):
         semigroup_smoothing_check([0.1], [RadialField(grid, np.zeros(grid.M + 1))])
+    # a check of nothing would report -inf ratios, which pass verify's gates
+    for t_values, fields in (([], [constant]), ([0.1], [])):
+        with pytest.raises(ValueError, match="at least one"):
+            semigroup_smoothing_check(t_values, fields)
 
 
-def _per_field_semigroup(t_values, test_fields):
-    """The check as it was before exponentials were shared: L assembled
-    from the stencil and expm(t L) taken anew for every field and time."""
+@pytest.mark.parametrize("dim", [3, 4])
+def test_semigroup_refuses_dim_3_and_up(dim):
+    """From dim 3 the origin coupling lower_0 * upper_0 is zero (dim 3) or
+    negative, so L has no symmetric form with real scaling."""
+    grid = RadialGrid(R=1.0, M=16, dim=dim)
+    with pytest.raises(ValueError, match=f"dim={dim}"):
+        semigroup_smoothing_check([0.1], [RadialField(grid, np.ones(grid.M + 1))])
+
+
+def test_semigroup_nan_ratio_reaches_the_report():
+    """A NaN ratio is not dropped by the running maximum, so verify's <= gates fail it."""
+    constant, _, gaussian = _smoothing_fields()
+    poisoned = gaussian.copy()
+    poisoned.values[5] = math.nan
+    report = semigroup_smoothing_check([0.1], [constant, poisoned])
+    assert math.isnan(report.max_sup_ratio) and math.isnan(report.max_grad_ratio)
+
+
+def _semigroup_with_expm(t_values, test_fields):
+    """Test oracle: L assembled from the stencil applied to unit vectors and
+    a dense scipy.linalg.expm(t L) taken anew for every field and time."""
     max_sup = max_grad = -math.inf
     for f0 in test_fields:
         norm0 = float(np.max(np.abs(f0.values)))
@@ -245,17 +297,48 @@ def _per_field_semigroup(t_values, test_fields):
     return SmoothingReport(max_sup_ratio=max_sup, max_grad_ratio=max_grad)
 
 
-def test_semigroup_shared_exponentials_match_per_field_loop():
-    """Sharing L and S(t) among the fields of a grid changes no bit of the
-    report: verify's three fields plus one on a second grid, placed between
-    them, together and one at a time."""
-    t_values, (constant, spike, gaussian) = _semigroup_cases()
+def _semigroup_test_fields():
+    """verify's three fields plus a dim=2 Gaussian on a second grid, placed
+    between them."""
+    _, (constant, spike, gaussian) = _semigroup_cases()
     grid2 = RadialGrid(R=2.0, M=64, dim=2)
-    other = RadialField(grid2, np.exp(-grid2.r ** 2 / 0.2))
-    for test_fields in ([constant, other, spike, gaussian],
-                        [constant], [spike], [gaussian], [other]):
-        assert (semigroup_smoothing_check(t_values, test_fields)
-                == _per_field_semigroup(t_values, test_fields))
+    return [constant, RadialField(grid2, np.exp(-grid2.r ** 2 / 0.2)), spike, gaussian]
+
+
+def test_semigroup_fields_together_equal_each_alone():
+    """Each field takes its own products, so a field's ratios do not depend
+    on the fields that share its grid: the report on four fields over two
+    grids is, to the bit, the maximum of their reports alone."""
+    t_values, _ = _semigroup_cases()
+    fields = _semigroup_test_fields()
+    together = semigroup_smoothing_check(t_values, fields)
+    alone = [semigroup_smoothing_check(t_values, [f]) for f in fields]
+    assert together.max_sup_ratio == max(r.max_sup_ratio for r in alone)
+    assert together.max_grad_ratio == max(r.max_grad_ratio for r in alone)
+
+
+def test_semigroup_matches_dense_expm_oracle():
+    """The eigendecomposition agrees with a dense expm(t L) within 1e-12 on
+    both ratios (measured <= 3.3e-13), for each field alone and together."""
+    t_values, _ = _semigroup_cases()
+    fields = _semigroup_test_fields()
+    for test_fields in [fields, *([f] for f in fields)]:
+        report = semigroup_smoothing_check(t_values, test_fields)
+        oracle = _semigroup_with_expm(t_values, test_fields)
+        assert report.max_sup_ratio == pytest.approx(oracle.max_sup_ratio, rel=0.0, abs=1e-12)
+        assert report.max_grad_ratio == pytest.approx(oracle.max_grad_ratio, rel=0.0, abs=1e-12)
+
+
+@given(dim=st.integers(1, 2), M=st.integers(8, 512), R=st.floats(0.5, 4.0),
+       t=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_semigroup_keeps_constants_and_the_maximum_principle(dim, M, R, t, seed):
+    """On any dim 1-2 grid a constant stays itself within 1e-13, and a
+    random field's sup does not grow past verify's 1 + 1e-12."""
+    grid = RadialGrid(R=R, M=M, dim=dim)
+    constant = semigroup_smoothing_check([t], [RadialField(grid, np.ones(M + 1))])
+    assert abs(constant.max_sup_ratio - 1.0) <= 1e-13
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, M + 1)
+    assert semigroup_smoothing_check([t], [RadialField(grid, noise)]).max_sup_ratio <= 1.0 + 1e-12
 
 
 def _searchsorted_step(f, t):
