@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -21,7 +22,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .fields import RadialField, RadialGrid, field_to_csv, write_csv
 from .lemmas import (
@@ -41,7 +42,6 @@ from .solver import (
     far_field_report,
     load_snapshots,
     profile_seeded_field,
-    run_together,
     run_until_blowup,
     save_snapshots,
     trajectory_to_csv,
@@ -352,11 +352,12 @@ def _sweep_worker(job):
     """Run one chunk of sweep points that share a grid and a boundary
     closure, stepped together; returns one summary row per point.  ``job``
     is (index of the chunk's first point, [(index, overrides, RunConfig)],
-    output directory).  A point whose seeding, stepping, estimate or writes
-    raise gets a row with status ``error`` and the message; the other points
-    of the chunk finish."""
+    output directory).  Each point's files are written as its run leaves
+    the batch, and the run is dropped then.  A point whose seeding,
+    stepping, estimate or writes raise gets a row with status ``error`` and
+    the message; the other points of the chunk finish."""
     _, points, out_dir = job
-    rows, runs = [], []
+    rows, pending = [], {}
     for index, overrides, run_config in points:
         try:
             point_dir = Path(out_dir) / f"point_{index:04d}"
@@ -364,22 +365,34 @@ def _sweep_worker(job):
             u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
                                       t_star=run_config.t_star,
                                       taper_start=run_config.taper_start)
-            runs.append((index, overrides, run_config, point_dir, u0,
-                         Trajectory.start(u0, run_config.solver)))
+            pending[index] = (overrides, run_config, point_dir, u0)
         except Exception as exc:  # the point's row carries it
             rows.append(_error_row(index, overrides, exc))
-    try:
-        run_together([run[-1] for run in runs])
-        batch_failed = False
-    except Exception:  # a failure of the batch names no point: step each alone
-        batch_failed = True
-    for index, overrides, run_config, point_dir, u0, trajectory in runs:
+
+    def finish(index: int, trajectory: Trajectory) -> None:
+        overrides, run_config, point_dir, _ = pending.pop(index)
         try:
-            if batch_failed:
-                trajectory = run_until_blowup(u0, run_config.solver)
             rows.append(_point_summary(index, overrides, run_config, point_dir, trajectory))
         except Exception as exc:
             rows.append(_error_row(index, overrides, exc))
+
+    order = list(pending)
+    try:
+        # each run is made as the batch takes it, and no longer held once written
+        solver._advance((Trajectory.start(pending[index][3], pending[index][1].solver)
+                         for index in order),
+                        lambda position, trajectory: finish(order[position], trajectory))
+    except Exception:  # a failure of the batch names no point: step the rest alone
+        pass
+    for index in list(pending):
+        overrides, run_config, _, u0 = pending[index]
+        try:
+            trajectory = run_until_blowup(u0, run_config.solver)
+        except Exception as exc:
+            del pending[index]
+            rows.append(_error_row(index, overrides, exc))
+            continue
+        finish(index, trajectory)
     return rows
 
 
@@ -435,8 +448,24 @@ def _sweep_chunks(points: list[tuple], workers: int) -> list[list[tuple]]:
     for point in points:
         solver_config = point[2].solver
         groups.setdefault((solver_config.grid, solver_config.boundary), []).append(point)
-    size = max(1, min(SWEEP_CHUNK, math.ceil(len(points) / max(workers, 1))))
+    size = max(1, min(SWEEP_CHUNK, math.ceil(len(points) / workers)))
     return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
+
+
+def _sweep_plan(points: list[tuple], workers: int) -> tuple[list[list[tuple]], int]:
+    """The chunks of a sweep asked for ``workers`` processes, and how many
+    it starts: at most the CPUs this process may run on, which also size
+    the chunks, and at most one per chunk."""
+    workers = max(1, min(workers, _usable_cpus()))
+    chunks = _sweep_chunks(points, workers)
+    return chunks, min(workers, len(chunks))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the call is not on every platform
+        return os.cpu_count() or 1
 
 
 def cmd_sweep(args) -> int:
@@ -463,16 +492,16 @@ def cmd_sweep(args) -> int:
         except ConfigError as exc:
             (out / f"point_{index:04d}").mkdir(exist_ok=True)
             results.append(_point_row(index, overrides, "config-error", str(exc)))
-    chunks = _sweep_chunks(admissible, args.workers)
+    chunks, workers = _sweep_plan(admissible, args.workers)
     jobs = [(chunk[0][0], chunk, str(out)) for chunk in chunks]
     heartbeat = _Heartbeat(len(results), len(points))
 
-    if args.workers <= 1:
+    if workers <= 1:
         for job in jobs:
             results += _sweep_worker(job)
             heartbeat.add(len(job[1]))
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_worker, job): job for job in jobs}
             for future in as_completed(futures):
                 job = futures[future]
@@ -579,7 +608,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True,
                          help='axes like "p=3.5:4.5:3,mu=-0.2:0.2:5"')
     p_sweep.add_argument("--out", default="sweep_out")
-    p_sweep.add_argument("--workers", type=int, default=4)
+    p_sweep.add_argument("--workers", type=int, default=4,
+                         help="worker processes, at most the usable CPUs and one per "
+                              "chunk; they also size the chunks (1 runs the sweep in "
+                              "this process)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="summarize artifacts of a finished run")

@@ -4,12 +4,21 @@ Scalar fields are radially symmetric and live on the uniform grid
 r_i = i*h, i = 0..M.  The even extension across r = 0 fixes the origin
 closure of every operator; the closure at r = R is selected by the solver's
 boundary mode ("dirichlet-zero" or "neumann-zero").
+
+The kernels take one field as a 1-D array of its M+1 nodes, or k fields as
+one contiguous padded (k, M+3) block: each row holds a field's nodes and
+then ``SEPARATORS`` cells, the layout of the solver's block-diagonal system.
+A kernel runs its stencil on the flattened buffer, with the per-node arrays
+of :meth:`GridGeometry.stacked` laid out along it, and sets the cells at
+r = 0 and r = R of every row through column views.  What it leaves in the
+separator cells means nothing; every node gets exactly the arithmetic it
+gets in a 1-D field.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -18,6 +27,7 @@ from .params import ModelParams
 BOUNDARY_DIRICHLET = "dirichlet-zero"
 BOUNDARY_NEUMANN = "neumann-zero"
 BOUNDARIES = (BOUNDARY_DIRICHLET, BOUNDARY_NEUMANN)
+SEPARATORS = 2  # cells after each row of a padded block (see the module docstring)
 
 
 class NonFiniteFieldError(FloatingPointError):
@@ -78,6 +88,24 @@ class GridGeometry:
         return cls(h=h, dim=grid.dim, dr=np.diff(r), r_pow=r_pow, lap_coef=lap_coef,
                    area=sphere_area(grid.dim), inv_h2=1.0 / (h * h))
 
+    def stacked(self, rows: int) -> "GridGeometry":
+        """The geometry of ``rows`` fields held as one padded block: ``dr``,
+        ``r_pow`` and ``lap_coef`` laid out along the flattened block, as the
+        kernels' flat stencils read them, with zeros where no node is."""
+        width = len(self.dr) + 1 + SEPARATORS
+        return replace(self, dr=_tiled(self.dr, rows, width)[:-1],
+                       r_pow=None if self.r_pow is None else _tiled(self.r_pow, rows, width),
+                       lap_coef=None if self.lap_coef is None
+                       else _tiled(self.lap_coef, rows, width, first=1)[1:-1])
+
+
+def _tiled(values: np.ndarray, rows: int, width: int, first: int = 0) -> np.ndarray:
+    """``values[j]``, the entry of node ``first + j``, in every row of a
+    flattened padded block of ``rows`` rows of ``width`` cells; 0 elsewhere."""
+    row = np.zeros(width)
+    row[first:first + len(values)] = values
+    return np.tile(row, rows)
+
 
 @dataclass
 class RadialField:
@@ -112,10 +140,11 @@ def sphere_area(dim: int) -> float:
 
 def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Radial Laplacian u'' + (dim-1)/r u' on the node values, along the last
-    axis (``u`` may hold several fields as rows; ``u.T[i]`` is node i of
-    every row, a scalar for one 1-D field, which numpy handles faster than a
-    one-element array).
+    """Radial Laplacian u'' + (dim-1)/r u' on the node values of one field
+    or of a padded block (see the module docstring; ``geom`` is then
+    :meth:`GridGeometry.stacked`).  ``u.T[i]`` is node i of every row, a
+    scalar for one 1-D field, which numpy handles faster than a one-element
+    array.
 
     Origin: the removable singularity gives dim * u''(0), discretized with
     the even-symmetry ghost node.  r = R: per the boundary closure.  Writes
@@ -124,30 +153,43 @@ def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
     if out is None:
         out = np.empty_like(u)
     inv_h2 = geom.inv_h2
+    flat = _flat(u)
     # interior second derivative + first-derivative term, written in place:
     # (u[i+1] - 2 u[i] + u[i-1]) / h^2 + (dim-1)/r_i (u[i+1] - u[i-1]) / (2h)
-    inner = out[..., 1:-1]
-    np.multiply(u[..., 1:-1], 2.0, out=inner)
-    np.subtract(u[..., 2:], inner, out=inner)
-    inner += u[..., :-2]
+    inner = _flat(out)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=inner)
+    np.subtract(flat[2:], inner, out=inner)
+    inner += flat[:-2]
     inner *= inv_h2
     if geom.lap_coef is not None:
-        drift = u[..., 2:] - u[..., :-2]
+        drift = flat[2:] - flat[:-2]
         drift *= geom.lap_coef
         drift /= 2.0 * geom.h
         inner += drift
     node, out_node = u.T, out.T
+    last = _last_node(u)
     # origin: ghost u(-h) = u(h)
     out_node[0] = 2.0 * geom.dim * (node[1] - node[0]) * inv_h2
     if boundary == BOUNDARY_DIRICHLET:
         # boundary node is pinned; its time derivative is forced to zero
-        out_node[-1] = 0.0
+        out_node[last] = 0.0
     elif boundary == BOUNDARY_NEUMANN:
         # ghost u(R+h) = u(R-h); the (dim-1)/r u' term vanishes with u'(R)=0
-        out_node[-1] = 2.0 * (node[-2] - node[-1]) * inv_h2
+        out_node[last] = 2.0 * (node[last - 1] - node[last]) * inv_h2
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
     return out
+
+
+def _flat(u: np.ndarray) -> np.ndarray:
+    """The buffer of a 1-D field or of a contiguous padded block, as 1-D."""
+    return u if u.ndim == 1 else u.reshape(-1)
+
+
+def _last_node(u: np.ndarray) -> int:
+    """The index, from the end of a row, of the node at r = R in ``u``, a
+    1-D field or a padded block."""
+    return -1 if u.ndim == 1 else -1 - SEPARATORS
 
 
 def _laplacian_bands(geom: GridGeometry, boundary: str) -> tuple[np.ndarray, ...]:
@@ -176,19 +218,21 @@ def _laplacian_bands(geom: GridGeometry, boundary: str) -> tuple[np.ndarray, ...
 
 
 def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """Radial derivative along the last axis (as :func:`_laplacian_values`):
-    central interior, 0 at the origin by symmetry, second-order one-sided at
-    r = R (0 under the neumann closure)."""
+    """Radial derivative of one field or of a padded block (as
+    :func:`_laplacian_values`): central interior, 0 at the origin by
+    symmetry, second-order one-sided at r = R (0 under the neumann closure)."""
     out = np.empty_like(u)
-    inner = out[..., 1:-1]
-    np.subtract(u[..., 2:], u[..., :-2], out=inner)
+    flat = _flat(u)
+    inner = _flat(out)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
     inner /= 2.0 * h
     node, out_node = u.T, out.T
+    last = _last_node(u)
     out_node[0] = 0.0
     if boundary == BOUNDARY_NEUMANN:
-        out_node[-1] = 0.0
+        out_node[last] = 0.0
     else:
-        out_node[-1] = (3.0 * node[-1] - 4.0 * node[-2] + node[-3]) / (2.0 * h)
+        out_node[last] = (3.0 * node[last] - 4.0 * node[last - 1] + node[last - 2]) / (2.0 * h)
     return out
 
 
@@ -206,14 +250,15 @@ def gradient(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialFi
 
 def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
                             q: float | list) -> np.ndarray:
-    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr, along
-    the last axis.
+    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr of one
+    field or of a padded block (as :func:`_laplacian_values`).
 
     Takes |u| (the right-hand side computes it once for both of its terms).
-    ``q`` is a float, or for a stack of fields a list of (rows, q) pairs
-    that cover it, each block of rows raised to its own scalar power.  The
-    prefix sum is the cumulative trapezoid rule written out, with the same
-    operations in the same order as scipy's ``cumulative_trapezoid``.
+    ``q`` is a float, or for a block a list of (rows, q) pairs that cover
+    it, each block of rows raised to its own scalar power.  The prefix sum
+    is the cumulative trapezoid rule written out, with the same operations
+    in the same order as scipy's ``cumulative_trapezoid``; the panels are
+    formed on the flattened buffer and summed along each row.
     """
     if isinstance(q, list):
         integrand = np.empty_like(abs_u)
@@ -221,14 +266,18 @@ def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
             integrand[rows] = abs_u[rows] ** (q_rows - 1.0)
     else:
         integrand = abs_u ** (q - 1.0)
+    flat = _flat(integrand)
     if geom.r_pow is not None:
-        integrand *= geom.r_pow
-    panels = integrand[..., 1:] + integrand[..., :-1]
+        flat *= geom.r_pow
+    # panel i of a row, between its nodes i and i+1, is formed in cell i+1
+    # of J, and each row's panels are then summed in place
+    J = np.empty_like(integrand)
+    panels = _flat(J)[1:]
+    np.add(flat[1:], flat[:-1], out=panels)
     panels *= geom.dr
     panels /= 2.0
-    J = np.empty_like(integrand)
     J.T[0] = 0.0
-    np.cumsum(panels, axis=-1, out=J[..., 1:])
+    np.cumsum(J[..., 1:], axis=-1, out=J[..., 1:])
     J *= geom.area
     return J
 

@@ -23,13 +23,14 @@ has one branch, the local reaction time scale,
 and the step count does not grow with the grid size M.
 
 Runs that share one grid and one boundary closure step in lockstep
-(:func:`run_together`): their fields are the rows of one (k, M+1) array,
-the kernels work along the last axis, and the two solves of a step are
-one LAPACK call each on the block-diagonal system of all rows.  Each row
-keeps its own parameters and its own scalars as Python floats (step size,
+(:func:`run_together`): their fields stay, from step to step, the rows of
+one contiguous padded (k, M+3) block, which is the block-diagonal system
+of all rows that the two solves of a step take in one LAPACK call each,
+and every kernel works on that memory (see ``fields``).  Each row keeps
+its own parameters and its own scalars as Python floats (step size,
 Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
 when it stops.  A single run is a batch of one (:func:`run_until_blowup`,
-:func:`continue_run`), stepped as a 1-D field.  Every row is bit-identical
+:func:`continue_run`), stepped as a 1-D field by the same kernels.  Every row is bit-identical
 to its run stepped alone: ``_Terms`` and ``_Batch`` say what that takes.
 ``_advance`` builds the grid's fixed geometry, the Laplacian bands and
 reused buffers once per batch and holds one ``np.errstate`` scope around
@@ -66,6 +67,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .fields import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
+    SEPARATORS,
     GridGeometry,
     NonFiniteFieldError,
     RadialField,
@@ -73,8 +75,10 @@ from .fields import (
     _gradient_values,
     _laplacian_bands,
     _laplacian_values,
+    _last_node,
     _nonlocal_prefix_values,
     _sup_values,
+    _tiled,
     write_csv,
 )
 from .params import ModelParams
@@ -227,7 +231,8 @@ def check_seed(t_star: float, taper_start: float) -> None:
 
 
 class _Terms:
-    """The explicit term's coefficients for a stack of rows.
+    """The explicit term's coefficients for the rows of a batch, laid out as
+    the batch holds its fields (see ``_Batch``).
 
     The rows come sorted by (mu == 0, p, q), so every group of rows that
     shares an exponent is contiguous and is raised to that scalar exponent:
@@ -236,21 +241,24 @@ class _Terms:
     run stepped alone.  The rows with mu == 0 come last and skip the
     nonlocal term, as a single run does: adding +0 would turn -0 cells
     into +0.  A coefficient that all its rows share is held as one float
-    and applied to the whole array, which also serves a single 1-D field.
+    and applied to the whole block, which also serves a single 1-D field;
+    differing mu are held per cell of the nonlocal rows.
     """
 
-    def __init__(self, params: list[ModelParams]):
+    def __init__(self, params: list[ModelParams], geom: GridGeometry):
+        k = len(params)
         n_nl = sum(pr.mu != 0.0 for pr in params)
         if any(pr.mu == 0.0 for pr in params[:n_nl]):
             raise ValueError("rows with mu == 0 must come last")
         self.p = _runs([pr.p for pr in params])
-        # mu is None when no row has the nonlocal term; the rows that have
-        # it are all of them (None) or the first n_nl
-        self.nonlocal_rows = None if n_nl == len(params) else slice(0, n_nl)
+        # the rows that have the nonlocal term are all of them (None) or the
+        # first n_nl; geom is their geometry, a 1-D field's or their block's
+        self.nonlocal_rows = None if n_nl == k else slice(0, n_nl)
+        self.geom = geom if k == 1 or n_nl == 0 else geom.stacked(n_nl)
         self.q = _runs([pr.q for pr in params[:n_nl]])
         mu = [pr.mu for pr in params[:n_nl]]
         self.mu = (None if not mu else mu[0] if len(set(mu)) == 1
-                   else np.array(mu).reshape(-1, 1))
+                   else np.repeat(mu, len(geom.dr) + 1 + SEPARATORS).reshape(n_nl, -1))
 
 
 def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
@@ -266,10 +274,11 @@ def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
     return runs
 
 
-def _explicit_values(u: np.ndarray, geom: GridGeometry, terms: _Terms, boundary: str,
+def _explicit_values(u: np.ndarray, terms: _Terms, boundary: str,
                      out: np.ndarray | None = None) -> np.ndarray:
     """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
-    of each row of ``u``, written into ``out`` when given.
+    of a 1-D field or of each row of a padded block, written into ``out``
+    when given.
 
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
@@ -287,8 +296,8 @@ def _explicit_values(u: np.ndarray, geom: GridGeometry, terms: _Terms, boundary:
         rows = terms.nonlocal_rows
         if rows is not None:
             u, abs_u = u[rows], abs_u[rows]
-        g = _gradient_values(u, geom.h, boundary)
-        J = _nonlocal_prefix_values(abs_u, geom, terms.q)
+        g = _gradient_values(u, terms.geom.h, boundary)
+        J = _nonlocal_prefix_values(abs_u, terms.geom, terms.q)
         np.abs(g, out=g)
         g *= terms.mu
         g *= J
@@ -297,14 +306,14 @@ def _explicit_values(u: np.ndarray, geom: GridGeometry, terms: _Terms, boundary:
         else:
             out[rows] += g
     if boundary == BOUNDARY_DIRICHLET:
-        out.T[-1] = 0.0
+        out.T[_last_node(out)] = 0.0
     return out
 
 
 def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams,
                 boundary: str) -> np.ndarray:
     """The full right-hand side: the Laplacian plus :func:`_explicit_values`."""
-    out = _explicit_values(u, geom, _Terms([params]), boundary)
+    out = _explicit_values(u, _Terms([params], geom), boundary)
     out += _laplacian_values(u, geom, boundary)
     return out
 
@@ -327,7 +336,7 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
         dt = config.dt_safety / (1.0 + p * supnorm ** (p - 1.0))
     except OverflowError:  # float power raises instead of returning inf
         dt = 0.0
-    if not dt > 0.0 or not np.isfinite(dt):
+    if not dt > 0.0 or not math.isfinite(dt):
         raise NonFiniteFieldError(f"step size collapsed (supnorm={supnorm})")
     return dt
 
@@ -335,12 +344,15 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
 class _Batch:
     """What stepping k rows on one grid together reuses from step to step.
 
-    The two solves of a step are one LAPACK call each on the block-diagonal
-    system of all rows.  Between two blocks sit two separator unknowns, an
-    identity row with right-hand side +0 and zero coupling, so the products
-    with the coupling zeros that the tridiagonal elimination forms are
-    +0 * +0 and every block's arithmetic is exactly its own system's.  A
-    non-finite row still crosses over (0 * NaN), which the caller detects.
+    The rows' fields are held from step to step as one padded (k, M+3)
+    block (see ``fields``), which is also the layout of the block-diagonal
+    system whose solves, one LAPACK call each, are the two stages of a
+    step: the two cells after each row are separator unknowns, an identity
+    row with right-hand side +0 and zero coupling, so the products with the
+    coupling zeros that the tridiagonal elimination forms are +0 * +0 and
+    every block's arithmetic is exactly its own system's.  The kernels leave
+    other values in the separator cells, so each solve first resets them.
+    A non-finite row still crosses over (0 * NaN), which the caller detects.
     A single row has no separators and is stepped as a 1-D field: numpy's
     per-call cost on the cells at r = 0 and r = R is lower for scalars than
     for one-element arrays.
@@ -348,56 +360,65 @@ class _Batch:
 
     def __init__(self, params: list[ModelParams], geom: GridGeometry, boundary: str):
         k, n = len(params), len(geom.dr) + 1
-        self.terms = _Terms(params)
-        self.geom, self.boundary = geom, boundary
-        self.bands = _laplacian_bands(geom, boundary)
-        self.n = n
         self.single = k == 1
-        # the system's bands and the right-hand sides of its two solves, row
-        # by row: the separators' entries are written here and, since the
-        # factorization and the first solve work in place, keep their values
-        padded = (n,) if k == 1 else (k, n + 2)
-        lower, diagonal, upper = np.zeros(padded), np.ones(padded), np.zeros(padded)
-        self.rhs = np.zeros((2, *padded))
-        self.lower, self.diagonal, self.upper = (lower[..., :n - 1], diagonal[..., :n],
-                                                 upper[..., :n - 1])
-        self.flat = (lower.reshape(-1)[:-1], diagonal.reshape(-1), upper.reshape(-1)[:-1])
-        self.b = tuple(self.rhs[..., :n])
-        self.rhs_flat = tuple(self.rhs.reshape(2, -1))
-        self.work = np.empty((2, *self.b[0].shape))  # the two explicit stages
+        self.terms = _Terms(params, geom)
+        self.geom = geom if self.single else geom.stacked(k)
+        self.boundary = boundary
+        self.width = n + SEPARATORS
+        # -L's off-diagonals and L's diagonal along the flattened system, with
+        # +0 coupling and a 0 diagonal in the separators' rows: scaled by
+        # gamma*dt >= 0, they give those rows' identity and +0 coupling
+        lower, diagonal, upper = _laplacian_bands(geom, boundary)
+        if not self.single:
+            lower, diagonal, upper = (_tiled(lower, k, self.width)[:-1],
+                                      _tiled(diagonal, k, self.width),
+                                      _tiled(upper, k, self.width)[:-1])
+        self.bands = (-lower, diagonal, -upper)
+        self.lu = tuple(np.empty_like(band) for band in self.bands)  # factored in place
+        self.shape = (n,) if self.single else (k, self.width)
+        rhs = np.empty((2, *self.shape))  # the right-hand sides of the two solves
+        self.rhs, self.rhs_flat, self.separators = rhs, rhs.reshape(2, -1), rhs[..., n:]
+        self.work = np.empty((2, *self.shape))  # the two explicit stages
 
     def solve(self, lu, stage: int) -> np.ndarray:
         """The rows' fields that solve the system with right-hand side
-        ``b[stage]``, given the ``dgttrf`` factors ``lu``: in place for the
-        first stage, into a new array for the second, the step's result."""
-        solution = dgttrs(*lu, self.rhs_flat[stage], overwrite_b=stage == 0)[0]
-        return solution if self.single else solution.reshape(self.rhs.shape[1:])[:, :self.n]
+        ``rhs[stage]``, given the factors ``lu``: in place for the first
+        stage, into a new block for the second, the step's result."""
+        if not self.single:
+            self.separators[stage] = 0.0
+        x = dgttrs(*lu, self.rhs_flat[stage], overwrite_b=stage == 0)[0]
+        return x if self.single else x.reshape(self.shape)
 
 
-def _ars222(values: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
-    """One ARS(2,2,2) step (see the module docstring) of every row of the
-    (k, M+1) ``values``, row i by ``dts[i]``."""
-    geom, boundary = batch.geom, batch.boundary
-    u = values[0] if batch.single else values
+def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
+    """One ARS(2,2,2) step (see the module docstring) of the batch's 1-D
+    field ``u`` or of every row of its padded block ``u``, row i by
+    ``dts[i]``."""
+    geom, boundary, terms = batch.geom, batch.boundary, batch.terms
     n1, n2 = batch.work
-    b1, b2 = batch.b
-    lower, diagonal, upper = batch.bands
-    # a single row multiplies by Python floats, as a scalar step does
-    dt = dts[0] if batch.single else np.array(dts).reshape(-1, 1)
+    b1, b2 = batch.rhs
+    # a single row multiplies by Python floats, as a scalar step does, and a
+    # block by its rows' step sizes repeated along each row
+    dt = dts[0] if batch.single else np.repeat(dts, batch.width).reshape(len(dts), -1)
     gdt = _GAMMA * dt
-    # LU of I - gamma*dt*L, shared by both solves, in place of the bands
-    np.multiply(lower, -gdt, out=batch.lower)
-    np.multiply(gdt, diagonal, out=batch.diagonal)
-    np.subtract(1.0, batch.diagonal, out=batch.diagonal)
-    np.multiply(upper, -gdt, out=batch.upper)
-    *lu, info = dgttrf(*batch.flat, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    # LU of I - gamma*dt*L, shared by both solves; band entry i couples
+    # cells i and i+1 and takes cell i's step size
+    g = gdt if batch.single else gdt.reshape(-1)
+    off = g if batch.single else g[:-1]
+    neg_lower, diagonal, neg_upper = batch.bands
+    dl, d, du = batch.lu
+    np.multiply(neg_lower, off, out=dl)
+    np.multiply(g, diagonal, out=d)
+    np.subtract(1.0, d, out=d)
+    np.multiply(neg_upper, off, out=du)
+    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise NonFiniteFieldError(f"implicit matrix is singular (dt={dts})")
-    _explicit_values(u, geom, batch.terms, boundary, out=n1)
+    _explicit_values(u, terms, boundary, out=n1)
     np.multiply(n1, gdt, out=b1)
     b1 += u
     y = batch.solve(lu, 0)
-    _explicit_values(y, geom, batch.terms, boundary, out=n2)
+    _explicit_values(y, terms, boundary, out=n2)
     _laplacian_values(y, geom, boundary, out=b2)
     b2 *= 1.0 - _GAMMA
     n1 *= _DELTA
@@ -406,8 +427,7 @@ def _ars222(values: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     b2 += n2
     b2 *= dt
     b2 += u
-    new = batch.solve(lu, 1)
-    return new[None] if batch.single else new
+    return batch.solve(lu, 1)
 
 
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
@@ -418,7 +438,9 @@ def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
     sup-norm has grown by ``snapshot_growth`` since the last snapshot, so
     coverage stays dense (logarithmically) on approach to blow-up.
     """
-    return _advance([Trajectory.start(u0, config)])[0]
+    trajectory = Trajectory.start(u0, config)
+    _advance([trajectory])
+    return trajectory
 
 
 def continue_run(trajectory: Trajectory) -> Trajectory:
@@ -447,61 +469,66 @@ def run_together(trajectories: list[Trajectory]) -> list[Trajectory]:
 
 class _Row:
     """One run's place in a batch: its config's scalars as Python floats,
-    its Kahan-summed time, sup-norm, step counts, history rows and snapshot
+    its Kahan-summed time, sup-norm, step count, history rows and snapshot
     schedule, each handled exactly as a run stepped alone handles them."""
 
-    def __init__(self, traj: Trajectory):
+    def __init__(self, position: int, traj: Trajectory):
         config = traj.config
         h = config.grid.h
-        self.traj, self.config, self.params = traj, config, config.params
+        self.position, self.traj, self.config, self.params = position, traj, config, config.params
         self.values = traj.last_field.values
         self.t = traj.last_field.time
         self.on_schedule = traj._stop_field is None  # the field is the last snapshot
         traj._stop_field = None
         self.comp = traj._time_comp
         self.m, _ = _sup_values(self.values, h)
+        self.cap, self.t_max = config.blowup_cap, config.t_max
+        self.t_end = None if config.t_max is None else config.t_max * (1.0 - 1e-15)
+        self.stride, self.growth = config.record_stride, config.snapshot_growth
         # the schedule reads the last snapshot and the run's step count, so a
         # resumed run continues it where the uninterrupted run would be
-        self.last_snap_m = max(_sup_values(traj.snapshots[-1].values, h)[0], _TINY)
+        self.next_snap_m = self.growth * max(_sup_values(traj.snapshots[-1].values, h)[0],
+                                             _TINY)
         self.step = len(traj.maxnorm_history) - 1
-        self.steps = 0
+        self.last_step = self.step + config.max_steps  # the budget
         self.blocks, self.rows = [traj.maxnorm_history], []
+        self.status = STATUS_RUNNING
 
-    def stop(self) -> str | None:
-        """The status the run stops with before its next step, if any."""
-        config = self.config
-        if self.m >= config.blowup_cap:
-            return STATUS_BLOWN_UP
-        if config.t_max is not None and self.t >= config.t_max * (1.0 - 1e-15):
-            return STATUS_COMPLETED
-        if self.steps >= config.max_steps:
-            return STATUS_BUDGET
+    def next_dt(self) -> float | None:
+        """The size of the run's next step, or None when it stops before
+        it, with the status in ``self.status``."""
+        if self.m >= self.cap:
+            self.status = STATUS_BLOWN_UP
+        elif self.t_end is not None and self.t >= self.t_end:
+            self.status = STATUS_COMPLETED
+        elif self.step >= self.last_step:
+            self.status = STATUS_BUDGET
+        else:
+            try:
+                dt = _dt_of(self.config, self.m)
+            except NonFiniteFieldError:
+                self.status = STATUS_OVERFLOWED
+                return None
+            return dt if self.t_max is None else min(dt, self.t_max - self.t)
         return None
-
-    def dt(self) -> float:
-        dt = _dt_of(self.config, self.m)
-        if self.config.t_max is not None:
-            dt = min(dt, self.config.t_max - self.t)
-        return dt
 
     def accept(self, values: np.ndarray, m: float, rarg: float, dt: float) -> None:
         # Kahan-compensated time accumulation
         y = dt - self.comp
-        t_new = self.t + y
-        self.comp = (t_new - self.t) - y
-        self.t = t_new
-        self.steps += 1
+        t = self.t + y
+        self.comp = (t - self.t) - y
+        self.t = t
         self.step += 1
         self.m = m
-        self.rows.append((t_new, m, rarg, dt))
-        if len(self.rows) == HISTORY_BLOCK:
-            self.blocks.append(np.array(self.rows))
+        rows = self.rows
+        rows.append((t, m, rarg, dt))
+        if len(rows) == HISTORY_BLOCK:
+            self.blocks.append(np.array(rows))
             self.rows = []
-        self.on_schedule = (self.step % self.config.record_stride == 0
-                            or m >= self.config.snapshot_growth * self.last_snap_m)
+        self.on_schedule = self.step % self.stride == 0 or m >= self.next_snap_m
         if self.on_schedule:
             self.snapshot(values)
-            self.last_snap_m = max(m, _TINY)
+            self.next_snap_m = self.growth * max(m, _TINY)
 
     def snapshot(self, values: np.ndarray) -> None:
         fld = RadialField(self.config.grid, values.copy(), self.t)
@@ -511,8 +538,10 @@ class _Row:
         else:
             snapshots.append(fld)
 
-    def finish(self, status: str, values: np.ndarray) -> None:
-        traj = self.traj
+    def finish(self, values: np.ndarray) -> None:
+        """End the run with ``self.status``, its field where it stands
+        being ``values``."""
+        traj, status = self.traj, self.status
         if status != STATUS_BUDGET:
             self.snapshot(values)
         elif not self.on_schedule:
@@ -525,55 +554,76 @@ class _Row:
 _TINY = np.finfo(float).tiny
 
 
+def _block(fields: list[np.ndarray]) -> np.ndarray:
+    """The fields as a batch holds them: a copy of a single field, or more
+    as the rows of a padded block with +0 separators (see ``_Batch``)."""
+    if len(fields) == 1:
+        return fields[0].copy()
+    block = np.zeros((len(fields), len(fields[0]) + SEPARATORS))
+    block[:, :-SEPARATORS] = fields
+    return block
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """The rows' fields in what :func:`_block` returns, as views."""
+    return values[None] if values.ndim == 1 else values[:, :-SEPARATORS]
+
+
 def _sups(values: np.ndarray, h: float) -> tuple[list[float], list[float]]:
-    """:func:`_sup_values` of each row: (max |row|, its radius) as lists."""
-    if len(values) == 1:
-        m, rarg = _sup_values(values[0], h)
+    """:func:`_sup_values` of each row of a padded block, as lists, or of a
+    1-D field.  The separators hold +0 and never win the ties."""
+    if values.ndim == 1:
+        m, rarg = _sup_values(values, h)
         return [m], [rarg]
     a = np.abs(values)
     idx = a.argmax(axis=1)
     return a[np.arange(len(a)), idx].tolist(), [i * h for i in idx.tolist()]
 
 
-def _advance(trajs: list[Trajectory]) -> list[Trajectory]:
+def _advance(trajs, on_stop=None) -> None:
     """Step the runs in lockstep until each stops; see :func:`run_together`.
 
     Each step first lets every run that stops (cap, ``t_max``, budget, a
     collapsed step size) leave, then steps the rest as the rows of one
-    array.  A step that leaves any row non-finite is taken again row by row,
-    since a non-finite row reaches the others through the joint solve; the
-    rows still non-finite then leave as overflowed, with their last field.
+    block.  A step that leaves any row non-finite is taken again row by
+    row, since a non-finite row reaches the others through the joint solve;
+    the rows still non-finite then leave as overflowed, with their last
+    field.  ``trajs`` may be any iterable; ``on_stop(i, trajectory)``, when
+    given, is called as the i-th run leaves, and the run is not held here
+    after that.
     """
-    if not trajs:
-        return trajs
-    grid, boundary = trajs[0].config.grid, trajs[0].config.boundary
-    if any(t.config.grid != grid or t.config.boundary != boundary for t in trajs):
+    rows = sorted((_Row(i, traj) for i, traj in enumerate(trajs)),
+                  key=lambda row: (row.params.mu == 0.0, row.params.p, row.params.q))
+    if not rows:
+        return
+    grid, boundary = rows[0].config.grid, rows[0].config.boundary
+    if any(row.config.grid != grid or row.config.boundary != boundary for row in rows):
         raise ValueError("runs stepped together must share one grid and boundary closure")
     geom = GridGeometry.of(grid)
     h = grid.h
-    rows = sorted((_Row(traj) for traj in trajs),
-                  key=lambda row: (row.params.mu == 0.0, row.params.p, row.params.q))
-    values = np.stack([row.values for row in rows])
+    values = _block([row.values for row in rows])
     batch = None
+
+    def leave(row: _Row, values: np.ndarray) -> None:
+        row.finish(values)
+        if on_stop is not None:
+            on_stop(row.position, row.traj)
 
     # one error-state scope for the whole loop: overflow is detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            dts, keep = [], []
-            for i, row in enumerate(rows):
-                status = row.stop()
-                if status is None:
-                    try:
-                        dts.append(row.dt())
+            dts = [row.next_dt() for row in rows]
+            if None in dts:
+                fields, keep = _fields(values), []
+                for i, row in enumerate(rows):
+                    if dts[i] is None:
+                        leave(row, fields[i])
+                    else:
                         keep.append(i)
-                        continue
-                    except NonFiniteFieldError:
-                        status = STATUS_OVERFLOWED
-                row.finish(status, values[i])
-            if len(keep) < len(rows):
-                rows, values, batch = [rows[i] for i in keep], values[keep], None
-            if not rows:
-                return trajs
+                if not keep:
+                    return
+                rows, dts, batch = [rows[i] for i in keep], [dts[i] for i in keep], None
+                values = _block([fields[i] for i in keep])
             if batch is None:
                 batch = _Batch([row.params for row in rows], geom, boundary)
             try:
@@ -584,32 +634,34 @@ def _advance(trajs: list[Trajectory]) -> list[Trajectory]:
             # argmax of |u| finds the first nan or inf: a finite sup, a finite field
             if len(rows) > 1 and not all(map(math.isfinite, m)):
                 new_values, m, rarg = _step_alone(values, dts, rows, geom, boundary, h)
-                batch = None  # its buffers may hold the non-finite values
-            keep = []
+            fields, keep = _fields(new_values), []
             for i, row in enumerate(rows):
                 if math.isfinite(m[i]):
-                    row.accept(new_values[i], m[i], rarg[i], dts[i])
+                    row.accept(fields[i], m[i], rarg[i], dts[i])
                     keep.append(i)
                 else:  # the overflowing step itself is rejected
-                    row.finish(STATUS_OVERFLOWED, values[i])
-            if len(keep) < len(rows):
-                rows, new_values, batch = [rows[i] for i in keep], new_values[keep], None
+                    row.status = STATUS_OVERFLOWED
+                    leave(row, _fields(values)[i])
             values = new_values
+            if len(keep) < len(rows):
+                if not keep:
+                    return
+                rows, batch = [rows[i] for i in keep], None
+                values = _block([fields[i] for i in keep])
 
 
 def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], geom: GridGeometry,
                 boundary: str, h: float) -> tuple[np.ndarray, list[float], list[float]]:
-    """The step of each row taken by itself; a row whose step fails gets a
-    nan sup-norm."""
-    new_values = np.empty_like(values)
+    """The step of each row of the padded block ``values`` taken by itself,
+    as a new block; a row whose step fails gets a nan sup-norm."""
+    new_values = np.zeros_like(values)
     m, rarg = [math.nan] * len(rows), [0.0] * len(rows)
-    for i, row in enumerate(rows):
+    for i, (row, field, new) in enumerate(zip(rows, _fields(values), _fields(new_values))):
         try:
-            new_values[i] = _ars222(values[i:i + 1], dts[i:i + 1],
-                                    _Batch([row.params], geom, boundary))[0]
+            new[:] = _ars222(field, dts[i:i + 1], _Batch([row.params], geom, boundary))
         except (NonFiniteFieldError, FloatingPointError):
             continue
-        m[i], rarg[i] = _sup_values(new_values[i], h)
+        m[i], rarg[i] = _sup_values(new, h)
     return new_values, m, rarg
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -444,7 +445,7 @@ def _summary_rows(out):
 
 
 def _assert_point_is_its_run_alone(config, out, row):
-    overrides = {key: float(row[key]) for key in ("M", "mu") if key in row}
+    overrides = {key: float(row[key]) for key in ("M", "mu", "blowup_cap") if key in row}
     run_config = load_config(config, overrides)
     u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
                               t_star=run_config.t_star, taper_start=run_config.taper_start)
@@ -501,6 +502,91 @@ def test_one_failing_point_never_aborts_a_sweep(tmp_path, monkeypatch, stage):
     assert rows[1]["error"] == f"RuntimeError: injected {stage} failure"
     for row in (rows[0], rows[2]):
         _assert_point_is_its_run_alone(config, out, row)
+
+
+def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch):
+    """Each point's files are written as its run leaves the batch.  When the
+    batch then fails, only the points still in it are stepped again, alone:
+    every point gets one summary row and one set of files, its run alone."""
+    config = write_config(tmp_path)
+    summaries, failures = [], []
+    step, summary = solver._ars222, cli._point_summary
+
+    def failing_step(values, dts, batch):
+        if 1 < len(dts) < 3:  # a row has left the batch of three
+            failures.append(len(dts))
+            raise RuntimeError("injected batch failure")
+        return step(values, dts, batch)
+
+    def counted_summary(index, *args):
+        summaries.append((index, len(failures)))
+        return summary(index, *args)
+
+    monkeypatch.setattr(solver, "_ars222", failing_step)
+    monkeypatch.setattr(cli, "_point_summary", counted_summary)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--grid", "blowup_cap=1e3:1e4:3",
+                 "--out", str(out), "--workers", "1"]) == 0
+    monkeypatch.undo()
+    assert failures == [2]
+    assert sorted(index for index, _ in summaries) == [0, 1, 2]
+    assert summaries[0][1] == 0  # written before the batch failed
+    rows = _summary_rows(out)
+    assert [row["status"] for row in rows] == ["blown-up"] * 3
+    for row in rows:
+        _assert_point_is_its_run_alone(config, out, row)
+
+
+def _points(grids: list[int], per_grid: int) -> list[tuple]:
+    return [(i, {}, load_config(None, {"M": M}))
+            for i, M in enumerate(M for M in grids for _ in range(per_grid))]
+
+
+@pytest.mark.parametrize("cpus,workers,grids,per_grid,sizes,pool", [
+    (2, 4, [256], 15, [8, 7], 2),           # the default --workers on 2 CPUs
+    (1, 4, [256], 15, [15], 1),
+    (2, 1, [256], 15, [15], 1),
+    (8, 4, [256], 15, [4, 4, 4, 3], 4),
+    (8, 8, [64, 128, 256], 1, [1, 1, 1], 3),  # no more processes than chunks
+])
+def test_sweep_pool_is_clamped_to_cpus_and_chunks(monkeypatch, cpus, workers, grids, per_grid,
+                                                  sizes, pool):
+    """The usable CPUs cap --workers, which sizes the chunks, and the pool
+    has at most one process per chunk."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    chunks, processes = cli._sweep_plan(_points(grids, per_grid), workers)
+    assert [len(chunk) for chunk in chunks] == sizes
+    assert processes == pool
+
+
+def test_sweep_starts_the_clamped_pool(tmp_path, monkeypatch):
+    """``--workers 4`` on 2 usable CPUs: two chunks in a pool of 2 (here an
+    executor that runs each job as it is submitted)."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    config = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--grid", "mu=0:0.2:3",
+                 "--out", str(out), "--workers", "4"]) == 0
+    assert widths == [2]
+    assert [row["status"] for row in _summary_rows(out)] == ["blown-up"] * 3
 
 
 @pytest.mark.parametrize("tick,lines", [

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from blowlab.fields import (
     BOUNDARIES,
     BOUNDARY_NEUMANN,
+    SEPARATORS,
     GridGeometry,
     NonFiniteFieldError,
     RadialField,
@@ -16,8 +17,10 @@ from blowlab.fields import (
     laplacian,
     nonlocal_prefix,
     sup_norm,
+    _gradient_values,
     _laplacian_bands,
     _laplacian_values,
+    _nonlocal_prefix_values,
 )
 from blowlab.profiles import f_profile, grad_f_profile
 
@@ -96,6 +99,39 @@ def test_laplacian_bands_are_the_stencil_matrix_on_verify_grid():
     banded = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
     stencil = np.apply_along_axis(_laplacian_values, 0, np.eye(257), geom, BOUNDARY_NEUMANN)
     assert np.array_equal(banded, stencil)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_padded_block_kernels_are_the_1d_kernels_row_by_row(dim, boundary):
+    """Each node of a padded block comes out of the Laplacian, gradient and
+    ball-integral prefix bit for bit as from the kernel on its 1-D field,
+    with one q for all rows or one per run of rows; NaN in the separator
+    cells reaches no node."""
+    grid = grid1(M=24, dim=dim)
+    geom = GridGeometry.of(grid)
+    rng = np.random.default_rng(dim)
+    fields = rng.uniform(-1.0, 2.0, (3, grid.M + 1))
+    fields[1, 5] = -0.0
+    block = np.full((3, grid.M + 1 + SEPARATORS), np.nan)
+    block[:, :-SEPARATORS] = fields
+    stacked = geom.stacked(3)
+    qs = [3.0, 3.0, 4.5]
+    with np.errstate(invalid="ignore"):
+        outputs = [
+            (_laplacian_values(block, stacked, boundary),
+             [_laplacian_values(f, geom, boundary) for f in fields]),
+            (_gradient_values(block, grid.h, boundary),
+             [_gradient_values(f, grid.h, boundary) for f in fields]),
+            (_nonlocal_prefix_values(np.abs(block), stacked, 3.0),
+             [_nonlocal_prefix_values(np.abs(f), geom, 3.0) for f in fields]),
+            (_nonlocal_prefix_values(np.abs(block), stacked,
+                                     [(slice(0, 2), 3.0), (slice(2, 3), 4.5)]),
+             [_nonlocal_prefix_values(np.abs(f), geom, q) for f, q in zip(fields, qs)]),
+        ]
+    for padded, alone in outputs:
+        for row, single in zip(padded[:, :-SEPARATORS], alone):
+            assert row.tobytes() == single.tobytes()
 
 
 def test_gradient_exact_on_r_squared():

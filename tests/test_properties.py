@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blowlab.config import build_run_config, parse_config_text
 from blowlab.fields import BOUNDARIES, RadialField, RadialGrid, nonlocal_prefix, write_csv
 from blowlab.params import beta_window, q_bounds, validate
 from blowlab.solver import (
@@ -219,6 +220,30 @@ def test_runs_stepped_together_are_the_runs_alone(runs):
     together = run_together([Trajectory.start(u0, config) for u0, config in runs])
     for traj, (u0, config) in zip(together, runs):
         assert_same_steps(traj, run_until_blowup(u0, config))
+
+
+def test_sweep_chunks_at_production_shape_are_the_runs_alone():
+    """The grid p in {3.5, 4, 4.5} x mu in {-0.2, ..., 0.2} at dim 2, q 4.6,
+    M 256, stepped as the two chunks a 2-worker sweep cuts it into (8 and 7
+    rows).  Both chunks hold a mu = 0 row and rows that stop at different
+    steps; the first holds the two rows that blow up at the wall, within
+    ~120 steps."""
+    raw = parse_config_text("dim = 2\nq = 4.6\nM = 256\n")
+    configs = [build_run_config(raw, {"p": p, "mu": mu})
+               for p in (3.5, 4.0, 4.5) for mu in np.linspace(-0.2, 0.2, 5)]
+    at_wall = []
+    for chunk in (configs[:8], configs[8:]):
+        seeds = [profile_seeded_field(rc.solver.grid, rc.params, t_star=rc.t_star,
+                                      taper_start=rc.taper_start) for rc in chunk]
+        together = run_together([Trajectory.start(u0, rc.solver)
+                                 for u0, rc in zip(seeds, chunk)])
+        assert any(rc.params.mu == 0.0 for rc in chunk)
+        assert len({len(traj.maxnorm_history) for traj in together}) > 1
+        at_wall += [traj.maxnorm_history[-1, 2] == 1.0 - rc.solver.grid.h
+                    for traj, rc in zip(together, chunk)]
+        for traj, u0, rc in zip(together, seeds, chunk):
+            assert_same_steps(traj, run_until_blowup(u0, rc.solver))
+    assert sum(at_wall[:8]) == 2 and not any(at_wall[8:])
 
 
 def test_an_overflowing_row_leaves_its_neighbours_unchanged(default_params):

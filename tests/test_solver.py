@@ -1,4 +1,5 @@
 import io
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -293,6 +294,26 @@ def test_cap_is_checked_before_the_budget(default_params):
     assert len(traj.maxnorm_history) - 1 == 645
     assert traj.maxnorm_history[-1, 1] >= 1e4
     assert traj.status == STATUS_BLOWN_UP
+
+
+def test_stop_hook_gets_each_run_as_it_stops_and_keeps_none(default_params):
+    """``_advance`` hands each run to its stop hook, with the run's place in
+    the input, as the run leaves the batch, and holds it no longer: by the
+    time the second run stops, the first is gone."""
+    grid = RadialGrid(R=1.0, M=32, dim=1)
+    u0 = profile_seeded_field(grid, default_params, t_star=0.01)
+    configs = [SolverConfig(grid=grid, params=default_params, blowup_cap=cap)
+               for cap in (1e4, 1e3)]
+    stopped = []
+
+    def on_stop(position, trajectory):
+        assert trajectory.status == STATUS_BLOWN_UP
+        stopped.append((position, weakref.ref(trajectory)))
+        if len(stopped) == 2:
+            assert stopped[0][1]() is None
+
+    solver._advance((Trajectory.start(u0, config) for config in configs), on_stop)
+    assert [position for position, _ in stopped] == [1, 0]
 
 
 def test_history_block_size_leaves_runs_unchanged(default_params, monkeypatch):
