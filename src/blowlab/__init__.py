@@ -10,19 +10,10 @@ from .profiles import (
     final_grad_bound,
     final_profile,
     grad_f_profile,
-    intermediate_grad_prediction,
     intermediate_prediction,
     v_K0,
 )
-from .fields import (
-    NonFiniteFieldError,
-    RadialField,
-    RadialGrid,
-    gradient,
-    laplacian,
-    nonlocal_prefix,
-    sup_norm,
-)
+from .fields import NonFiniteFieldError, RadialField, RadialGrid
 from .solver import (
     BlowupEstimate,
     SolverConfig,
@@ -31,7 +22,6 @@ from .solver import (
     estimate_T,
     load_snapshots,
     profile_seeded_field,
-    rhs,
     run_together,
     run_until_blowup,
     save_snapshots,
@@ -42,7 +32,6 @@ from .similarity import (
     extract_frame,
     final_profile_extract,
     frame_report,
-    t0_of_x0,
     threshold_check,
     v_sharp_behavior,
     w_smallness,

@@ -1,13 +1,16 @@
-"""Radial grid, discrete operators, norms, and the ball-integral evaluator.
+"""Radial grid and fields, the kernels of the discrete operators, the
+ball-integral prefix and the sup norm, and the CSV writer.
 
 Scalar fields are radially symmetric and live on the uniform grid
 r_i = i*h, i = 0..M.  The even extension across r = 0 fixes the origin
 closure of every operator; the closure at r = R is selected by the solver's
 boundary mode ("dirichlet-zero" or "neumann-zero").
 
-The kernels take one field as a 1-D array of its M+1 nodes, or k fields as
-one contiguous padded (k, M+3) block: each row holds a field's nodes and
-then ``SEPARATORS`` cells, the layout of the solver's block-diagonal system.
+The kernels (``_laplacian_values``, ``_gradient_values``,
+``_nonlocal_prefix_values``) take node values, not a :class:`RadialField`:
+one field as a 1-D array of its M+1 nodes, or k fields as one contiguous
+padded (k, M+3) block.  Each row of a block holds a field's nodes and then
+``SEPARATORS`` cells, the layout of the solver's block-diagonal system.
 A kernel runs its stencil on the flattened buffer, with the per-node arrays
 of :meth:`GridGeometry.stacked` laid out along it, and sets the cells at
 r = 0 and r = R of every row through column views.  What it leaves in the
@@ -63,10 +66,10 @@ class RadialGrid:
 class GridGeometry:
     """The fixed arrays and constants of the discrete operators on one grid.
 
-    Built once per run (or per public operator call) and passed to the
-    kernels, so the step loop never recomputes them.  Each entry is the
-    exact expression the kernels would otherwise evaluate per call, which
-    keeps the kernels' output bit-identical.
+    Built once per run and passed to the kernels, so the step loop never
+    recomputes them.  Each entry is the exact expression the kernels would
+    otherwise evaluate per call, which keeps the kernels' output
+    bit-identical.
     """
 
     h: float
@@ -236,18 +239,6 @@ def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
     return out
 
 
-def laplacian(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialField:
-    """Discrete radial Laplacian of the field (exact on quadratics inside)."""
-    vals = _laplacian_values(field.values, GridGeometry.of(field.grid), boundary)
-    return RadialField(field.grid, vals, field.time)
-
-
-def gradient(field: RadialField, boundary: str = BOUNDARY_DIRICHLET) -> RadialField:
-    """Discrete radial derivative of the field."""
-    vals = _gradient_values(field.values, field.grid.h, boundary)
-    return RadialField(field.grid, vals, field.time)
-
-
 def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
                             q: float | list) -> np.ndarray:
     """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr of one
@@ -282,32 +273,11 @@ def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
     return J
 
 
-def nonlocal_prefix(field: RadialField, params: ModelParams) -> np.ndarray:
-    """Single-pass J_i = integral of |u|^(q-1) over the ball of radius r_i.
-
-    Nondecreasing in i, J_0 = 0, homogeneous of degree q-1 in the field.
-    """
-    return _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
-
-
 def _sup_values(values: np.ndarray, h: float) -> tuple[float, float]:
     """(max |values|, its radius i*h); ties break to the smallest index."""
     a = np.abs(values)
     i = int(np.argmax(a))
     return float(a[i]), i * h
-
-
-def sup_norm(field: RadialField, radius: float | None = None) -> tuple[float, float]:
-    """Max of |u| over nodes with r_i <= radius (whole grid when absent).
-
-    Returns (value, attaining radius); ties break to the smallest radius.
-    """
-    values = field.values
-    if radius is not None:
-        if radius > field.grid.R:
-            raise ValueError(f"radius {radius} exceeds grid radius {field.grid.R}")
-        values = values[:int(np.floor(radius / field.grid.h + 1e-12)) + 1]
-    return _sup_values(values, field.grid.h)
 
 
 def write_csv(fh, header, rows, comments=()) -> None:

@@ -302,9 +302,9 @@ def gamma_exponent_identity_check() -> float:
         q = float(q_lo + rng.uniform(0.05, 0.95) * width)
         mu = float(rng.uniform(-1.0, 1.0))
         params = validate(p=p, q=q, mu=mu, dim=dim)
-        lhs = params.gamma - 0.5
-        rhs = dim / 2.0 - (q - 1.0) / (p - 1.0)
-        diffs.append(abs(lhs - rhs))
+        left = params.gamma - 0.5
+        right = dim / 2.0 - (q - 1.0) / (p - 1.0)
+        diffs.append(abs(left - right))
     return float(np.max(diffs))
 
 

@@ -1,7 +1,7 @@
 """Closed-form blow-up predictors.
 
 The self-similar shape near the blow-up time, its gradient, the space-time
-predictions they induce (with their error envelopes), the limiting profile
+prediction of the solution (with its error envelope), the limiting profile
 left behind at non-blow-up points, the bound on its gradient, and the flat
 ODE solution that the local rescaled solution tracks.
 
@@ -71,26 +71,6 @@ def intermediate_prediction(x: float, t: float, T: float,
     amp = s ** (-1.0 / (p - 1.0))
     z = abs(x) / np.sqrt(s * L)
     value = amp * f_profile(z, params)
-    weight = 1.0 + (x * x / s) ** (beta / 2.0)
-    envelope = C / weight * amp / L ** ((1.0 - beta) / 2.0)
-    return ProfilePrediction(float(value), float(envelope))
-
-
-def intermediate_grad_prediction(x: float, t: float, T: float,
-                                 params: ModelParams, C: float = 1.0) -> ProfilePrediction:
-    """Predicted radial-derivative value at (x, t), with envelope.
-
-    value    = (T-t)^(-1/2-1/(p-1)) |log(T-t)|^(-1/2)
-               * f'(|x| / sqrt((T-t)|log(T-t)|))
-    envelope = C / (1 + (|x|^2/(T-t))^(beta/2))
-               * (T-t)^(-1/2-1/(p-1)) / |log(T-t)|^((1-beta)/2)
-    """
-    s = T - t
-    L = _log_factor(s)
-    p, beta = params.p, params.beta
-    amp = s ** (-0.5 - 1.0 / (p - 1.0))
-    z = abs(x) / np.sqrt(s * L)
-    value = amp / np.sqrt(L) * grad_f_profile(z, params)
     weight = 1.0 + (x * x / s) ** (beta / 2.0)
     envelope = C / weight * amp / L ** ((1.0 - beta) / 2.0)
     return ProfilePrediction(float(value), float(envelope))

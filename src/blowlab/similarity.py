@@ -2,9 +2,11 @@
 
 For a point x0 != 0 the anchor time t0(x0) solves
 
-    |x0| = K0 * sqrt((T - t0) |log(T - t0)|)        (plateau at |x0| > delta)
+    |x0| = K0 * sqrt((T - t0) |log(T - t0)|)
 
-and the frame variables are
+with |x0| clipped to the plateau radius delta = K0 * sqrt(2 e^-2), where
+T - t0 = e^-2.  The right-hand side peaks above delta, at T - t0 = 1/e, so
+every anchor lies on its monotone branch.  The frame variables are
 
     v(x0, xi, tau) = (T-t0)^(1/(p-1)) u(x0 + xi sqrt(T-t0), t0 + tau (T-t0)),
     w = dv/dxi,
@@ -64,12 +66,12 @@ def default_delta(K0: float) -> float:
     return scale_radius(math.exp(-2.0), K0)
 
 
-def time_scale_of_x0(x0: float, K0: float, T: float, delta: float | None = None) -> float:
-    """T - t0(x0) on the monotone branch, by :func:`scale_radius_inverse`.
-
-    Returned at full relative precision (~1e-13); prefer this over
-    ``T - t0_of_x0(...)`` whenever T - t0 itself is the quantity of
-    interest, since the subtraction loses the tail digits.
+def time_scale_of_x0(x0: float, K0: float, T: float) -> float:
+    """T - t0(x0) on the monotone branch, by :func:`scale_radius_inverse`,
+    at full relative precision (~1e-13); T - t0 itself would lose the tail
+    digits.  It plateaus at T - t0 = e^-2 for |x0| beyond
+    :func:`default_delta`, which lies below the peak of the scale map, so
+    every |x0| up to it has its anchor on the monotone branch.
     """
     if x0 == 0.0:
         raise ValueError("x0 must be nonzero (the origin is the blow-up point)")
@@ -77,30 +79,17 @@ def time_scale_of_x0(x0: float, K0: float, T: float, delta: float | None = None)
         raise ValueError(f"K0 must be positive, got {K0}")
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
-    if delta is None:
-        delta = default_delta(K0)
+    delta = default_delta(K0)
     x_eff = min(abs(x0), delta)
     radius = f"|x0|={abs(x0):.6g}"
     if abs(x0) > delta:
         radius += f" (clipped to delta={delta:.6g})"
-
     s_hi = min(S_TURN, T)
     if scale_radius(s_hi, K0) < x_eff:
-        if s_hi < S_TURN:
-            raise ValueError(f"unreachable: {radius} needs T-t0 > T={T:.6g} (t0 < 0)")
-        raise ValueError(
-            f"non-monotone regime: {radius} unreachable, the scale map peaks at "
-            f"{scale_radius(S_TURN, K0):.6g} where T-t0 = 1/e"
-        )
-
+        raise ValueError(f"unreachable: {radius} needs T-t0 > T={T:.6g} (t0 < 0)")
     if scale_radius(S_FLOOR, K0) > x_eff:
         raise ValueError(f"unreachable: {radius} below the resolvable range")
     return scale_radius_inverse(x_eff, K0, s_hi)
-
-
-def t0_of_x0(x0: float, K0: float, T: float, delta: float | None = None) -> float:
-    """Anchor time t0(x0) in [0, T); plateaus at t0(delta) for |x0| > delta."""
-    return T - time_scale_of_x0(x0, K0, T, delta)
 
 
 @dataclass
@@ -127,14 +116,14 @@ class SimilarityFrame:
 
 
 def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
-                  window: float | None = None, tau_grid=None) -> SimilarityFrame:
+                  window: float | None = None) -> SimilarityFrame:
     """Fill a similarity frame from trajectory snapshots.
 
     ``window`` defaults to max(1, 2 |log(T-t0)|^(1/4)), wide enough for every
     diagnostic below; it is clipped (and flagged) when the physical extent
-    |x0| + window*sqrt(T-t0) would leave the grid.  The tau grid defaults to
-    the snapshot times mapped into [0, 1), which keeps the time
-    interpolation exact at the sample points.
+    |x0| + window*sqrt(T-t0) would leave the grid.  The tau grid is the
+    snapshot times mapped into [0, 1), which keeps the time interpolation
+    exact at the sample points.
     """
     grid = trajectory.config.grid
     params = trajectory.config.params
@@ -169,19 +158,8 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
     if tau_max <= 0.0:
         raise CoverageGapError(f"coverage gap: trajectory ends at t={t_last} <= t0={t0}")
 
-    if tau_grid is None:
-        taus = (times[(times > t0) & (times < T)] - t0) / s0
-        taus = np.unique(np.concatenate([[0.0], np.clip(taus, 0.0, tau_max)]))
-    else:
-        taus = np.asarray(tau_grid, dtype=float)
-        if np.any(taus < 0.0) or np.any(taus >= 1.0):
-            raise ValueError("tau values must lie in [0, 1)")
-        if np.any(taus > tau_max):
-            raise CoverageGapError(
-                f"coverage gap: tau in ({tau_max:.6g}, {float(np.max(taus)):.6g}] "
-                "beyond the trajectory"
-            )
-        taus = np.sort(taus)
+    taus = (times[(times > t0) & (times < T)] - t0) / s0
+    taus = np.unique(np.concatenate([[0.0], np.clip(taus, 0.0, tau_max)]))
 
     per_node = window_eff * sqrt_s0 / grid.h
     n_half = int(min(max(math.ceil(per_node), 32), 512))
@@ -243,14 +221,11 @@ def threshold_check(frame: SimilarityFrame) -> float:
     return float(np.max(quantity))
 
 
-def boundedness_report(frame: SimilarityFrame, inner_radius: float = 1.0) -> float:
-    """Sup of |v| + |w| over |xi| <= inner_radius and all covered tau. A
-    finite, tau-stable value is the no-blow-up conclusion at desk scale."""
-    if inner_radius > frame.window_eff:
-        raise ValueError(
-            f"inner_radius {inner_radius} exceeds frame window {frame.window_eff:.6g}"
-        )
-    mask = np.abs(frame.xi_grid) <= inner_radius
+def boundedness_report(frame: SimilarityFrame) -> float:
+    """Sup of |v| + |w| over |xi| <= min(1, delivered window) and all
+    covered tau. A finite, tau-stable value is the no-blow-up conclusion at
+    desk scale."""
+    mask = np.abs(frame.xi_grid) <= min(1.0, frame.window_eff)
     return float(np.max(np.abs(frame.v[:, mask]) + np.abs(frame.w[:, mask])))
 
 
@@ -292,7 +267,7 @@ def frame_report(frame: SimilarityFrame) -> FrameReport:
     return FrameReport(
         x0=frame.x0, K0=frame.K0, t0=frame.t0,
         eps0_measured=threshold_check(frame),
-        M_measured=boundedness_report(frame, min(1.0, frame.window_eff)),
+        M_measured=boundedness_report(frame),
         w_sup_decay=w_smallness(frame),
         v_minus_vK0_sup=v_sharp_behavior(frame),
         clipped=frame.clipped,

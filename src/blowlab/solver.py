@@ -45,7 +45,10 @@ which stays exact where absolute time cannot.
 
 The history is one (n, 4) float64 array that ``_advance`` builds from
 blocks of ``HISTORY_BLOCK`` rows.  A run stops at the cap, at ``t_max`` or
-at its step budget (``budget-exhausted``, resumable), checked in that order.
+at its step budget (``budget-exhausted``, resumable), checked in that order,
+or as ``overflowed`` when its step size collapses or a step leaves its
+field non-finite (that step is rejected).  Every stop is found before the
+next step, and the run leaves the batch there.
 
 A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
 snapshots, dense history, status, config, the time accumulator's Kahan
@@ -124,6 +127,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
+        if not 0.0 < self.blowup_cap < math.inf:
+            raise ValueError(f"blowup_cap must be finite and positive, got {self.blowup_cap}")
+        if self.t_max is not None and not self.t_max > 0.0:
+            raise ValueError(f"t_max must be none or positive, got {self.t_max}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.record_stride < 1:
@@ -275,17 +282,14 @@ def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
 
 
 def _explicit_values(u: np.ndarray, terms: _Terms, boundary: str,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray) -> np.ndarray:
     """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
-    of a 1-D field or of each row of a padded block, written into ``out``
-    when given.
+    of a 1-D field or of each row of a padded block, written into ``out``.
 
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
     """
     abs_u = np.abs(u)
-    if out is None:
-        out = np.empty_like(u)
     if isinstance(terms.p, list):
         for rows, p in terms.p:
             np.power(abs_u[rows], p - 1.0, out=out[rows])
@@ -308,26 +312,6 @@ def _explicit_values(u: np.ndarray, terms: _Terms, boundary: str,
     if boundary == BOUNDARY_DIRICHLET:
         out.T[_last_node(out)] = 0.0
     return out
-
-
-def _rhs_values(u: np.ndarray, geom: GridGeometry, params: ModelParams,
-                boundary: str) -> np.ndarray:
-    """The full right-hand side: the Laplacian plus :func:`_explicit_values`."""
-    out = _explicit_values(u, _Terms([params], geom), boundary)
-    out += _laplacian_values(u, geom, boundary)
-    return out
-
-
-def rhs(field: RadialField, params: ModelParams,
-        boundary: str = BOUNDARY_DIRICHLET) -> RadialField:
-    """Full right-hand side, one ball-integral pass per evaluation."""
-    if field.grid.dim != params.dim:
-        raise ValueError(f"grid dim {field.grid.dim} differs from params dim {params.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _rhs_values(field.values, GridGeometry.of(field.grid), params, boundary)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteFieldError("right-hand side overflowed")
-    return RadialField(field.grid, vals, field.time)
 
 
 def _dt_of(config: SolverConfig, supnorm: float) -> float:
@@ -376,17 +360,17 @@ class _Batch:
         self.bands = (-lower, diagonal, -upper)
         self.lu = tuple(np.empty_like(band) for band in self.bands)  # factored in place
         self.shape = (n,) if self.single else (k, self.width)
-        rhs = np.empty((2, *self.shape))  # the right-hand sides of the two solves
-        self.rhs, self.rhs_flat, self.separators = rhs, rhs.reshape(2, -1), rhs[..., n:]
+        sides = np.empty((2, *self.shape))  # the right-hand sides of the two solves
+        self.sides, self.sides_flat, self.separators = sides, sides.reshape(2, -1), sides[..., n:]
         self.work = np.empty((2, *self.shape))  # the two explicit stages
 
     def solve(self, lu, stage: int) -> np.ndarray:
         """The rows' fields that solve the system with right-hand side
-        ``rhs[stage]``, given the factors ``lu``: in place for the first
+        ``sides[stage]``, given the factors ``lu``: in place for the first
         stage, into a new block for the second, the step's result."""
         if not self.single:
             self.separators[stage] = 0.0
-        x = dgttrs(*lu, self.rhs_flat[stage], overwrite_b=stage == 0)[0]
+        x = dgttrs(*lu, self.sides_flat[stage], overwrite_b=stage == 0)[0]
         return x if self.single else x.reshape(self.shape)
 
 
@@ -396,7 +380,7 @@ def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     ``dts[i]``."""
     geom, boundary, terms = batch.geom, batch.boundary, batch.terms
     n1, n2 = batch.work
-    b1, b2 = batch.rhs
+    b1, b2 = batch.sides
     # a single row multiplies by Python floats, as a scalar step does, and a
     # block by its rows' step sizes repeated along each row
     dt = dts[0] if batch.single else np.repeat(dts, batch.width).reshape(len(dts), -1)
@@ -497,6 +481,8 @@ class _Row:
     def next_dt(self) -> float | None:
         """The size of the run's next step, or None when it stops before
         it, with the status in ``self.status``."""
+        if self.status == STATUS_OVERFLOWED:  # its last step was rejected
+            return None
         if self.m >= self.cap:
             self.status = STATUS_BLOWN_UP
         elif self.t_end is not None and self.t >= self.t_end:
@@ -583,14 +569,15 @@ def _sups(values: np.ndarray, h: float) -> tuple[list[float], list[float]]:
 def _advance(trajs, on_stop=None) -> None:
     """Step the runs in lockstep until each stops; see :func:`run_together`.
 
-    Each step first lets every run that stops (cap, ``t_max``, budget, a
-    collapsed step size) leave, then steps the rest as the rows of one
-    block.  A step that leaves any row non-finite is taken again row by
-    row, since a non-finite row reaches the others through the joint solve;
-    the rows still non-finite then leave as overflowed, with their last
-    field.  ``trajs`` may be any iterable; ``on_stop(i, trajectory)``, when
-    given, is called as the i-th run leaves, and the run is not held here
-    after that.
+    Each step first lets every run that stops leave, then steps the rest as
+    the rows of one block.  A run stops at the cap, at ``t_max``, at its
+    budget, on a collapsed step size, or after a step that left its row
+    non-finite: that step is rejected, the row keeps its last field in the
+    new block and is ``overflowed``.  A step that leaves any row non-finite
+    is taken again row by row, since a non-finite row reaches the others
+    through the joint solve.  ``trajs`` may be any iterable;
+    ``on_stop(i, trajectory)``, when given, is called as the i-th run
+    leaves, and the run is not held here after that.
     """
     rows = sorted((_Row(i, traj) for i, traj in enumerate(trajs)),
                   key=lambda row: (row.params.mu == 0.0, row.params.p, row.params.q))
@@ -603,12 +590,6 @@ def _advance(trajs, on_stop=None) -> None:
     h = grid.h
     values = _block([row.values for row in rows])
     batch = None
-
-    def leave(row: _Row, values: np.ndarray) -> None:
-        row.finish(values)
-        if on_stop is not None:
-            on_stop(row.position, row.traj)
-
     # one error-state scope for the whole loop: overflow is detected explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -617,7 +598,9 @@ def _advance(trajs, on_stop=None) -> None:
                 fields, keep = _fields(values), []
                 for i, row in enumerate(rows):
                     if dts[i] is None:
-                        leave(row, fields[i])
+                        row.finish(fields[i])
+                        if on_stop is not None:
+                            on_stop(row.position, row.traj)
                     else:
                         keep.append(i)
                 if not keep:
@@ -634,20 +617,14 @@ def _advance(trajs, on_stop=None) -> None:
             # argmax of |u| finds the first nan or inf: a finite sup, a finite field
             if len(rows) > 1 and not all(map(math.isfinite, m)):
                 new_values, m, rarg = _step_alone(values, dts, rows, geom, boundary, h)
-            fields, keep = _fields(new_values), []
+            fields = _fields(new_values)
             for i, row in enumerate(rows):
                 if math.isfinite(m[i]):
                     row.accept(fields[i], m[i], rarg[i], dts[i])
-                    keep.append(i)
-                else:  # the overflowing step itself is rejected
+                else:  # the step is rejected: the row stays where it stood
                     row.status = STATUS_OVERFLOWED
-                    leave(row, _fields(values)[i])
+                    fields[i][...] = _fields(values)[i]
             values = new_values
-            if len(keep) < len(rows):
-                if not keep:
-                    return
-                rows, batch = [rows[i] for i in keep], None
-                values = _block([fields[i] for i in keep])
 
 
 def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], geom: GridGeometry,
@@ -785,8 +762,9 @@ def load_snapshots(path) -> Trajectory:
     :func:`continue_run`.
 
     Raises :class:`CheckpointError` when the file is not a readable archive,
-    lacks a key (archives written before the history moved in, for one), or
-    has another version.
+    lacks a key (archives written before the history moved in, for one), has
+    another version, or does not hold one time per snapshot and at least
+    one snapshot.
     """
     try:
         with np.load(path) as data:
@@ -799,8 +777,12 @@ def load_snapshots(path) -> Trajectory:
             f"unsupported run archive version {version!r} (expected {ARCHIVE_VERSION})")
     try:
         config = SolverConfig.from_dict(json.loads(str(arrays["config"])))
+        times, values = arrays["times"], arrays["values"]
+        if not len(times) == len(values) > 0:
+            raise ValueError(f"{len(times)} snapshot times for {len(values)} snapshots "
+                             "(need one per snapshot, and at least one)")
         snapshots = [RadialField(config.grid, row, t)
-                     for t, row in zip(arrays["times"].tolist(), arrays["values"])]
+                     for t, row in zip(times.tolist(), values)]
         hist = arrays["history"]
         if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4:
             raise ValueError(f"history is {hist.dtype} {hist.shape}, need float64 (n, 4)")

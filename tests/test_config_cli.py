@@ -115,6 +115,21 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     assert "boundary must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("blowup_cap = -1", "blowup_cap must be finite and positive, got -1.0"),
+    ("blowup_cap = nan", "blowup_cap must be finite and positive, got nan"),
+    ("t_max = nan", "t_max must be none or positive, got nan"),
+    ("t_max = -1", "t_max must be none or positive, got -1.0"),
+], ids=["cap-negative", "cap-nan", "t_max-nan", "t_max-negative"])
+def test_run_refuses_a_bad_cap_or_t_max(tmp_path, capsys, line, message):
+    path = write_config(tmp_path, f"{TINY_CONFIG}{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_param_override_flags(capsys):
     assert main(["run", "--dry-run", "--p", "5", "--q", "4"]) == 0
     out = capsys.readouterr().out
@@ -241,6 +256,18 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     np.savez_compressed(archive, **arrays)
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
     assert "history" in capsys.readouterr().err
+    # one snapshot time short, and no snapshot at all
+    with np.load(io.BytesIO(whole)) as data:
+        arrays = {key: data[key] for key in data.files}
+    n = len(arrays["values"])
+    for times, values, message in (
+            (arrays["times"][:-1], arrays["values"], f"{n - 1} snapshot times for {n} snapshots"),
+            (arrays["times"][:0], arrays["values"][:0], "0 snapshot times for 0 snapshots")):
+        np.savez_compressed(archive, **{**arrays, "times": times, "values": values})
+        assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("config_text, argv, message", [
@@ -396,6 +423,18 @@ def test_sweep_records_invalid_points(tmp_path):
     assert [row["status"] for row in rows] == ["blown-up"] + ["config-error"] * 3
     assert rows[1]["error"] == "t_star must be in (0, 1), got 1.5"
     assert rows[2]["error"].startswith("q upper bound violated: q=5.0")
+
+
+def test_sweep_records_a_bad_cap_or_t_max_as_config_error(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path), "--grid",
+                 "blowup_cap=-1:1e4:2,t_max=-1:1:2", "--out", str(out),
+                 "--workers", "1"]) == 0
+    rows = _summary_rows(out)
+    assert [row["status"] for row in rows] == ["config-error"] * 3 + ["blown-up"]
+    assert [row["error"] for row in rows[:3]] == [
+        "blowup_cap must be finite and positive, got -1.0"] * 2 + [
+        "t_max must be none or positive, got -1.0"]
 
 
 def test_sweep_refuses_non_integral_int_keys(tmp_path):

@@ -13,20 +13,29 @@ from blowlab.fields import (
     RadialField,
     RadialGrid,
     field_to_csv,
-    gradient,
-    laplacian,
-    nonlocal_prefix,
-    sup_norm,
     _gradient_values,
     _laplacian_bands,
     _laplacian_values,
     _nonlocal_prefix_values,
+    _sup_values,
 )
 from blowlab.profiles import f_profile, grad_f_profile
 
 
 def grid1(M=64, R=1.0, dim=1):
     return RadialGrid(R=R, M=M, dim=dim)
+
+
+def lap_of(g, values, boundary="dirichlet-zero"):
+    return _laplacian_values(values, GridGeometry.of(g), boundary)
+
+
+def grad_of(g, values):
+    return _gradient_values(values, g.h, "dirichlet-zero")
+
+
+def prefix_of(g, values, params):
+    return _nonlocal_prefix_values(np.abs(values), GridGeometry.of(g), params.q)
 
 
 def test_grid_nodes():
@@ -52,15 +61,14 @@ def test_nan_field_is_hard_error():
 @pytest.mark.parametrize("dim,expected", [(1, 2.0), (3, 6.0)])
 def test_laplacian_exact_on_r_squared(dim, expected):
     g = grid1(M=32, dim=dim)
-    f = RadialField(g, g.r ** 2)
-    lap = laplacian(f).values
+    lap = lap_of(g, g.r ** 2)
     assert np.allclose(lap[:-1], expected, atol=1e-10)  # interior + origin
 
 
 def test_laplacian_of_constant_is_zero():
     g = grid1(dim=2)
-    lap = laplacian(RadialField(g, np.full(g.M + 1, 3.7)), boundary="neumann-zero")
-    assert np.allclose(lap.values, 0.0, atol=1e-12)
+    lap = lap_of(g, np.full(g.M + 1, 3.7), boundary="neumann-zero")
+    assert np.allclose(lap, 0.0, atol=1e-12)
 
 
 def test_laplacian_second_order_convergence():
@@ -68,7 +76,7 @@ def test_laplacian_second_order_convergence():
     def err(M):
         g = grid1(M=M, dim=3)
         r = g.r
-        lap = laplacian(RadialField(g, np.cos(r)), boundary="neumann-zero").values
+        lap = lap_of(g, np.cos(r), boundary="neumann-zero")
         with np.errstate(invalid="ignore", divide="ignore"):
             exact = -np.cos(r) - 2.0 * np.sin(r) / r
         exact[0] = -3.0
@@ -136,17 +144,17 @@ def test_padded_block_kernels_are_the_1d_kernels_row_by_row(dim, boundary):
 
 def test_gradient_exact_on_r_squared():
     g = grid1(M=32)
-    grad = gradient(RadialField(g, g.r ** 2)).values
+    grad = grad_of(g, g.r ** 2)
     assert np.allclose(grad, 2.0 * g.r, atol=1e-10)  # incl. one-sided boundary
     assert grad[0] == 0.0
-    const = gradient(RadialField(g, np.full(g.M + 1, 2.0)))
-    assert np.allclose(const.values, 0.0, atol=1e-12)
+    const = grad_of(g, np.full(g.M + 1, 2.0))
+    assert np.allclose(const, 0.0, atol=1e-12)
 
 
 def test_gradient_converges_to_profile_derivative(default_params):
     def err(M):
         g = grid1(M=M, R=5.0)
-        grad = gradient(RadialField(g, f_profile(g.r, default_params))).values
+        grad = grad_of(g, f_profile(g.r, default_params))
         return np.max(np.abs(grad[1:-1] - grad_f_profile(g.r[1:-1], default_params)))
 
     e1, e2 = err(128), err(256)
@@ -156,7 +164,7 @@ def test_gradient_converges_to_profile_derivative(default_params):
 def test_prefix_constant_field_n1(default_params):
     # u == 2, q = 3: J(0.5) = integral of 4 over [-0.5, 0.5] = 4
     g = grid1(M=64, R=1.0)
-    J = nonlocal_prefix(RadialField(g, np.full(g.M + 1, 2.0)), default_params)
+    J = prefix_of(g, np.full(g.M + 1, 2.0), default_params)
     assert J[0] == 0.0
     assert J[32] == pytest.approx(4.0, rel=1e-12)
     assert np.all(np.diff(J) >= 0.0)
@@ -166,7 +174,7 @@ def test_prefix_unit_field_n2_gives_ball_area():
     from blowlab.params import validate
     params2 = validate(p=4.0, q=4.5, mu=0.1, dim=2)
     g = grid1(M=128, R=2.0, dim=2)
-    J = nonlocal_prefix(RadialField(g, np.ones(g.M + 1)), params2)
+    J = prefix_of(g, np.ones(g.M + 1), params2)
     assert np.allclose(J, np.pi * g.r ** 2, rtol=1e-12, atol=1e-12)
 
 
@@ -175,8 +183,8 @@ def test_prefix_homogeneous_of_degree_q_minus_one(default_params):
     rng = np.random.default_rng(3)
     u = rng.uniform(-1.0, 2.0, g.M + 1)
     lam = 3.7
-    J1 = nonlocal_prefix(RadialField(g, u), default_params)
-    J2 = nonlocal_prefix(RadialField(g, lam * u), default_params)
+    J1 = prefix_of(g, u, default_params)
+    J2 = prefix_of(g, lam * u, default_params)
     assert np.allclose(J2, lam ** (default_params.q - 1.0) * J1, rtol=1e-12)
 
 
@@ -193,25 +201,21 @@ def test_prefix_against_quadrature_oracle(default_params):
 
     oracle = 2.0 * quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     g = grid1(M=4096, R=1.0)
-    J = nonlocal_prefix(RadialField(g, amp * f_profile(g.r / ell, p)), p)
+    J = prefix_of(g, amp * f_profile(g.r / ell, p), p)
     assert J[-1] == pytest.approx(oracle, rel=5e-6)
 
 
 def test_sup_norm_locations(default_params):
     g = grid1(M=64, R=4.0)
-    f = RadialField(g, f_profile(g.r, default_params))
-    value, where = sup_norm(f)
+    value, where = _sup_values(f_profile(g.r, default_params), g.h)
     assert where == 0.0
     assert value == pytest.approx(default_params.kappa, rel=1e-14)
-    # restriction excluding the max gives the boundary of the window
     u = np.zeros(g.M + 1)
     u[40] = 2.0
-    value, where = sup_norm(RadialField(g, u), radius=1.0)
+    value, where = _sup_values(u[:17], g.h)
     assert (value, where) == (0.0, 0.0)  # ties break to the smallest radius
-    value, where = sup_norm(RadialField(g, u))
+    value, where = _sup_values(u, g.h)
     assert (value, where) == (2.0, pytest.approx(2.5))
-    with pytest.raises(ValueError):
-        sup_norm(f, radius=10.0)
 
 
 def test_field_csv_shape(default_params):

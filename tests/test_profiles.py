@@ -6,7 +6,6 @@ from blowlab.profiles import (
     final_grad_bound,
     final_profile,
     grad_f_profile,
-    intermediate_grad_prediction,
     intermediate_prediction,
     v_K0,
 )
@@ -57,17 +56,6 @@ def test_intermediate_prediction_log_degenerate(default_params):
         intermediate_prediction(0.0, 0.0, 1.5, default_params)
     with pytest.raises(ValueError, match="t < T"):
         intermediate_prediction(0.0, 1.0, 0.5, default_params)
-
-
-def test_intermediate_grad_prediction(default_params):
-    p = default_params
-    s = 1e-4
-    assert intermediate_grad_prediction(0.0, 0.0, s, p).value == 0.0
-    x = np.sqrt(s * abs(np.log(s)))  # profile argument exactly 1
-    pred = intermediate_grad_prediction(x, 0.0, s, p)
-    expected = s ** (-5.0 / 6.0) / np.sqrt(abs(np.log(s))) * grad_f_profile(1.0, p)
-    assert pred.value == pytest.approx(expected, rel=1e-13)
-    assert pred.envelope > 0.0
 
 
 def test_envelope_ratio_constant_when_beta_zero():

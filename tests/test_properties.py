@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blowlab.config import build_run_config, parse_config_text
-from blowlab.fields import BOUNDARIES, RadialField, RadialGrid, nonlocal_prefix, write_csv
+from blowlab.fields import (BOUNDARIES, GridGeometry, RadialField, RadialGrid,
+                            _nonlocal_prefix_values, write_csv)
 from blowlab.params import beta_window, q_bounds, validate
 from blowlab.solver import (
     STATUS_BUDGET,
@@ -102,7 +103,7 @@ def test_nonlocal_prefix_is_nondecreasing_from_zero(params, M, data):
     grid = RadialGrid(R=data.draw(st.floats(0.1, 10.0), label="R"), M=M, dim=params.dim)
     values = data.draw(arrays(np.float64, M + 1, elements=st.floats(-1e3, 1e3)),
                        label="values")
-    J = nonlocal_prefix(RadialField(grid, values), params)
+    J = _nonlocal_prefix_values(np.abs(values), GridGeometry.of(grid), params.q)
     assert J[0] == 0.0
     assert np.all(np.diff(J) >= 0.0)
 

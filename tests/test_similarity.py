@@ -13,7 +13,6 @@ from blowlab.similarity import (
     frame_report,
     scale_radius,
     scale_radius_inverse,
-    t0_of_x0,
     threshold_check,
     time_scale_of_x0,
     v_sharp_behavior,
@@ -48,34 +47,30 @@ def test_t0_forward_example():
     assert x0 == pytest.approx(0.33245162725382199, rel=1e-14)
     s = time_scale_of_x0(x0, 4.0, 1.0)
     assert abs(s - 1e-3) / 1e-3 < 1e-12
-    assert t0_of_x0(x0, 4.0, 1.0) == pytest.approx(1.0 - 1e-3, abs=1e-13)
+    assert 1.0 - time_scale_of_x0(x0, 4.0, 1.0) == pytest.approx(1.0 - 1e-3, abs=1e-13)
 
 
 def test_t0_goes_to_T_as_x0_shrinks():
     t_prev = -np.inf
     for x0 in (0.3, 0.1, 0.03, 1e-3, 1e-6):
-        t0 = t0_of_x0(x0, 4.0, 1.0)
+        t0 = 1.0 - time_scale_of_x0(x0, 4.0, 1.0)
         assert t0 > t_prev
         t_prev = t0
-    assert 1.0 - t0_of_x0(1e-9, 4.0, 1.0) < 1e-12
+    assert time_scale_of_x0(1e-9, 4.0, 1.0) < 1e-12
 
 
 def test_t0_plateau_branch():
     delta = default_delta(4.0)
-    assert t0_of_x0(2.0 * delta, 4.0, 1.0) == t0_of_x0(delta, 4.0, 1.0)
+    assert time_scale_of_x0(2.0 * delta, 4.0, 1.0) == time_scale_of_x0(delta, 4.0, 1.0)
     assert time_scale_of_x0(2.0 * delta, 4.0, 1.0) == pytest.approx(np.exp(-2.0), rel=1e-12)
 
 
 def test_t0_error_cases():
     with pytest.raises(ValueError, match="nonzero"):
-        t0_of_x0(0.0, 4.0, 1.0)
-    # beyond the peak of the scale map (delta raised so no plateau rescue)
-    peak = scale_radius(np.exp(-1.0), 4.0)
-    with pytest.raises(ValueError, match="non-monotone"):
-        t0_of_x0(2.0 * peak, 4.0, 1.0, delta=3.0 * peak)
+        time_scale_of_x0(0.0, 4.0, 1.0)
     # reachable scale but before t=0
     with pytest.raises(ValueError, match="unreachable"):
-        t0_of_x0(0.3, 4.0, T=1e-4, delta=10.0)
+        time_scale_of_x0(0.3, 4.0, T=1e-4)
 
 
 def test_t0_round_trip_sample():
@@ -203,10 +198,7 @@ def test_boundedness_report(default_params):
     v[:, 0] = 7.0   # outside |xi| <= 1
     w = 0.5 * np.ones((10, 21))
     frame = _manual_frame(default_params, v, w, tau, xi)
-    assert boundedness_report(frame, 1.0) == pytest.approx(1.5)
-    assert boundedness_report(frame, 2.0) == pytest.approx(7.5)
-    with pytest.raises(ValueError):
-        boundedness_report(frame, 5.0)
+    assert boundedness_report(frame) == pytest.approx(1.5)
 
 
 def test_coverage_gap_errors(default_params):
@@ -217,12 +209,6 @@ def test_coverage_gap_errors(default_params):
     # anchor with T-t0 ~ 7.9e-4 lies past the last snapshot (T-t = 1e-2)
     with pytest.raises(CoverageGapError):
         extract_frame(traj, x0=0.3, K0=4.0, T=T_REF)
-    # explicit tau grid beyond coverage
-    traj2 = synthetic_trajectory(
-        default_params, lambda r, s: np.full(len(r), kappa * s ** (-1.0 / 3.0)),
-        s_hi=0.9, s_lo=4e-4, n_snap=120)
-    with pytest.raises(CoverageGapError, match="coverage gap"):
-        extract_frame(traj2, x0=0.3, K0=4.0, T=T_REF, tau_grid=[0.0, 0.5, 0.999999])
 
 
 def test_frame_rejects_origin(default_params):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from blowlab import solver
-from blowlab.fields import RadialField, RadialGrid, sphere_area
+from blowlab.fields import GridGeometry, RadialField, RadialGrid, _laplacian_values, sphere_area
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
@@ -23,7 +23,6 @@ from blowlab.solver import (
     estimate_T,
     load_snapshots,
     profile_seeded_field,
-    rhs,
     run_until_blowup,
     save_snapshots,
     trajectory_to_csv,
@@ -41,26 +40,35 @@ def quiet_config(grid, params, **kw):
     return SolverConfig(grid=grid, params=params, **kw)
 
 
+def full_rhs(field, params, boundary):
+    """The right-hand side the step integrates: the Laplacian plus the
+    explicit term, from the kernels a step calls."""
+    geom = GridGeometry.of(field.grid)
+    out = np.empty(field.grid.M + 1)
+    solver._explicit_values(field.values, solver._Terms([params], geom), boundary, out)
+    return out + _laplacian_values(field.values, geom, boundary)
+
+
 def test_rhs_constant_field_is_pure_reaction(heat_params, default_params):
     g = RadialGrid(R=1.0, M=32, dim=1)
     c = 1.7
     u = RadialField(g, np.full(g.M + 1, c))
-    out = rhs(u, heat_params, boundary="neumann-zero").values
+    out = full_rhs(u, heat_params, boundary="neumann-zero")
     assert np.allclose(out, c ** 4, rtol=1e-13)
     # gradient term vanishes on constants even with mu != 0
-    out_mu = rhs(u, default_params, boundary="neumann-zero").values
+    out_mu = full_rhs(u, default_params, boundary="neumann-zero")
     assert np.allclose(out_mu, c ** 4, rtol=1e-13)
 
 
 def test_rhs_matches_fine_grid_oracle():
-    """Full rhs (mu=1) on the profile shape agrees with a 10x finer grid at
+    """The full right-hand side (mu=1) on the profile shape agrees with a 10x finer grid at
     the shared interior nodes to O(h^2)."""
     params = validate(p=4.0, q=3.0, mu=1.0, dim=1)
 
     def rhs_values(M):
         g = RadialGrid(R=1.0, M=M, dim=1)
         u = RadialField(g, f_profile(g.r, params))
-        return rhs(u, params, boundary="neumann-zero").values
+        return full_rhs(u, params, boundary="neumann-zero")
 
     coarse = rhs_values(128)
     fine = rhs_values(1280)[::10]
@@ -267,6 +275,14 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
     _rewrite_archive(path, config=np.array("{}"))
     with pytest.raises(CheckpointError, match="corrupted"):
         load_snapshots(path)
+    n = len(small_run.snapshots)
+    for changes, counts in (({"times": small_run.times[:-1]}, f"{n - 1} snapshot times for {n}"),
+                            ({"times": np.empty(0), "values": np.empty((0, 257))},
+                             "0 snapshot times for 0")):
+        path.write_bytes(whole)
+        _rewrite_archive(path, **changes)
+        with pytest.raises(CheckpointError, match=f"corrupted .*: {counts} snapshots"):
+            load_snapshots(path)
 
 
 def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
@@ -297,23 +313,34 @@ def test_cap_is_checked_before_the_budget(default_params):
 
 
 def test_stop_hook_gets_each_run_as_it_stops_and_keeps_none(default_params):
-    """``_advance`` hands each run to its stop hook, with the run's place in
-    the input, as the run leaves the batch, and holds it no longer: by the
-    time the second run stops, the first is gone."""
+    """``_advance`` hands each run to its stop hook once, with the run's
+    place in the input, as the run leaves the batch, and holds it no longer:
+    by the time a run stops, the runs before it are gone.  The third run's
+    step 183 overflows while the others step on: it leaves through the same
+    exit, with its last finite field and no history row for the rejected
+    step, and each run is the same run stepped alone."""
     grid = RadialGrid(R=1.0, M=32, dim=1)
     u0 = profile_seeded_field(grid, default_params, t_star=0.01)
-    configs = [SolverConfig(grid=grid, params=default_params, blowup_cap=cap)
-               for cap in (1e4, 1e3)]
+    runs = [(u0, SolverConfig(grid=grid, params=default_params, blowup_cap=cap))
+            for cap in (1e4, 1e3)]
+    runs.append((RadialField(grid, np.full(grid.M + 1, 1e76)),
+                 SolverConfig(grid=grid, params=default_params, blowup_cap=1e300)))
+    statuses = [STATUS_BLOWN_UP, STATUS_BLOWN_UP, STATUS_OVERFLOWED]
     stopped = []
 
     def on_stop(position, trajectory):
-        assert trajectory.status == STATUS_BLOWN_UP
+        assert all(ref() is None for _, ref in stopped)
+        assert trajectory.status == statuses[position]
+        assert_same_steps(trajectory, run_until_blowup(*runs[position]))
+        hist, last = trajectory.maxnorm_history, trajectory.last_field
+        assert np.all(np.isfinite(hist)) and np.all(np.isfinite(last.values))
+        assert last.time == hist[-1, 0]
+        assert np.max(np.abs(last.values)) == hist[-1, 1]
+        assert position != 2 or len(hist) == 183
         stopped.append((position, weakref.ref(trajectory)))
-        if len(stopped) == 2:
-            assert stopped[0][1]() is None
 
-    solver._advance((Trajectory.start(u0, config) for config in configs), on_stop)
-    assert [position for position, _ in stopped] == [1, 0]
+    solver._advance((Trajectory.start(u0, config) for u0, config in runs), on_stop)
+    assert [position for position, _ in stopped] == [2, 1, 0]
 
 
 def test_history_block_size_leaves_runs_unchanged(default_params, monkeypatch):
@@ -497,8 +524,6 @@ def test_grid_params_dim_mismatch_is_rejected(default_params):
     grid = RadialGrid(R=1.0, M=16, dim=2)
     with pytest.raises(ValueError, match="dim"):
         SolverConfig(grid=grid, params=default_params)
-    with pytest.raises(ValueError, match="dim"):
-        rhs(RadialField(grid, np.ones(grid.M + 1)), default_params)
 
 
 # ------------------------------------------------------ artifact writes
