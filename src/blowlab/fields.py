@@ -46,10 +46,13 @@ class RadialGrid:
     dim: int = 1
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
         if self.M < 8:
             raise ValueError(f"M must be >= 8, got {self.M}")
+        # GridGeometry takes 1/h^2, which a tiny R turns into 1/0 or an overflow
+        if not (0.0 < self.R < math.inf and self.h * self.h > 0.0
+                and math.isfinite(1.0 / (self.h * self.h))):
+            raise ValueError(f"R must be finite and positive with a finite 1/h^2 "
+                             f"(h = R/M), got R={self.R}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 

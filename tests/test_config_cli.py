@@ -130,6 +130,18 @@ def test_run_refuses_a_bad_cap_or_t_max(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("R", ["inf", "1e-300"], ids=["R-inf", "R-h2-underflows"])
+def test_run_refuses_an_R_without_a_finite_1_over_h2(tmp_path, capsys, R):
+    """R = inf puts inf and nan in the grid's r, and R = 1e-300 makes
+    h^2 = (R/M)^2 underflow to 0: both are config errors, not tracebacks."""
+    path = write_config(tmp_path, TINY_CONFIG.replace("R = 1.0", f"R = {R}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: R must be finite and positive with a "
+                                       f"finite 1/h^2 (h = R/M), got R={float(R)}\n")
+    assert not out.exists()
+
+
 def test_run_param_override_flags(capsys):
     assert main(["run", "--dry-run", "--p", "5", "--q", "4"]) == 0
     out = capsys.readouterr().out
@@ -378,12 +390,15 @@ def test_verify_json_output(capsys):
 
 
 def test_import_leaves_quadrature_unloaded_and_verify_passes():
-    """``import blowlab.cli`` loads neither scipy.integrate nor
-    scipy.optimize; ``verify`` still passes in that process, importing the
-    quadrature when the singular-integral sweep first needs it."""
+    """A fresh interpreter loads neither scipy.integrate nor scipy.optimize
+    (about 25 MB of peak RSS) on ``import blowlab.cli`` or while ``verify``
+    runs and passes: the singular integral is a fixed rule in numpy."""
     code = ("import sys, blowlab, blowlab.cli\n"
-            "assert not {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
-            "sys.exit(blowlab.cli.main(['verify']))\n")
+            "unloaded = lambda: not {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
+            "assert unloaded()\n"
+            "status = blowlab.cli.main(['verify'])\n"
+            "assert unloaded()\n"
+            "sys.exit(status)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(blowlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -435,6 +450,16 @@ def test_sweep_records_a_bad_cap_or_t_max_as_config_error(tmp_path):
     assert [row["error"] for row in rows[:3]] == [
         "blowup_cap must be finite and positive, got -1.0"] * 2 + [
         "t_max must be none or positive, got -1.0"]
+
+
+def test_sweep_records_a_tiny_R_as_config_error(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path), "--grid", "R=1e-300:1:2",
+                 "--out", str(out), "--workers", "1"]) == 0
+    rows = _summary_rows(out)
+    assert [row["status"] for row in rows] == ["config-error", "blown-up"]
+    assert rows[0]["error"] == ("R must be finite and positive with a finite 1/h^2 "
+                                "(h = R/M), got R=1e-300")
 
 
 def test_sweep_refuses_non_integral_int_keys(tmp_path):

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from blowlab import lemmas
@@ -30,6 +31,9 @@ from blowlab.similarity import S_TURN, scale_radius
 from blowlab.solver import STATUS_BLOWN_UP, SolverConfig, Trajectory
 
 CLOSED_FORM_HALF = 1.762747174039086  # 2 asinh(1), alpha=theta=tau=1/2
+# alpha=1/2, theta=1/4, tau = 1 - 1e-12: tau^(1/2)/(1/2) 2F1(1/4, 1; 3/2; tau) by
+# mpmath at 50 digits; an mpmath quad with breakpoints agrees to all 50
+CORNER_TAU_TO_ONE = 3.9976037327824336
 
 
 def test_integral_case_classification():
@@ -55,12 +59,50 @@ def test_integral_numeric_closed_form_spot():
 
 
 def test_integral_numeric_tau_to_one_limit():
-    # alpha=1/2, theta=1/4: I -> int_0^1 (1-s)^{-3/4} = 4
+    # alpha=1/2, theta=1/4: I -> int_0^1 (1-s)^{-3/4} = 4, approached like
+    # (1-tau)^(1/4), so at tau = 1 - 1e-12 the integral is still 2.4e-3 short
     vals = [integral_I_numeric(IntegralCase(0.5, 0.25, tau))
             for tau in (0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-12)]
     assert np.all(np.diff(vals) > 0.0)
-    assert vals[-1] == pytest.approx(4.0, abs=1e-6)
+    assert vals[-1] == pytest.approx(CORNER_TAU_TO_ONE, rel=1e-12)
     assert max(vals) <= 4.0 + 1e-9
+
+
+def test_integral_numeric_matches_adaptive_quadrature_on_the_sweep():
+    """On the sweep's 400 cases with tau > 0, where QUADPACK is accurate,
+    the fixed rule agrees with it on the same integrand."""
+    for alpha, theta, tau, numeric, _bound, _ok in integral_sweep().rows:
+        if tau == 0.0:
+            assert numeric == 0.0
+            continue
+        m = 1.0 / (1.0 - alpha)
+        reference, _err = quad(lambda sigma: m * (1.0 - tau + sigma ** m) ** -theta, 0.0,
+                               tau ** (1.0 - alpha), epsabs=1e-10, epsrel=1e-12, limit=200)
+        assert numeric == pytest.approx(reference, rel=1e-12)
+
+
+# tau^(1-alpha)/(1-alpha) 2F1(theta, 1; 2-alpha; tau) evaluated by mpmath at 50
+# digits on the float tau; an mpmath quad of the substituted integrand, with
+# breakpoints at (1-tau)^(1-alpha) times 0.01, 0.1, 1 and 10, agrees to 1e-50.
+@pytest.mark.parametrize("alpha, theta, tau, exact", [
+    (0.989, 0.772, 1.0 - 2.6e-12, 59852826657.76851),
+    (0.982, 1.807, 1.0 - 1.0e-11, 2.6128447899247367e21),
+    (0.5, 0.25, 1.0 - 1e-12, CORNER_TAU_TO_ONE),
+], ids=["alpha-0.989", "alpha-0.982", "tau-to-one"])
+def test_integral_numeric_at_the_corners_near_tau_one(alpha, theta, tau, exact):
+    """Where 1 - tau is small and m theta large, the integrand falls steeply
+    out of its layer at sigma = 0: these corners set the rule's step."""
+    assert integral_I_numeric(IntegralCase(alpha, theta, tau)) == pytest.approx(exact, rel=1e-8)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 1.0 - 1e-12))
+def test_integral_numeric_is_finite_and_under_its_bound(alpha, theta, tau):
+    case = IntegralCase(alpha, theta, tau)
+    value = integral_I_numeric(case)
+    assert math.isfinite(value) and value >= 0.0
+    assert value <= integral_I_bound(case) * (1.0 + 1e-9)
 
 
 def test_integral_bound_values():
