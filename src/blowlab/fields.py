@@ -6,16 +6,20 @@ r_i = i*h, i = 0..M.  The even extension across r = 0 fixes the origin
 closure of every operator; the closure at r = R is selected by the solver's
 boundary mode ("dirichlet-zero" or "neumann-zero").
 
-The kernels (``_laplacian_values``, ``_gradient_values``,
-``_nonlocal_prefix_values``) take node values, not a :class:`RadialField`:
-one field as a 1-D array of its M+1 nodes, or k fields as one contiguous
-padded (k, M+3) block.  Each row of a block holds a field's nodes and then
-``SEPARATORS`` cells, the layout of the solver's block-diagonal system.
-A kernel runs its stencil on the flattened buffer, with the per-node arrays
-of :meth:`GridGeometry.stacked` laid out along it, and sets the cells at
-r = 0 and r = R of every row through column views.  What it leaves in the
-separator cells means nothing; every node gets exactly the arithmetic it
-gets in a 1-D field.
+The discrete Laplacian L has one definition, the tridiagonal bands of
+:func:`_laplacian_bands`: the implicit solve factors them and ``verify``'s
+heat-semigroup check diagonalizes them.  No kernel applies L to a field;
+the step recovers its L term from its first stage (see ``solver``).
+
+The kernels (``_gradient_values``, ``_nonlocal_prefix_values``) take node
+values, not a :class:`RadialField`: one field as a 1-D array of its M+1
+nodes, or k fields as one contiguous padded (k, M+3) block.  Each row of a
+block holds a field's nodes and then ``SEPARATORS`` cells, the layout of
+the solver's block-diagonal system.  A kernel runs its stencil on the
+flattened buffer, with the per-node arrays of :meth:`GridGeometry.stacked`
+laid out along it, and sets the cells at r = 0 and r = R of every row
+through column views.  What it leaves in the separator cells means
+nothing; every node gets exactly the arithmetic it gets in a 1-D field.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ class RadialGrid:
     def __post_init__(self):
         if self.M < 8:
             raise ValueError(f"M must be >= 8, got {self.M}")
-        # GridGeometry takes 1/h^2, which a tiny R turns into 1/0 or an overflow
+        # the Laplacian's bands take 1/h^2, which a tiny R turns into 1/0 or an overflow
         if not (0.0 < self.R < math.inf and self.h * self.h > 0.0
                 and math.isfinite(1.0 / (self.h * self.h))):
             raise ValueError(f"R must be finite and positive with a finite 1/h^2 "
@@ -67,49 +71,40 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """The fixed arrays and constants of the discrete operators on one grid.
+    """The fixed arrays and constants of the gradient and ball-integral
+    kernels on one grid.
 
-    Built once per run and passed to the kernels, so the step loop never
+    Built once per batch and passed to the kernels, so the step loop never
     recomputes them.  Each entry is the exact expression the kernels would
     otherwise evaluate per call, which keeps the kernels' output
     bit-identical.
     """
 
     h: float
-    dim: int
     dr: np.ndarray               # np.diff(r): the trapezoid panel widths
     r_pow: np.ndarray | None     # r^(dim-1), ball-integral weight; None when dim == 1
-    lap_coef: np.ndarray | None  # (dim-1)/r at the interior nodes; None when dim == 1
     area: float                  # sphere_area(dim)
-    inv_h2: float                # 1/h^2
 
     @classmethod
     def of(cls, grid: RadialGrid) -> "GridGeometry":
-        h = grid.h
         r = grid.r
-        r_pow = lap_coef = None
-        if grid.dim > 1:
-            r_pow = r ** (grid.dim - 1.0)
-            lap_coef = (grid.dim - 1.0) / (np.arange(1, grid.M, dtype=float) * h)
-        return cls(h=h, dim=grid.dim, dr=np.diff(r), r_pow=r_pow, lap_coef=lap_coef,
-                   area=sphere_area(grid.dim), inv_h2=1.0 / (h * h))
+        r_pow = r ** (grid.dim - 1.0) if grid.dim > 1 else None
+        return cls(h=grid.h, dr=np.diff(r), r_pow=r_pow, area=sphere_area(grid.dim))
 
     def stacked(self, rows: int) -> "GridGeometry":
-        """The geometry of ``rows`` fields held as one padded block: ``dr``,
-        ``r_pow`` and ``lap_coef`` laid out along the flattened block, as the
-        kernels' flat stencils read them, with zeros where no node is."""
+        """The geometry of ``rows`` fields held as one padded block: ``dr``
+        and ``r_pow`` laid out along the flattened block, as the kernels'
+        flat stencils read them, with zeros where no node is."""
         width = len(self.dr) + 1 + SEPARATORS
         return replace(self, dr=_tiled(self.dr, rows, width)[:-1],
-                       r_pow=None if self.r_pow is None else _tiled(self.r_pow, rows, width),
-                       lap_coef=None if self.lap_coef is None
-                       else _tiled(self.lap_coef, rows, width, first=1)[1:-1])
+                       r_pow=None if self.r_pow is None else _tiled(self.r_pow, rows, width))
 
 
-def _tiled(values: np.ndarray, rows: int, width: int, first: int = 0) -> np.ndarray:
-    """``values[j]``, the entry of node ``first + j``, in every row of a
+def _tiled(values: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """``values``, the entries of a row's first cells, in every row of a
     flattened padded block of ``rows`` rows of ``width`` cells; 0 elsewhere."""
     row = np.zeros(width)
-    row[first:first + len(values)] = values
+    row[:len(values)] = values
     return np.tile(row, rows)
 
 
@@ -144,49 +139,6 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def _laplacian_values(u: np.ndarray, geom: GridGeometry, boundary: str,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Radial Laplacian u'' + (dim-1)/r u' on the node values of one field
-    or of a padded block (see the module docstring; ``geom`` is then
-    :meth:`GridGeometry.stacked`).  ``u.T[i]`` is node i of every row, a
-    scalar for one 1-D field, which numpy handles faster than a one-element
-    array.
-
-    Origin: the removable singularity gives dim * u''(0), discretized with
-    the even-symmetry ghost node.  r = R: per the boundary closure.  Writes
-    into ``out`` when given.
-    """
-    if out is None:
-        out = np.empty_like(u)
-    inv_h2 = geom.inv_h2
-    flat = _flat(u)
-    # interior second derivative + first-derivative term, written in place:
-    # (u[i+1] - 2 u[i] + u[i-1]) / h^2 + (dim-1)/r_i (u[i+1] - u[i-1]) / (2h)
-    inner = _flat(out)[1:-1]
-    np.multiply(flat[1:-1], 2.0, out=inner)
-    np.subtract(flat[2:], inner, out=inner)
-    inner += flat[:-2]
-    inner *= inv_h2
-    if geom.lap_coef is not None:
-        drift = flat[2:] - flat[:-2]
-        drift *= geom.lap_coef
-        drift /= 2.0 * geom.h
-        inner += drift
-    node, out_node = u.T, out.T
-    last = _last_node(u)
-    # origin: ghost u(-h) = u(h)
-    out_node[0] = 2.0 * geom.dim * (node[1] - node[0]) * inv_h2
-    if boundary == BOUNDARY_DIRICHLET:
-        # boundary node is pinned; its time derivative is forced to zero
-        out_node[last] = 0.0
-    elif boundary == BOUNDARY_NEUMANN:
-        # ghost u(R+h) = u(R-h); the (dim-1)/r u' term vanishes with u'(R)=0
-        out_node[last] = 2.0 * (node[last - 1] - node[last]) * inv_h2
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
-    return out
-
-
 def _flat(u: np.ndarray) -> np.ndarray:
     """The buffer of a 1-D field or of a contiguous padded block, as 1-D."""
     return u if u.ndim == 1 else u.reshape(-1)
@@ -198,35 +150,37 @@ def _last_node(u: np.ndarray) -> int:
     return -1 if u.ndim == 1 else -1 - SEPARATORS
 
 
-def _laplacian_bands(geom: GridGeometry, boundary: str) -> tuple[np.ndarray, ...]:
-    """(lower, diagonal, upper) bands of the matrix that :func:`_laplacian_values`
-    applies: the same ghost-node origin row and closure row, so the matrix is
-    tridiagonal for every ``dim``.  Each entry is the stencil's own value on
-    a unit vector."""
-    inv_h2 = geom.inv_h2
-    n = len(geom.dr) + 1
-    lower = np.full(n - 1, inv_h2)
-    diagonal = np.full(n, -2.0 * inv_h2)
-    upper = np.full(n - 1, inv_h2)
-    if geom.lap_coef is not None:
-        drift = geom.lap_coef / (2.0 * geom.h)
+def _laplacian_bands(grid: RadialGrid, boundary: str) -> tuple[np.ndarray, ...]:
+    """(lower, diagonal, upper) bands of L, the discrete radial Laplacian
+    u'' + (dim-1)/r u': central differences inside; at the origin dim * u''(0)
+    with the even ghost u(-h) = u(h); at r = R a zero row (dirichlet, the
+    node is pinned) or the ghost u(R+h) = u(R-h), where u'(R) = 0 drops the
+    (dim-1)/r u' term (neumann).  Tridiagonal for every ``dim``."""
+    h = grid.h
+    c = 1.0 / (h * h)
+    n = grid.M + 1
+    lower = np.full(n - 1, c)
+    diagonal = np.full(n, -2.0 * c)
+    upper = np.full(n - 1, c)
+    if grid.dim > 1:
+        drift = (grid.dim - 1.0) / (np.arange(1, grid.M, dtype=float) * h) / (2.0 * h)
         lower[:-1] -= drift  # rows 1..M-1
         upper[1:] += drift
-    diagonal[0] = -2.0 * geom.dim * inv_h2
-    upper[0] = 2.0 * geom.dim * inv_h2
+    diagonal[0] = -2.0 * grid.dim * c
+    upper[0] = 2.0 * grid.dim * c
     if boundary == BOUNDARY_DIRICHLET:
         lower[-1] = diagonal[-1] = 0.0
     elif boundary == BOUNDARY_NEUMANN:
-        lower[-1] = 2.0 * inv_h2
+        lower[-1] = 2.0 * c
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
     return lower, diagonal, upper
 
 
 def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """Radial derivative of one field or of a padded block (as
-    :func:`_laplacian_values`): central interior, 0 at the origin by
-    symmetry, second-order one-sided at r = R (0 under the neumann closure)."""
+    """Radial derivative of one field or of a padded block (see the module
+    docstring): central interior, 0 at the origin by symmetry, second-order
+    one-sided at r = R (0 under the neumann closure)."""
     out = np.empty_like(u)
     flat = _flat(u)
     inner = _flat(out)[1:-1]
@@ -245,7 +199,7 @@ def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
 def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
                             q: float | list) -> np.ndarray:
     """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr of one
-    field or of a padded block (as :func:`_laplacian_values`).
+    field or of a padded block (as :func:`_gradient_values`).
 
     Takes |u| (the right-hand side computes it once for both of its terms).
     ``q`` is a float, or for a block a list of (rows, q) pairs that cover

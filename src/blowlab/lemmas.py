@@ -405,10 +405,10 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
     each time and measure its smoothing ratios.
 
     L is the tridiagonal matrix of the neumann-zero closure of the radial
-    Laplacian, from the stencil's bands in :mod:`blowlab.fields`.  Its rows
-    sum to zero and, for dim <= 3, its off-diagonal entries are
-    nonnegative, so S(t) keeps the maximum principle exactly: the sup ratio
-    exceeds 1 only by rounding.
+    Laplacian, ``fields._laplacian_bands``, which the step's implicit solve
+    factors too.  Its rows sum to zero and, for dim <= 3, its off-diagonal
+    entries are nonnegative, so S(t) keeps the maximum principle exactly:
+    the sup ratio exceeds 1 only by rounding.
 
     For dim 1 and 2 every coupling lower_i * upper_i is positive, so with
     d_0 = 1 and d_(i+1)/d_i = sqrt(upper_i/lower_i), T = D L D^-1 is
@@ -438,7 +438,7 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
         by_grid.setdefault(f0.grid, []).append((f0.values, norm0))
     sup_ratios, grad_ratios = [], []
     for grid, group in by_grid.items():
-        lower, diagonal, upper = _laplacian_bands(GridGeometry.of(grid), BOUNDARY_NEUMANN)
+        lower, diagonal, upper = _laplacian_bands(grid, BOUNDARY_NEUMANN)
         coupling = lower * upper
         if not np.all(coupling > 0.0):
             raise ValueError(f"the heat-semigroup check needs dim 1 or 2, got dim={grid.dim}")

@@ -6,17 +6,23 @@ The right-hand side is
 
 with J the running ball integral of |u|^(q-1).  Stepping is the IMEX
 scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997):
-the Laplacian is implicit, as the tridiagonal matrix L of its stencil
-(``fields._laplacian_bands``), and the rest, N(u) = |u|^(p-1) u +
-mu * |du/dr| * J, is explicit.  With gamma = 1 - 1/sqrt(2) and
-delta = 1 - 1/(2*gamma), one step from u solves twice with one matrix:
+the Laplacian is implicit, as the tridiagonal matrix L whose bands
+``fields._laplacian_bands`` builds, the one definition of L, and the rest,
+N(u) = |u|^(p-1) u + mu * |du/dr| * J, is explicit.  With
+gamma = 1 - 1/sqrt(2) and delta = 1 - 1/(2*gamma), one step from u solves
+twice with one matrix:
 
-    (I - gamma*dt*L) Y     = u + gamma*dt*N(u)
-    (I - gamma*dt*L) u_new = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y)
+    (I - gamma*dt*L) Y     = b1 = u + gamma*dt*N(u)
+    (I - gamma*dt*L) u_new = b2 = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y)
 
-The scheme is second order, L-stable and stiffly accurate (u_new is the
-last stage).  Diffusion puts no bound on the step, so the step-size law
-has one branch, the local reaction time scale,
+L is never applied to Y: the first solve gives Y - b1 = gamma*dt*L Y, so
+
+    b2 = u + ((1-gamma)/gamma)*(Y - u) + dt*((delta - (1-gamma))*N(u) + (1-delta)*N(Y)),
+
+which is the same b2 in exact arithmetic and needs neither b1 nor a
+stencil.  The scheme is second order, L-stable and stiffly accurate
+(u_new is the last stage).  Diffusion puts no bound on the step, so the
+step-size law has one branch, the local reaction time scale,
 
     dt = dt_safety / (1 + p * supnorm^(p-1)),
 
@@ -30,12 +36,13 @@ and every kernel works on that memory (see ``fields``).  Each row keeps
 its own parameters and its own scalars as Python floats (step size,
 Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
 when it stops.  A single run is a batch of one (:func:`run_until_blowup`,
-:func:`continue_run`), stepped as a 1-D field by the same kernels.  Every row is bit-identical
-to its run stepped alone: ``_Terms`` and ``_Batch`` say what that takes.
-``_advance`` builds the grid's fixed geometry, the Laplacian bands and
-reused buffers once per batch and holds one ``np.errstate`` scope around
-the step loop.  Runs are deterministic: identical config and initial data
-give bit-identical trajectories, alone or in any batch.
+:func:`continue_run`), stepped as a 1-D field by the same kernels.
+Every row is bit-identical to its run stepped alone: ``_Terms`` and
+``_Batch`` say what that takes.  ``_Batch`` builds the grid's fixed
+geometry, the Laplacian bands and reused buffers once per batch, and
+``_advance`` holds one ``np.errstate`` scope around the step loop.  Runs
+are deterministic: identical config and initial data give bit-identical
+trajectories, alone or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -44,11 +51,12 @@ own dt; time-to-end quantities are reconstructed by summing dt backwards,
 which stays exact where absolute time cannot.
 
 The history is one (n, 4) float64 array that ``_advance`` builds from
-blocks of ``HISTORY_BLOCK`` rows.  A run stops at the cap, at ``t_max`` or
-at its step budget (``budget-exhausted``, resumable), checked in that order,
-or as ``overflowed`` when its step size collapses or a step leaves its
-field non-finite (that step is rejected).  Every stop is found before the
-next step, and the run leaves the batch there.
+blocks of ``HISTORY_BLOCK`` rows.  A run stops at the cap, on a field that
+is exactly zero (``decayed``: zero is a fixed point of the equation), at
+``t_max`` or at its step budget (``budget-exhausted``, resumable), checked
+in that order, or as ``overflowed`` when its step size collapses or a step
+leaves its field non-finite (that step is rejected).  Every stop is found
+before the next step, and the run leaves the batch there.
 
 A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
 snapshots, dense history, status, config, the time accumulator's Kahan
@@ -77,7 +85,6 @@ from .fields import (
     RadialGrid,
     _gradient_values,
     _laplacian_bands,
-    _laplacian_values,
     _last_node,
     _nonlocal_prefix_values,
     _sup_values,
@@ -100,6 +107,7 @@ STATUS_BLOWN_UP = "blown-up"
 STATUS_COMPLETED = "completed"
 STATUS_OVERFLOWED = "overflowed"
 STATUS_BUDGET = "budget-exhausted"
+STATUS_DECAYED = "decayed"
 
 HISTORY_BLOCK = 4096  # history rows buffered as tuples before a flush to floats
 
@@ -342,17 +350,16 @@ class _Batch:
     for one-element arrays.
     """
 
-    def __init__(self, params: list[ModelParams], geom: GridGeometry, boundary: str):
-        k, n = len(params), len(geom.dr) + 1
+    def __init__(self, params: list[ModelParams], grid: RadialGrid, boundary: str):
+        k, n = len(params), grid.M + 1
         self.single = k == 1
-        self.terms = _Terms(params, geom)
-        self.geom = geom if self.single else geom.stacked(k)
+        self.terms = _Terms(params, GridGeometry.of(grid))
         self.boundary = boundary
         self.width = n + SEPARATORS
         # -L's off-diagonals and L's diagonal along the flattened system, with
         # +0 coupling and a 0 diagonal in the separators' rows: scaled by
         # gamma*dt >= 0, they give those rows' identity and +0 coupling
-        lower, diagonal, upper = _laplacian_bands(geom, boundary)
+        lower, diagonal, upper = _laplacian_bands(grid, boundary)
         if not self.single:
             lower, diagonal, upper = (_tiled(lower, k, self.width)[:-1],
                                       _tiled(diagonal, k, self.width),
@@ -378,7 +385,7 @@ def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     """One ARS(2,2,2) step (see the module docstring) of the batch's 1-D
     field ``u`` or of every row of its padded block ``u``, row i by
     ``dts[i]``."""
-    geom, boundary, terms = batch.geom, batch.boundary, batch.terms
+    boundary, terms = batch.boundary, batch.terms
     n1, n2 = batch.work
     b1, b2 = batch.sides
     # a single row multiplies by Python floats, as a scalar step does, and a
@@ -401,15 +408,16 @@ def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     _explicit_values(u, terms, boundary, out=n1)
     np.multiply(n1, gdt, out=b1)
     b1 += u
-    y = batch.solve(lu, 0)
+    y = batch.solve(lu, 0)  # overwrites b1
     _explicit_values(y, terms, boundary, out=n2)
-    _laplacian_values(y, geom, boundary, out=b2)
-    b2 *= 1.0 - _GAMMA
-    n1 *= _DELTA
-    b2 += n1
+    # stage two's (1-gamma)*dt*L Y, recovered from the first solve
+    np.subtract(y, u, out=b2)
+    b2 *= (1.0 - _GAMMA) / _GAMMA
+    n1 *= _DELTA - (1.0 - _GAMMA)
     n2 *= 1.0 - _DELTA
-    b2 += n2
-    b2 *= dt
+    n1 += n2
+    n1 *= dt
+    b2 += n1
     b2 += u
     return batch.solve(lu, 1)
 
@@ -441,10 +449,10 @@ def run_together(trajectories: list[Trajectory]) -> list[Trajectory]:
     """Step runs that share one grid and one boundary closure in lockstep,
     in place: fresh ones from :meth:`Trajectory.start` or resumed ones, as
     :func:`continue_run` takes them.  Each run comes out bit-identical to
-    the same run stepped alone; one that has blown up or overflowed is left
-    as it is."""
+    the same run stepped alone; one that has blown up, decayed or
+    overflowed is left as it is."""
     live = [traj for traj in trajectories
-            if traj.status not in (STATUS_BLOWN_UP, STATUS_OVERFLOWED)]
+            if traj.status not in (STATUS_BLOWN_UP, STATUS_DECAYED, STATUS_OVERFLOWED)]
     for traj in live:
         traj.status = STATUS_RUNNING
     _advance(live)
@@ -485,6 +493,8 @@ class _Row:
             return None
         if self.m >= self.cap:
             self.status = STATUS_BLOWN_UP
+        elif self.m == 0.0:
+            self.status = STATUS_DECAYED
         elif self.t_end is not None and self.t >= self.t_end:
             self.status = STATUS_COMPLETED
         elif self.step >= self.last_step:
@@ -570,10 +580,10 @@ def _advance(trajs, on_stop=None) -> None:
     """Step the runs in lockstep until each stops; see :func:`run_together`.
 
     Each step first lets every run that stops leave, then steps the rest as
-    the rows of one block.  A run stops at the cap, at ``t_max``, at its
-    budget, on a collapsed step size, or after a step that left its row
-    non-finite: that step is rejected, the row keeps its last field in the
-    new block and is ``overflowed``.  A step that leaves any row non-finite
+    the rows of one block.  A run stops at the cap, at a zero field, at
+    ``t_max``, at its budget, on a collapsed step size, or after a step
+    that left its row non-finite: that step is rejected, the row keeps its
+    last field in the new block and is ``overflowed``.  A step that leaves any row non-finite
     is taken again row by row, since a non-finite row reaches the others
     through the joint solve.  ``trajs`` may be any iterable;
     ``on_stop(i, trajectory)``, when given, is called as the i-th run
@@ -586,7 +596,6 @@ def _advance(trajs, on_stop=None) -> None:
     grid, boundary = rows[0].config.grid, rows[0].config.boundary
     if any(row.config.grid != grid or row.config.boundary != boundary for row in rows):
         raise ValueError("runs stepped together must share one grid and boundary closure")
-    geom = GridGeometry.of(grid)
     h = grid.h
     values = _block([row.values for row in rows])
     batch = None
@@ -608,7 +617,7 @@ def _advance(trajs, on_stop=None) -> None:
                 rows, dts, batch = [rows[i] for i in keep], [dts[i] for i in keep], None
                 values = _block([fields[i] for i in keep])
             if batch is None:
-                batch = _Batch([row.params for row in rows], geom, boundary)
+                batch = _Batch([row.params for row in rows], grid, boundary)
             try:
                 new_values = _ars222(values, dts, batch)
                 m, rarg = _sups(new_values, h)
@@ -616,7 +625,7 @@ def _advance(trajs, on_stop=None) -> None:
                 new_values, m, rarg = values, [math.nan] * len(rows), [0.0] * len(rows)
             # argmax of |u| finds the first nan or inf: a finite sup, a finite field
             if len(rows) > 1 and not all(map(math.isfinite, m)):
-                new_values, m, rarg = _step_alone(values, dts, rows, geom, boundary, h)
+                new_values, m, rarg = _step_alone(values, dts, rows, grid, boundary)
             fields = _fields(new_values)
             for i, row in enumerate(rows):
                 if math.isfinite(m[i]):
@@ -627,18 +636,18 @@ def _advance(trajs, on_stop=None) -> None:
             values = new_values
 
 
-def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], geom: GridGeometry,
-                boundary: str, h: float) -> tuple[np.ndarray, list[float], list[float]]:
+def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], grid: RadialGrid,
+                boundary: str) -> tuple[np.ndarray, list[float], list[float]]:
     """The step of each row of the padded block ``values`` taken by itself,
     as a new block; a row whose step fails gets a nan sup-norm."""
     new_values = np.zeros_like(values)
     m, rarg = [math.nan] * len(rows), [0.0] * len(rows)
     for i, (row, field, new) in enumerate(zip(rows, _fields(values), _fields(new_values))):
         try:
-            new[:] = _ars222(field, dts[i:i + 1], _Batch([row.params], geom, boundary))
+            new[:] = _ars222(field, dts[i:i + 1], _Batch([row.params], grid, boundary))
         except (NonFiniteFieldError, FloatingPointError):
             continue
-        m[i], rarg[i] = _sup_values(new, h)
+        m[i], rarg[i] = _sup_values(new, grid.h)
     return new_values, m, rarg
 
 

@@ -56,3 +56,28 @@ def assert_same_steps(a, b):
     for x, y in zip(a.snapshots + [a.last_field], b.snapshots + [b.last_field]):
         assert x.time == y.time
         assert x.values.tobytes() == y.values.tobytes()
+
+
+def ref_laplacian(u, h, dim, boundary):
+    """The radial Laplacian u'' + (dim-1)/r u' of one field, written out
+    apart from blowlab: central differences inside, the even ghost node
+    u(-h) = u(h) at the origin, and at r = R a zero row (dirichlet) or the
+    ghost u(R+h) = u(R-h) (neumann)."""
+    out = np.empty_like(u)
+    c = 1.0 / (h * h)
+    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * c
+    if dim > 1:
+        r = np.arange(1, len(u) - 1, dtype=float) * h
+        out[1:-1] += (dim - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * h)
+    out[0] = 2.0 * dim * (u[1] - u[0]) * c
+    if boundary == "dirichlet-zero":
+        out[-1] = 0.0
+    else:
+        out[-1] = 2.0 * (u[-2] - u[-1]) * c
+    return out
+
+
+def ref_laplacian_matrix(grid, boundary):
+    """The dense matrix of :func:`ref_laplacian`: its value on each unit vector."""
+    return np.apply_along_axis(ref_laplacian, 0, np.eye(grid.M + 1), grid.h, grid.dim,
+                               boundary)

@@ -10,8 +10,7 @@ from scipy.linalg import expm
 
 from blowlab import lemmas
 from blowlab.cli import _semigroup_cases
-from blowlab.fields import (BOUNDARY_NEUMANN, GridGeometry, RadialField, RadialGrid,
-                            _gradient_values, _laplacian_values)
+from blowlab.fields import BOUNDARY_NEUMANN, RadialField, RadialGrid, _gradient_values
 from blowlab.lemmas import (
     IntegralCase,
     StepFunction,
@@ -29,6 +28,7 @@ from blowlab.lemmas import (
 from blowlab.profiles import f_profile
 from blowlab.similarity import S_TURN, scale_radius
 from blowlab.solver import STATUS_BLOWN_UP, SolverConfig, Trajectory
+from conftest import ref_laplacian_matrix
 
 CLOSED_FORM_HALF = 1.762747174039086  # 2 asinh(1), alpha=theta=tau=1/2
 # alpha=1/2, theta=1/4, tau = 1 - 1e-12: tau^(1/2)/(1/2) 2F1(1/4, 1; 3/2; tau) by
@@ -324,13 +324,13 @@ def test_semigroup_nan_ratio_reaches_the_report():
 
 
 def _semigroup_with_expm(t_values, test_fields):
-    """Test oracle: L assembled from the stencil applied to unit vectors and
-    a dense scipy.linalg.expm(t L) taken anew for every field and time."""
+    """Test oracle: L assembled from the tests' reference Laplacian applied
+    to unit vectors and a dense scipy.linalg.expm(t L) taken anew for every
+    field and time."""
     max_sup = max_grad = -math.inf
     for f0 in test_fields:
         norm0 = float(np.max(np.abs(f0.values)))
-        L = np.apply_along_axis(_laplacian_values, 0, np.eye(f0.grid.M + 1),
-                                GridGeometry.of(f0.grid), BOUNDARY_NEUMANN)
+        L = ref_laplacian_matrix(f0.grid, BOUNDARY_NEUMANN)
         for t in t_values:
             u = expm(t * L) @ f0.values
             g = _gradient_values(u, f0.grid.h, BOUNDARY_NEUMANN)

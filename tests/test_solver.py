@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from blowlab import solver
-from blowlab.fields import GridGeometry, RadialField, RadialGrid, _laplacian_values, sphere_area
+from blowlab.fields import GridGeometry, RadialField, RadialGrid, sphere_area
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
     STATUS_BLOWN_UP,
     STATUS_BUDGET,
     STATUS_COMPLETED,
+    STATUS_DECAYED,
     STATUS_OVERFLOWED,
     CheckpointError,
     InsufficientGrowthError,
@@ -27,7 +29,7 @@ from blowlab.solver import (
     save_snapshots,
     trajectory_to_csv,
 )
-from conftest import assert_same_steps
+from conftest import assert_same_steps, ref_laplacian, ref_laplacian_matrix
 
 KAPPA = 3.0 ** (-1.0 / 3.0)
 
@@ -41,12 +43,13 @@ def quiet_config(grid, params, **kw):
 
 
 def full_rhs(field, params, boundary):
-    """The right-hand side the step integrates: the Laplacian plus the
-    explicit term, from the kernels a step calls."""
-    geom = GridGeometry.of(field.grid)
-    out = np.empty(field.grid.M + 1)
-    solver._explicit_values(field.values, solver._Terms([params], geom), boundary, out)
-    return out + _laplacian_values(field.values, geom, boundary)
+    """The right-hand side the step integrates: the reference Laplacian plus
+    the explicit term, from the kernel a step calls."""
+    grid = field.grid
+    out = np.empty(grid.M + 1)
+    solver._explicit_values(field.values, solver._Terms([params], GridGeometry.of(grid)),
+                            boundary, out)
+    return out + ref_laplacian(field.values, grid.h, grid.dim, boundary)
 
 
 def test_rhs_constant_field_is_pure_reaction(heat_params, default_params):
@@ -79,7 +82,7 @@ def test_step_dt_decreases_with_supnorm(default_params):
     g = RadialGrid(R=1.0, M=64, dim=1)
     config = quiet_config(g, default_params)
     one_step = replace(config, max_steps=1)
-    amps = (0.0, 0.1, 1.0, 10.0, 100.0, 1e4)
+    amps = (1e-300, 0.1, 1.0, 10.0, 100.0, 1e4)  # a zero field takes no step (decayed)
     dts = []
     for amp in amps:
         traj = run_until_blowup(RadialField(g, np.full(g.M + 1, amp)), one_step)
@@ -134,12 +137,30 @@ def test_ode_limit_constant_field(heat_params):
 
 
 def test_zero_initial_data_stays_zero(default_params):
+    """Zero is a fixed point: the run stops as decayed before its first step."""
     g = RadialGrid(R=1.0, M=32, dim=1)
     u0 = RadialField(g, np.zeros(g.M + 1))
     config = quiet_config(g, default_params, blowup_cap=10.0, max_steps=500)
     traj = run_until_blowup(u0, config)
-    assert traj.status == STATUS_BUDGET
+    assert traj.status == STATUS_DECAYED
+    assert len(traj.maxnorm_history) == 1
     assert np.all(traj.last_field.values == 0.0)
+
+
+def test_field_that_decays_to_zero_stops_there(default_params):
+    """On R = 1e-3 diffusion takes the default seed to exactly zero (at step
+    74); the run stops there as decayed instead of stepping the zero field
+    until its budget, and a resume leaves it as it is."""
+    g = RadialGrid(R=1e-3, M=64, dim=1)
+    config = SolverConfig(grid=g, params=default_params, max_steps=3000)
+    traj = run_until_blowup(profile_seeded_field(g, default_params), config)
+    hist = traj.maxnorm_history
+    assert traj.status == STATUS_DECAYED
+    assert len(hist) - 1 < 100
+    assert hist[-1, 1] == 0.0 and np.all(hist[:-1, 1] > 0.0)
+    continue_run(traj)
+    assert traj.status == STATUS_DECAYED
+    assert traj.maxnorm_history is hist
 
 
 def test_small_data_does_not_blow_up(heat_params):
@@ -379,21 +400,6 @@ def test_trajectory_csv_layout(small_run):
 # call, fresh arrays) and sharing no kernel with blowlab.  It is the oracle
 # the IMEX runs converge to.
 
-def _ref_laplacian(u, h, dim, boundary):
-    out = np.empty_like(u)
-    inv_h2 = 1.0 / (h * h)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_h2
-    if dim > 1:
-        r = np.arange(1, len(u) - 1, dtype=float) * h
-        out[1:-1] += (dim - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * h)
-    out[0] = 2.0 * dim * (u[1] - u[0]) * inv_h2
-    if boundary == "dirichlet-zero":
-        out[-1] = 0.0
-    else:
-        out[-1] = 2.0 * (u[-2] - u[-1]) * inv_h2
-    return out
-
-
 def _ref_gradient(u, h, boundary):
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
@@ -414,7 +420,7 @@ def _ref_prefix(u, r, q, dim):
 
 def _ref_rhs(u, r, h, params, boundary):
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _ref_laplacian(u, h, params.dim, boundary)
+        out = ref_laplacian(u, h, params.dim, boundary)
         out += np.abs(u) ** (params.p - 1.0) * u
         if params.mu != 0.0:
             g = _ref_gradient(u, h, boundary)
@@ -495,6 +501,47 @@ def test_default_run_matches_heun_at_M1024(default_params):
     est = estimate_T(traj, default_params)
     assert abs(est.T_est / 0.010726062070088969 - 1.0) < 1e-3
     assert abs(est.kappa_est / KAPPA - 1.0) < 1e-3
+
+
+def _previous_ars222(u, dt, params, grid, boundary):
+    """One step of the scheme before stage two recovered L Y from the first
+    stage: b2 = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y) with the
+    reference Laplacian applied to Y, solved with the same LAPACK routines
+    on the reference matrix's bands."""
+    L = ref_laplacian_matrix(grid, boundary)
+    gdt = solver._GAMMA * dt
+    *lu, info = dgttrf(-np.diag(L, -1) * gdt, 1.0 - gdt * np.diag(L), -np.diag(L, 1) * gdt)
+    assert info == 0
+    terms = solver._Terms([params], GridGeometry.of(grid))
+
+    def explicit(v):
+        return solver._explicit_values(v, terms, boundary, np.empty_like(v))
+
+    n1 = explicit(u)
+    y = dgttrs(*lu, u + gdt * n1)[0]
+    b2 = u + dt * (solver._DELTA * n1 + (1.0 - solver._DELTA) * explicit(y)
+                   + (1.0 - solver._GAMMA) * ref_laplacian(y, grid.h, grid.dim, boundary))
+    return dgttrs(*lu, b2)[0]
+
+
+@pytest.mark.parametrize("dim,M,boundary", [(1, 1024, "dirichlet-zero"), (2, 256, "neumann-zero")])
+def test_step_matches_the_previous_scheme(dim, M, boundary):
+    """From the seed (sup ~3) and from states at sup ~1e2 and ~6e5, one step
+    equals the previous scheme's within 1e-13 * sup at every node (measured
+    <= 4.4e-15 * sup)."""
+    params = validate(p=4.0, q=3.0 if dim == 1 else 4.6, mu=0.1, dim=dim)
+    grid = RadialGrid(R=1.0, M=M, dim=dim)
+    config = SolverConfig(grid=grid, params=params, boundary=boundary, blowup_cap=6e5)
+    traj = run_until_blowup(profile_seeded_field(grid, params, t_star=0.01), config)
+    sups = [float(np.max(np.abs(snap.values))) for snap in traj.snapshots]
+    states = [traj.snapshots[0], traj.snapshots[int(np.argmax(np.array(sups) >= 1e2))],
+              traj.snapshots[-1]]
+    for state in states:
+        u = state.values
+        sup = float(np.max(np.abs(u)))
+        dt = solver._dt_of(config, sup)
+        new = solver._ars222(u.copy(), [dt], solver._Batch([params], grid, boundary))
+        assert np.max(np.abs(new - _previous_ars222(u, dt, params, grid, boundary))) <= 1e-13 * sup
 
 
 def test_halving_dt_safety_barely_moves_T(default_params):
