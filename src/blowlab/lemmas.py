@@ -9,7 +9,8 @@ Four groups:
   with the exact solution of the matching integral equality,
 * the decay fit of the ball integral J against (T-t)^(gamma - 1/2),
 * smoothing ratios of the discrete heat semigroup, applied exactly through
-  the eigendecomposition of the Neumann-closure Laplacian.
+  the eigendecomposition of the Neumann-closure Laplacian, which LAPACK
+  ``dstemr`` computes (called directly, see :func:`_tridiagonal_eigh`).
 
 Everything here is deterministic: repeated runs give bit-identical numbers.
 """
@@ -20,13 +21,12 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fields import (BOUNDARY_NEUMANN, GridGeometry, _gradient_values, _laplacian_bands,
                      _nonlocal_prefix_values)
 from .params import ModelParams, validate
 from .similarity import S_TURN, scale_radius, scale_radius_inverse
-from .solver import Trajectory, estimate_T
+from .solver import Trajectory, _flapack, estimate_T
 
 CASE_GT1 = "gt1"
 CASE_EQ1 = "eq1"
@@ -400,6 +400,26 @@ class SmoothingReport:
     max_grad_ratio: float   # worst sqrt(t) ||d/dr S(t)f|| / ||f|| (measured constant)
 
 
+def _tridiagonal_eigh(diagonal, off):
+    """Every eigenpair, ascending, of the symmetric tridiagonal matrix with
+    this diagonal and off-diagonal, by LAPACK ``dstemr`` with the arguments
+    that ``scipy.linalg.eigh_tridiagonal(..., lapack_driver="stemr")``
+    passes, so the pairs are that function's, bit for bit.  A non-finite
+    entry is refused, as that function's ``check_finite`` does: ``dstemr``
+    does not return on a NaN."""
+    if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(off))):
+        raise ValueError("the tridiagonal eigensolve needs finite entries")
+    padded = np.zeros(diagonal.size)  # dstemr takes an n-vector; e[n-1] is workspace
+    padded[:-1] = off
+    args = (diagonal, padded, 0, 0.0, 1.0, 1, 1)  # select all; the bounds are unread
+    lwork, liwork, info = _flapack.dstemr_lwork(*args, compute_v=1)
+    if info == 0:
+        m, lam, Q, info = _flapack.dstemr(*args, compute_v=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstemr failed (info={info})")
+    return lam[:m], Q[:, :m]
+
+
 def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
     """Apply the discrete heat semigroup S(t) = exp(t L) to each field at
     each time and measure its smoothing ratios.
@@ -413,7 +433,8 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
     For dim 1 and 2 every coupling lower_i * upper_i is positive, so with
     d_0 = 1 and d_(i+1)/d_i = sqrt(upper_i/lower_i), T = D L D^-1 is
     symmetric with off-diagonal sqrt(lower_i * upper_i).  One MRRR
-    eigensolve T = Q diag(lam) Q^T per grid gives
+    eigensolve T = Q diag(lam) Q^T per grid, LAPACK ``dstemr`` called
+    directly (:func:`_tridiagonal_eigh`), gives
     S(t) = D^-1 Q diag(exp(t lam)) Q^T D at every t.  From dim 3 a coupling
     is zero or negative, and the check refuses the grid.  Constants, the
     kernel of L, are carried exactly: a field splits into its D^2-weighted
@@ -444,7 +465,7 @@ def semigroup_smoothing_check(t_values, test_fields) -> SmoothingReport:
             raise ValueError(f"the heat-semigroup check needs dim 1 or 2, got dim={grid.dim}")
         d = np.concatenate(([1.0], np.cumprod(np.sqrt(upper / lower))))
         mass = d * d
-        lam, Q = eigh_tridiagonal(diagonal, np.sqrt(coupling), lapack_driver="stemr")
+        lam, Q = _tridiagonal_eigh(diagonal, np.sqrt(coupling))
         lam, Q = lam[:-1], Q[:, :-1]  # ascending: the last pair is the kernel's
         for values, norm0 in group:
             mean = float(mass @ values) / float(mass.sum())

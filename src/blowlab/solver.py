@@ -62,18 +62,26 @@ A run is stored as one archive (:func:`save_snapshots`/:func:`load_snapshots`):
 snapshots, dense history, status, config, the time accumulator's Kahan
 compensation and the field of a run stopped between snapshots, so
 post-processing and resume read one file.
+
+The step's LAPACK routines ``dgttrf``/``dgttrs`` and ``lemmas``' ``dstemr``
+come from scipy's extension module ``scipy.linalg._flapack``, loaded by itself
+(:func:`_load_flapack`): importing the ``scipy.linalg`` package for them
+would pull in scipy's array-API layer and ``numpy.f2py``, about 24 MB of
+peak memory and half the start-up time of every process.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
+import sys
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import (
     BOUNDARIES,
@@ -93,6 +101,30 @@ from .fields import (
 )
 from .params import ModelParams
 from .profiles import f_profile
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by itself.
+
+    The module is registered under its own name, so a process that imports
+    ``scipy.linalg`` before or after shares this one object."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "linalg") for root in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("blowlab needs scipy>=1.10 for LAPACK (scipy.linalg._flapack), "
+                          "which was not found", name="scipy")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 ARCHIVE_VERSION = 4  # 1 was the JSON checkpoint that held the history apart;
                      # 2 stored a config with the reaction switch; 3 held

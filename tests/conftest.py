@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import blowlab
 from blowlab.params import validate
 from blowlab.fields import RadialGrid
 from blowlab.solver import SolverConfig, profile_seeded_field, run_until_blowup
@@ -81,3 +87,12 @@ def ref_laplacian_matrix(grid, boundary):
     """The dense matrix of :func:`ref_laplacian`: its value on each unit vector."""
     return np.apply_along_axis(ref_laplacian, 0, np.eye(grid.M + 1), grid.h, grid.dim,
                                boundary)
+
+
+def run_python(code, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports this checkout's blowlab
+    (its ``src`` first on PYTHONPATH); returns the completed process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(blowlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)

@@ -2,16 +2,11 @@ import csv
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 from concurrent.futures import Future
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import blowlab
 from blowlab import cli, lemmas, solver
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
@@ -19,7 +14,7 @@ from blowlab.fields import write_csv
 from blowlab.params import beta_window
 from blowlab.similarity import extract_frame
 from blowlab.solver import SolverConfig, load_snapshots, profile_seeded_field, run_until_blowup
-from conftest import assert_same_steps
+from conftest import assert_same_steps, run_python
 
 TINY_CONFIG = """
 # fast blow-up for integration tests
@@ -389,22 +384,27 @@ def test_verify_json_output(capsys):
     assert doc["gronwall"]["n_violations"] == 0
 
 
-def test_import_leaves_quadrature_unloaded_and_verify_passes():
-    """A fresh interpreter loads neither scipy.integrate nor scipy.optimize
-    (about 25 MB of peak RSS) on ``import blowlab.cli`` or while ``verify``
-    runs and passes: the singular integral is a fixed rule in numpy."""
+def test_import_verify_and_run_load_no_scipy_package(tmp_path):
+    """A fresh interpreter loads no scipy package (neither ``scipy`` nor
+    ``scipy.linalg``, ``scipy.integrate`` or ``scipy.optimize``, together
+    about 45 MB of peak RSS) on ``import blowlab.cli``, while ``verify``
+    runs and passes, or while a tiny run (M=64) runs: LAPACK comes from
+    scipy's extension module alone, and the singular integral is a fixed
+    rule in numpy."""
+    run = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")]
     code = ("import sys, blowlab, blowlab.cli\n"
-            "unloaded = lambda: not {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
-            "assert unloaded()\n"
-            "status = blowlab.cli.main(['verify'])\n"
-            "assert unloaded()\n"
-            "sys.exit(status)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(blowlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+            "packages = {'scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.optimize'}\n"
+            "def check():\n"
+            "    assert not packages & set(sys.modules), sorted(packages & set(sys.modules))\n"
+            "check()\n"
+            "assert blowlab.cli.main(['verify']) == 0\n"
+            "check()\n"
+            f"assert blowlab.cli.main({run!r}) == 0\n"
+            "check()\n")
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
+    assert (tmp_path / "run" / "snapshots.npz").exists()
 
 
 # ------------------------------------------------------------------ sweep

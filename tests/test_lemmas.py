@@ -1,16 +1,18 @@
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from blowlab import lemmas
 from blowlab.cli import _semigroup_cases
-from blowlab.fields import BOUNDARY_NEUMANN, RadialField, RadialGrid, _gradient_values
+from blowlab.fields import (BOUNDARY_NEUMANN, RadialField, RadialGrid, _gradient_values,
+                            _laplacian_bands)
 from blowlab.lemmas import (
     IntegralCase,
     StepFunction,
@@ -369,6 +371,36 @@ def test_semigroup_matches_dense_expm_oracle():
         oracle = _semigroup_with_expm(t_values, test_fields)
         assert report.max_sup_ratio == pytest.approx(oracle.max_sup_ratio, rel=0.0, abs=1e-12)
         assert report.max_grad_ratio == pytest.approx(oracle.max_grad_ratio, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [_semigroup_cases()[1][0].grid,
+                                  RadialGrid(R=2.0, M=64, dim=2)], ids=["verify", "dim2"])
+def test_direct_dstemr_is_eigh_tridiagonal_bit_for_bit(grid):
+    """The direct ``dstemr`` call returns scipy's ``eigh_tridiagonal(...,
+    lapack_driver="stemr")`` pairs to the bit, on verify's grid and a dim=2 one."""
+    lower, diagonal, upper = _laplacian_bands(grid, BOUNDARY_NEUMANN)
+    off = np.sqrt(lower * upper)
+    lam, Q = lemmas._tridiagonal_eigh(diagonal, off)
+    ref_lam, ref_Q = eigh_tridiagonal(diagonal, off, lapack_driver="stemr")
+    assert lam.shape == ref_lam.shape == (grid.M + 1,) and Q.shape == ref_Q.shape
+    assert lam.tobytes() == ref_lam.tobytes() and Q.tobytes() == ref_Q.tobytes()
+
+
+def test_tridiagonal_eigh_raises_on_lapack_failure(monkeypatch):
+    """A nonzero ``info`` from ``dstemr`` raises LinAlgError, as scipy's
+    check did.  A non-finite entry is refused before LAPACK sees it, where
+    ``dstemr`` would not return: a grid with h = 1e-78 passes RadialGrid's
+    check, but its couplings overflow to inf."""
+    flapack = lemmas._flapack
+    monkeypatch.setattr(lemmas, "_flapack", SimpleNamespace(
+        dstemr_lwork=flapack.dstemr_lwork,
+        dstemr=lambda *args, **kwargs: (*flapack.dstemr(*args, **kwargs)[:3], 2)))
+    diagonal, off = np.full(5, 2.0), np.full(4, -1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        lemmas._tridiagonal_eigh(diagonal, off)
+    grid = RadialGrid(R=16e-78, M=16, dim=1)
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        semigroup_smoothing_check([0.1], [RadialField(grid, np.ones(grid.M + 1))])
 
 
 @given(dim=st.integers(1, 2), M=st.integers(8, 512), R=st.floats(0.5, 4.0),

@@ -29,7 +29,7 @@ from blowlab.solver import (
     save_snapshots,
     trajectory_to_csv,
 )
-from conftest import assert_same_steps, ref_laplacian, ref_laplacian_matrix
+from conftest import assert_same_steps, ref_laplacian, ref_laplacian_matrix, run_python
 
 KAPPA = 3.0 ** (-1.0 / 3.0)
 
@@ -590,3 +590,48 @@ def test_artifact_writes_leave_no_temp_files(small_run, tmp_path, monkeypatch):
     assert (tmp_path / "snapshots.npz").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["snapshots.npz"]
     _assert_same_run(load_snapshots(tmp_path / "snapshots.npz"), small_run)
+
+
+# ------------------------------------------------------ LAPACK extension
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "blowlab-first"])
+def test_lapack_extension_is_shared_with_scipy_linalg(scipy_first):
+    """blowlab loads scipy's LAPACK extension under its own name, so
+    ``scipy.linalg`` imported before or after blowlab shares the one module
+    object and its routines, and still solves and diagonalizes correctly."""
+    imports = ["import scipy.linalg.lapack", "from blowlab import solver"]
+    code = "\n".join(imports if scipy_first else imports[::-1]) + """
+import sys
+import numpy as np
+import scipy.linalg
+assert sys.modules["scipy.linalg._flapack"] is solver._flapack
+assert scipy.linalg.lapack.dgttrf is solver.dgttrf
+assert scipy.linalg.lapack.dgttrs is solver.dgttrs
+d, e = np.linspace(2.0, 3.0, 6), np.linspace(-1.0, -0.5, 5)
+A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+w, v = scipy.linalg.eigh_tridiagonal(d, e)
+assert np.allclose(w, np.linalg.eigvalsh(A)) and np.allclose(A @ v, v * w)
+b = np.arange(6.0)
+x = scipy.linalg.solve_banded((1, 1), np.array([np.r_[0.0, e], d, np.r_[e, 0.0]]), b)
+assert np.allclose(A @ x, b)
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_scipy_is_an_import_error_that_names_it():
+    """Without scipy, ``import blowlab`` fails with an ImportError naming
+    scipy, not with an error from inside the loader."""
+    code = """
+import importlib.util
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: None if name == "scipy" else find_spec(name, *args)
+try:
+    import blowlab
+except ImportError as exc:
+    assert exc.name == "scipy" and "scipy" in str(exc), repr(exc)
+else:
+    raise SystemExit("blowlab imported without scipy")
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
