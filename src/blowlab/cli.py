@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numerical overflow,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -210,16 +211,19 @@ def cmd_frames(args) -> int:
 
     manifest = _manifest("frames", None, out, None)
     for x0, frame, report in zip(x0_list, frames, reports):
-        tag = f"x0_{x0:g}".replace(".", "p").replace("-", "m")
-        # shared cells render once: x0, K0 and t0 per file, tau per block, xi per frame
-        head = f"{x0!r},{args.K0!r},{frame.t0!r},"
+        # repr, not :g, so distinct x0 never share a file name
+        tag = f"x0_{x0!r}".replace(".", "p").replace("-", "m")
+        # x0, K0 and t0 are comment lines after the header, so skiprows=1 still
+        # reads the table; tau renders once per block and xi once per frame
+        constants = [f"# x0: {x0!r}\n", f"# K0: {args.K0!r}\n", f"# t0: {frame.t0!r}\n"]
         xi = [repr(x) for x in frame.xi_grid.tolist()]
         rows = (f"{lead}{x},{v!r},{w!r}\n"
                 for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
                                              frame.w.tolist())
-                for lead in (f"{head}{tau!r},",)
+                for lead in (f"{tau!r},",)
                 for x, v, w in zip(xi, v_row, w_row))
-        _write_csv(out / f"frame_{tag}.csv", ("x0", "K0", "t0", "tau", "xi", "v", "w"), rows)
+        _write_csv(out / f"frame_{tag}.csv", ("tau", "xi", "v", "w"),
+                   itertools.chain(constants, rows))
         _write_json(out / f"frame_report_{tag}.json", {"manifest": manifest, **report})
 
     final_profile = asdict(table)

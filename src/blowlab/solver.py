@@ -107,7 +107,12 @@ def _load_flapack():
     """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by itself.
 
     The module is registered under its own name, so a process that imports
-    ``scipy.linalg`` before or after shares this one object."""
+    ``scipy.linalg`` before or after shares this one object.  When blowlab
+    comes first, the ``scipy.linalg`` package gets no ``_flapack``
+    attribute: the import system finds the module in ``sys.modules`` and
+    does not bind it on its parent.  ``from scipy.linalg import _flapack``
+    and ``scipy.linalg.lapack.dgttrf`` still give this module and its
+    routine; binding the attribute would mean importing ``scipy.linalg``."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]

@@ -204,24 +204,26 @@ def test_frames_writes_reports(finished_run):
     for report in summary["reports"]:
         assert np.isfinite(report["eps0_measured"])
     frame_csv = (finished_run / "frame_x0_0p1.csv").read_text().splitlines()
-    assert frame_csv[0] == "x0,K0,t0,tau,xi,v,w"
+    assert frame_csv[0] == "tau,xi,v,w"
     assert len(frame_csv) > 10
     table = json.loads((finished_run / "final_profile.json").read_text())
     assert [point["r"] for point in table["points"]] == [0.1, 0.2]
 
 
 def _tuple_row_frame_csv(trajectory, x0, K0, T, window) -> bytes:
-    """A frame CSV as tuple rows render it, every cell on every line: the
-    reference the frames command's pre-rendered lines must match."""
+    """A frame CSV as tuple rows render it, every cell on every line, after
+    the header and the x0, K0 and t0 comment lines: the reference the frames
+    command's pre-rendered lines must match."""
     frame = extract_frame(trajectory, x0, K0, T, window=window)
     xi = frame.xi_grid.tolist()
-    rows = ((x0, K0, frame.t0, tau, *cells)
+    rows = ((tau, *cells)
             for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
                                          frame.w.tolist())
             for cells in zip(xi, v_row, w_row))
     fh = io.StringIO()
-    write_csv(fh, ("x0", "K0", "t0", "tau", "xi", "v", "w"), rows)
-    return fh.getvalue().encode()
+    write_csv(fh, ("tau", "xi", "v", "w"), rows)
+    header, body = fh.getvalue().split("\n", 1)
+    return f"{header}\n# x0: {x0!r}\n# K0: {K0!r}\n# t0: {frame.t0!r}\n{body}".encode()
 
 
 @pytest.mark.parametrize("K0, window", [(2.0, None), (8.0, 1.5)])
@@ -234,6 +236,42 @@ def test_frame_csv_bytes_match_tuple_rows(finished_run, K0, window):
     for x0, tag in ((0.1, "0p1"), (-0.15, "m0p15")):
         assert ((finished_run / f"frame_x0_{tag}.csv").read_bytes()
                 == _tuple_row_frame_csv(trajectory, x0, K0, T, window))
+
+
+def _frame_constants(path) -> dict:
+    """The ``# key: value`` lines of a frame CSV, values as floats."""
+    lines = path.read_text().splitlines()
+    return {key: float(text) for key, text in
+            (line[2:].split(": ") for line in lines if line.startswith("# "))}
+
+
+def test_frame_csv_constants_read_back_and_numpy_reads_the_table(finished_run):
+    """x0, K0 and t0 stand once per file, after the header, and read back
+    exactly to the summary; numpy reads the table past them."""
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.05,-0.15",
+                 "--K0", "3.5"]) == 0
+    summary = json.loads((finished_run / "frames_summary.json").read_text())
+    for tag, report in zip(("0p05", "m0p15"), summary["reports"]):
+        path = finished_run / f"frame_x0_{tag}.csv"
+        assert _frame_constants(path) == {"x0": report["x0"], "K0": summary["K0"],
+                                          "t0": report["t0"]}
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert table.ndim == 2 and table.shape[1] == 4
+        named = np.genfromtxt(path, delimiter=",", names=True)
+        assert named.dtype.names == ("tau", "xi", "v", "w")
+        assert np.array_equal(np.column_stack([named[k] for k in named.dtype.names]), table)
+
+
+def test_frames_of_close_x0_get_distinct_files(finished_run):
+    """Two x0 equal to 6 significant digits write two frame CSVs and two
+    reports: the file tag is the repr of x0, not its %g form."""
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1234567,0.1234568"]) == 0
+    for x0 in (0.1234567, 0.1234568):
+        tag = repr(x0).replace(".", "p")
+        assert _frame_constants(finished_run / f"frame_x0_{tag}.csv")["x0"] == x0
+        report = json.loads((finished_run / f"frame_report_x0_{tag}.json").read_text())
+        assert report["x0"] == x0
+    assert len(list(finished_run.glob("frame_x0_*.csv"))) == 2
 
 
 def test_frames_fits_T_from_the_archive(finished_run):
@@ -731,7 +769,7 @@ def test_text_outputs_carry_no_numpy_reprs(tmp_path, capsys):
     frame_csv = out / "frame_x0_0p2.csv"
     assert "np.float64" not in frame_csv.read_text()
     frame = np.loadtxt(frame_csv, delimiter=",", skiprows=1)
-    assert frame.shape[1] == 7 and np.all(frame[:, 0] == 0.2)
+    assert frame.shape[1] == 4 and np.all(np.isfinite(frame))
     # numpy's skiprows counts the comment lines too, so skip through the header
     header_row = (out / "field_final.csv").read_text().splitlines().index("r,u,du_dr,J")
     field = np.loadtxt(out / "field_final.csv", delimiter=",", comments="#",
