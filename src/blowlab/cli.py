@@ -236,12 +236,12 @@ def cmd_frames(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         _print_table(
-            [(f"{r['x0']:g}", f"{r['t0']:.8g}", f"{r['eps0_measured']:.4g}",
+            [(repr(r['x0']), f"{r['t0']:.8g}", f"{r['eps0_measured']:.4g}",
               f"{r['M_measured']:.4g}", f"{r['w_sup_decay']:.4g}",
               f"{r['v_minus_vK0_sup']:.4g}") for r in reports],
             ("x0", "t0", "eps0", "M", "w_small", "v_sharp"))
         _print_table(
-            [(f"{p.r:g}", f"{p.u_last:.5g}", f"{p.prediction:.5g}",
+            [(repr(p.r), f"{p.u_last:.5g}", f"{p.prediction:.5g}",
               f"{p.ratio:.4f}", str(p.converged)) for p in table.points],
             ("r", "u_last", "prediction", "ratio", "converged"))
     return EXIT_OK
@@ -546,7 +546,7 @@ def _report_lines(out: Path, summary: dict) -> list[str]:
         frames = json.loads(frames_path.read_text())
         lines.append(f"  frames (K0={frames['K0']}):")
         for rep in frames["reports"]:
-            lines.append(f"    x0={rep['x0']:g}: eps0={rep['eps0_measured']:.4g} "
+            lines.append(f"    x0={rep['x0']!r}: eps0={rep['eps0_measured']:.4g} "
                          f"M={rep['M_measured']:.4g} w_small={rep['w_sup_decay']:.4g} "
                          f"v_sharp={rep['v_minus_vK0_sup']:.4g}")
     return lines

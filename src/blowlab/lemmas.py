@@ -1,12 +1,17 @@
 """Executable forms of the analytical ingredients, checkable in isolation.
 
-Four groups:
+Five groups:
 
 * the singular integral I(tau) = int_0^tau (tau-s)^(-alpha) (1-s)^(-theta) ds
   by one tanh-sinh rule (h = 1/64, 577 nodes, within 6.1e-9 relative down
   to 1 - tau = 1e-12), and its case-split upper bound,
 * the Gronwall bound for step-coefficient integral inequalities, together
-  with the exact solution of the matching integral equality,
+  with the exact solution of the matching integral equality, and their
+  suite: 1000 random instances (t1 ~ U(0.5, 1.5), 1-6 pieces per
+  coefficient with cuts ~ U(0, t1) and values ~ U(0, 2), y0 ~ U(0, 2)),
+  drawn in bulk and evaluated as arrays by the same closed forms,
+* the exponent identity gamma - 1/2 = N/2 - (q-1)/(p-1) on 1000 admissible
+  tuples, also drawn in bulk,
 * the decay fit of the ball integral J against (T-t)^(gamma - 1/2),
 * smoothing ratios of the discrete heat semigroup, applied exactly through
   the eigendecomposition of the Neumann-closure Laplacian, which LAPACK
@@ -24,7 +29,7 @@ import numpy as np
 
 from .fields import (BOUNDARY_NEUMANN, GridGeometry, _gradient_values, _laplacian_bands,
                      _nonlocal_prefix_values)
-from .params import ModelParams, validate
+from .params import ModelParams, gamma_of, q_bounds
 from .similarity import S_TURN, scale_radius, scale_radius_inverse
 from .solver import Trajectory, _flapack, estimate_T
 
@@ -172,90 +177,76 @@ class StepFunction:
 
 
 def _merged_segments(r: StepFunction, q: StepFunction):
-    """Common refinement of two step functions on their shared interval."""
-    return _segments(r.breaks.tolist(), r.values.tolist(), q.breaks.tolist(), q.values.tolist())
-
-
-def _segments(r_breaks: list, r_values: list, q_breaks: list, q_values: list):
     """(breaks, r values, q values) of the common refinement of two step
-    functions given as lists of floats."""
+    functions on their shared interval, as lists of floats."""
+    r_breaks, q_breaks = r.breaks.tolist(), q.breaks.tolist()
     if r_breaks[0] != q_breaks[0] or r_breaks[-1] != q_breaks[-1]:
         raise ValueError("r and q must share the same interval")
     breaks = sorted(set(r_breaks).union(q_breaks))
-    r_inner, q_inner = r_breaks[1:-1], q_breaks[1:-1]
-    # the segment index is the count of inner breaks at or below the midpoint
     mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
-    return (breaks, [r_values[bisect.bisect_right(r_inner, m)] for m in mids],
-            [q_values[bisect.bisect_right(q_inner, m)] for m in mids])
+    return breaks, [r(m) for m in mids], [q(m) for m in mids]
 
 
-def _weighted_q(qi: float, R: float, ri: float, dt: float) -> float:
+def _weighted_q(qi, R, ri, dt):
     """int q exp(-int r) over dt into a segment where r = ri, q = qi and
-    int r = R at its start."""
-    scaled = qi * math.exp(-R)
-    return scaled * (-math.expm1(-ri * dt)) / ri if ri != 0.0 else scaled * dt
+    int r = R at its start; elementwise on arrays."""
+    nonzero = ri != 0.0
+    scaled = qi * np.exp(-R)
+    return np.where(nonzero, scaled * -np.expm1(-ri * dt) / np.where(nonzero, ri, 1.0),
+                    scaled * dt)
 
 
-def _propagate(y: float, ri: float, qi: float, dt: float) -> float:
-    """Solution of y' = ri y + qi after dt, from y."""
-    if ri != 0.0:
-        grow = math.exp(ri * dt)
-        return y * grow + qi * (grow - 1.0) / ri
-    return y + qi * dt
+def _propagate(y, ri, qi, dt):
+    """Solution of y' = ri y + qi after dt, from y; elementwise on arrays."""
+    nonzero = ri != 0.0
+    grow = np.exp(ri * dt)
+    return np.where(nonzero, y * grow + qi * (grow - 1.0) / np.where(nonzero, ri, 1.0),
+                    y + qi * dt)
+
+
+def _bound_at(y0, R, A, ri, qi, dt):
+    """exp(int r) [y0 + int q exp(-int r)] at dt into a segment where r = ri,
+    q = qi, int r = R and int q exp(-int r) = A at its start; elementwise."""
+    return np.exp(R + ri * dt) * (y0 + (A + _weighted_q(qi, R, ri, dt)))
+
+
+def _on_segments(breaks: list, at):
+    """Callable of t on [breaks[0], breaks[-1]] giving at(i, t - breaks[i])
+    on the segment i that holds t."""
+    t0, t1, inner = breaks[0], breaks[-1], breaks[1:-1]
+
+    def evaluate(t: float) -> float:
+        if not t0 <= t <= t1:
+            raise ValueError(f"t={t} outside [{t0}, {t1}]")
+        i = bisect.bisect_right(inner, t)
+        return float(at(i, t - breaks[i]))
+
+    return evaluate
 
 
 def gronwall_bound(y0: float, r: StepFunction, q: StepFunction):
     """Bound exp(int r) [y0 + int q exp(-int r)] for a solution of the
     integral inequality y <= y0 + int y r + int q, evaluated exactly
     segment by segment.  Returns a callable of t on [t0, t1]."""
-    return _bound(y0, *_merged_segments(r, q))
-
-
-def _bound(y0: float, breaks: list, rv: list, qv: list):
-    """:func:`gronwall_bound` on the merged segments."""
-    # prefix integrals at the breakpoints
+    breaks, rv, qv = _merged_segments(r, q)
     R_at = [0.0] * len(breaks)   # int_{t0}^{b_j} r
     A_at = [0.0] * len(breaks)   # int_{t0}^{b_j} q exp(-R)
     for i in range(len(rv)):
         dt = breaks[i + 1] - breaks[i]
-        A_at[i + 1] = A_at[i] + _weighted_q(qv[i], R_at[i], rv[i], dt)
+        A_at[i + 1] = A_at[i] + float(_weighted_q(qv[i], R_at[i], rv[i], dt))
         R_at[i + 1] = R_at[i] + rv[i] * dt
-
-    t0, t1, inner = breaks[0], breaks[-1], breaks[1:-1]
-
-    def bound(t: float) -> float:
-        if not t0 <= t <= t1:
-            raise ValueError(f"t={t} outside [{t0}, {t1}]")
-        i = bisect.bisect_right(inner, t)
-        dt = t - breaks[i]
-        A_t = A_at[i] + _weighted_q(qv[i], R_at[i], rv[i], dt)
-        return math.exp(R_at[i] + rv[i] * dt) * (y0 + A_t)
-
-    return bound
+    return _on_segments(breaks, lambda i, dt: _bound_at(y0, R_at[i], A_at[i], rv[i], qv[i], dt))
 
 
 def gronwall_equality_solution(y0: float, r: StepFunction, q: StepFunction):
     """Exact solution of y(t) = y0 + int_{t0}^t y r + int_{t0}^t q, i.e. of
     y' = r y + q, propagated segment-wise in closed form.  Independent of
     :func:`gronwall_bound` (different closed forms, same function)."""
-    return _equality_solution(y0, *_merged_segments(r, q))
-
-
-def _equality_solution(y0: float, breaks: list, rv: list, qv: list):
-    """:func:`gronwall_equality_solution` on the merged segments."""
+    breaks, rv, qv = _merged_segments(r, q)
     y_at = [y0]
     for i in range(len(rv)):
-        y_at.append(_propagate(y_at[i], rv[i], qv[i], breaks[i + 1] - breaks[i]))
-
-    t0, t1, inner = breaks[0], breaks[-1], breaks[1:-1]
-
-    def solution(t: float) -> float:
-        if not t0 <= t <= t1:
-            raise ValueError(f"t={t} outside [{t0}, {t1}]")
-        i = bisect.bisect_right(inner, t)
-        return _propagate(y_at[i], rv[i], qv[i], t - breaks[i])
-
-    return solution
+        y_at.append(float(_propagate(y_at[i], rv[i], qv[i], breaks[i + 1] - breaks[i])))
+    return _on_segments(breaks, lambda i, dt: _propagate(y_at[i], rv[i], qv[i], dt))
 
 
 @dataclass(frozen=True)
@@ -269,54 +260,126 @@ class GronwallSuiteResult:
         return self.n_violations == 0
 
 
-def gronwall_suite() -> GronwallSuiteResult:
-    """1000 random instances (seed 0) of nonnegative step coefficients; the
-    exact equality solution must sit below the bound (plus a rounding slack
-    of 1e-10) at every checked point: the breaks and a few random times.
-    The step functions stay lists of floats, merged once per instance.  A
-    non-finite margin counts as a violation, and a NaN one becomes the
-    worst margin."""
+@dataclass(frozen=True)
+class _GronwallInstances:
+    """The suite's instances, one per column, and their margins.  Instance i
+    has r (k = 0) and q (k = 1) on [0, t1[i]], each with pieces[k, i]
+    pieces: inner breaks cuts[k, :pieces[k, i] - 1, i], unsorted, and piece
+    values values[k, :pieces[k, i], i] from left to right; the unused cuts
+    are +inf.  margins[:, i] holds exact - bound at the merged breaks in
+    ascending order, padded to 12 rows with t1, then at times[:, i];
+    checked[:, i] marks the rows that are points of the instance."""
+
+    t1: np.ndarray        # (n,)
+    pieces: np.ndarray    # (2, n)
+    cuts: np.ndarray      # (2, 5, n)
+    values: np.ndarray    # (2, 6, n)
+    y0: np.ndarray        # (n,)
+    times: np.ndarray     # (5, n)
+    margins: np.ndarray   # (17, n)
+    checked: np.ndarray   # (17, n)
+
+
+def _gronwall_instances() -> _GronwallInstances:
+    """Draw the suite's 1000 instances in bulk from ``default_rng(0)`` and
+    evaluate exact - bound at every point, without a loop over instances.
+
+    Every array holds one instance per column.  One loop over the 11
+    segment rows walks the merged breaks in ascending order, each the least
+    cut above the last one, or t1 once none is left (after which the
+    segments have zero width).  It carries the prefix integrals and the
+    propagated solution, so each instance is summed left to right as the
+    scalar closures sum it, and it moves r (q) to its next piece at each of
+    its cuts.  A break, t1 included, is evaluated at zero offset from the
+    prefix values there, and a random time in the segment [start, end) that
+    holds it.  The walk needs no sort and no table of points against breaks:
+    numpy's sort kernels alone would page about 0.2 MB more of its library
+    into ``verify``'s resident set, and such a table would take heap."""
+    n = 1000
     rng = np.random.default_rng(0)
-    margins = []
-    for _ in range(1000):
-        t0 = 0.0
-        t1 = float(rng.uniform(0.5, 1.5))
+    t1 = rng.uniform(0.5, 1.5, n)
+    pieces = rng.integers(1, 7, size=(2, n))
+    cuts = np.where(np.arange(5)[:, None] < pieces[:, None] - 1,
+                    t1 * rng.uniform(0.0, 1.0, size=(2, 5, n)), np.inf)
+    values = rng.uniform(0.0, 2.0, size=(2, 6, n))
+    y0 = rng.uniform(0.0, 2.0, n)
+    times = t1 * rng.uniform(0.0, 1.0, size=(5, n))
 
-        def random_step():
-            k = int(rng.integers(1, 7))
-            breaks = sorted({t0, *rng.uniform(t0, t1, size=k - 1).tolist(), t1})
-            return breaks, rng.uniform(0.0, 2.0, size=len(breaks) - 1).tolist()
+    margins = np.full((17, n), np.nan)  # a point the walk missed fails the suite
+    checked = np.ones((17, n), dtype=bool)
+    # the solution and the two prefix integrals at the current segment's
+    # start, updated in place, so they stay arrays whatever _propagate returns
+    y, R, A = y0.copy(), np.zeros(n), np.zeros(n)
 
-        segments = _segments(*random_step(), *random_step())
-        y0 = float(rng.uniform(0.0, 2.0))
-        exact = _equality_solution(y0, *segments)
-        bound = _bound(y0, *segments)
-        for t in segments[0] + rng.uniform(t0, t1, size=5).tolist():
-            margins.append(exact(t) - bound(t))
-    margins = np.array(margins)
-    n_violations = int(np.count_nonzero(~np.isfinite(margins) | (margins > 1e-10)))
-    return GronwallSuiteResult(len(margins), n_violations, float(np.max(margins)))
+    def margin(at, dt):  # exact - bound on the instances `at`, dt into the current segment
+        return (_propagate(y[at], r[at], q[at], dt)
+                - _bound_at(y0[at], R[at], A[at], r[at], q[at], dt))
+
+    every = np.arange(n)
+    piece = np.zeros((2, n), dtype=int)
+    start = np.zeros(n)
+    for j in range(11):
+        # the next merged break: the least cut above start, or t1
+        end = np.minimum(np.min(np.where(cuts > start, cuts, np.inf), axis=(0, 1)), t1)
+        r, q = values[0, piece[0], every], values[1, piece[1], every]
+        margins[j] = margin(slice(None), 0.0)
+        checked[j + 1] = end > start
+        which, at = np.nonzero((start <= times) & (times < end))
+        margins[12 + which, at] = margin(at, times[which, at] - start[at])
+        dt = end - start
+        A[:] = A + _weighted_q(q, R, r, dt)
+        R[:] = R + r * dt
+        y[:] = _propagate(y, r, q, dt)
+        piece = np.where(np.any(cuts == end, axis=1), piece + 1, piece)
+        start = end
+    margins[11] = margin(slice(None), 0.0)
+    return _GronwallInstances(t1, pieces, cuts, values, y0, times, margins, checked)
+
+
+def gronwall_suite() -> GronwallSuiteResult:
+    """1000 random instances (seed 0) of nonnegative step coefficients on
+    [0, t1]; the exact equality solution must sit below the bound (plus a
+    rounding slack of 1e-10) at every checked point: the merged breaks and 5
+    random times per instance.
+
+    Each instance draws t1 ~ U(0.5, 1.5); r and q get 1-6 pieces each, with
+    cuts from U(0, t1) and values from U(0, 2); y0 ~ U(0, 2); the random
+    times come from U(0, t1).  All 1000 are drawn at once, each quantity as
+    one array, and evaluated as arrays (:func:`_gronwall_instances`) with
+    the closed forms that :func:`gronwall_bound` and
+    :func:`gronwall_equality_solution` use.  A non-finite margin counts as a
+    violation, and a NaN one becomes the worst margin."""
+    instances = _gronwall_instances()
+    margins, checked = instances.margins, instances.checked
+    n_violations = int(np.count_nonzero(checked & ~(np.isfinite(margins) & (margins <= 1e-10))))
+    worst = float(np.max(margins, where=checked, initial=-math.inf))
+    return GronwallSuiteResult(int(np.count_nonzero(checked)), n_violations, worst)
+
+
+def _identity_tuples():
+    """1000 admissible (p, q, mu, dim) tuples as arrays, drawn in bulk from
+    ``default_rng(0)``: p ~ U(3 + 1e-6, 10), dim uniform on {1, 2, 3}, q at a
+    U(0.05, 0.95) fraction of its open window, mu ~ U(-1, 1)."""
+    n = 1000
+    rng = np.random.default_rng(0)
+    p = rng.uniform(3.0 + 1e-6, 10.0, n)
+    dim = rng.integers(1, 4, n)
+    fraction = rng.uniform(0.05, 0.95, n)
+    mu = rng.uniform(-1.0, 1.0, n)
+    q_lo, q_hi = q_bounds(p, dim)
+    return p, q_lo + fraction * (q_hi - q_lo), mu, dim
 
 
 def gamma_exponent_identity_check() -> float:
     """Max |(gamma - 1/2) - (dim/2 - (q-1)/(p-1))| over 1000 random admissible
-    parameter tuples (seed 0); an exact algebraic identity up to rounding.
-    A NaN difference is the result."""
-    rng = np.random.default_rng(0)
-    diffs = []
-    for _ in range(1000):
-        p = float(rng.uniform(3.0 + 1e-6, 10.0))
-        dim = int(rng.integers(1, 4))
-        q_lo = dim * (p - 1) / 2.0 + 1.0
-        q_hi = dim * (p - 1) / 2.0 + (p + 1) / 2.0
-        width = q_hi - q_lo
-        q = float(q_lo + rng.uniform(0.05, 0.95) * width)
-        mu = float(rng.uniform(-1.0, 1.0))
-        params = validate(p=p, q=q, mu=mu, dim=dim)
-        left = params.gamma - 0.5
-        right = dim / 2.0 - (q - 1.0) / (p - 1.0)
-        diffs.append(abs(left - right))
-    return float(np.max(diffs))
+    parameter tuples (seed 0, :func:`_identity_tuples`); an exact algebraic
+    identity up to rounding.  gamma comes from ``params.gamma_of`` on the
+    arrays, the function ``validate`` derives it with.  A NaN difference is
+    the result."""
+    p, q, _mu, dim = _identity_tuples()
+    left = gamma_of(p, q, dim) - 0.5
+    right = dim / 2.0 - (q - 1.0) / (p - 1.0)
+    return float(np.max(np.abs(left - right)))
 
 
 @dataclass(frozen=True)

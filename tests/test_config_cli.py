@@ -274,6 +274,19 @@ def test_frames_of_close_x0_get_distinct_files(finished_run):
     assert len(list(finished_run.glob("frame_x0_*.csv"))) == 2
 
 
+def test_frames_and_report_print_close_x0_apart(finished_run, capsys):
+    """Two x0 equal to 6 significant digits print as two distinct rows of
+    the frames table and of the final-profile table, and as two distinct
+    x0 lines of ``report``: x0 prints as its repr, not its %g form."""
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1234567,0.1234568"]) == 0
+    firsts = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
+    assert firsts.count("0.1234567") == 2 and firsts.count("0.1234568") == 2
+    assert main(["report", "--out", str(finished_run)]) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+             if line.strip().startswith("x0=")]
+    assert [line.split(":")[0] for line in lines] == ["x0=0.1234567", "x0=0.1234568"]
+
+
 def test_frames_fits_T_from_the_archive(finished_run):
     """frames refits T from the run archive, bit for bit the T that run
     wrote, so a damaged blowup_estimate.json cannot stop it."""

@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +27,7 @@ from blowlab.lemmas import (
     nonlocal_decay_fit,
     semigroup_smoothing_check,
 )
+from blowlab.params import gamma_of, validate
 from blowlab.profiles import f_profile
 from blowlab.similarity import S_TURN, scale_radius
 from blowlab.solver import STATUS_BLOWN_UP, SolverConfig, Trajectory
@@ -190,14 +191,66 @@ def test_gronwall_suite_counts_nan_margins(monkeypatch):
     assert math.isnan(result.worst_margin)
 
 
+def test_gronwall_suite_matches_scalar_closures():
+    """The suite's array margins equal, on 50 of its own instances and at
+    every checked point, exact - bound from the scalar closures on step
+    functions built from the same rows."""
+    inst = lemmas._gronwall_instances()
+    for i in range(0, 1000, 20):
+        steps = []
+        for k in (0, 1):
+            n_pieces = int(inst.pieces[k, i])
+            breaks = [0.0, *sorted(inst.cuts[k, :n_pieces - 1, i].tolist()), float(inst.t1[i])]
+            steps.append(StepFunction(breaks, inst.values[k, :n_pieces, i]))
+        y0 = float(inst.y0[i])
+        bound = gronwall_bound(y0, *steps)
+        solution = gronwall_equality_solution(y0, *steps)
+        merged = sorted(set(steps[0].breaks.tolist()) | set(steps[1].breaks.tolist()))
+        points = [*merged, *inst.times[:, i].tolist()]
+        scalar = [solution(t) - bound(t) for t in points]
+        checked = inst.checked[:, i]
+        assert checked.sum() == len(points)
+        np.testing.assert_allclose(inst.margins[checked, i], scalar, rtol=1e-12, atol=0.0)
+
+
+def test_gronwall_suite_tracemalloc_peak_under_1_mb():
+    """Each of the suite's arrays holds at most 17 numbers per instance; one
+    lookup cube of instances x points x segments, 1000 x 17 x 11 floats,
+    would take 1.5 MB alone."""
+    gronwall_suite()
+    tracemalloc.start()
+    try:
+        gronwall_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def test_gronwall_suite_and_identity_are_deterministic():
+    assert gronwall_suite() == gronwall_suite()
+    assert gamma_exponent_identity_check() == gamma_exponent_identity_check()
+
+
 def test_gamma_exponent_identity():
     assert gamma_exponent_identity_check() <= 1e-14
 
 
+def test_identity_tuples_are_admissible_with_validates_gamma():
+    """Every tuple the identity check draws passes ``validate``, and
+    ``gamma_of`` on the arrays gives validate's gamma bit for bit."""
+    p, q, mu, dim = lemmas._identity_tuples()
+    gamma = gamma_of(p, q, dim)
+    assert p.size == 1000
+    for i in range(p.size):
+        params = validate(p=float(p[i]), q=float(q[i]), mu=float(mu[i]), dim=int(dim[i]))
+        assert params.gamma == gamma[i]
+
+
 def test_gamma_exponent_identity_reports_nan(monkeypatch):
-    """A NaN difference is not dropped by the running maximum, so verify's <= gate fails it."""
-    validate = lemmas.validate
-    monkeypatch.setattr(lemmas, "validate", lambda **kw: replace(validate(**kw), gamma=math.nan))
+    """A NaN difference is not dropped by the maximum, so verify's <= gate fails it."""
+    monkeypatch.setattr(lemmas, "gamma_of", lambda p, q, dim: np.where(
+        np.arange(p.size) == 500, math.nan, gamma_of(p, q, dim)))
     assert math.isnan(gamma_exponent_identity_check())
 
 
@@ -423,7 +476,9 @@ def _searchsorted_step(f, t):
 
 def _searchsorted_closures(y0, r, q):
     """gronwall_bound and gronwall_equality_solution as they were: scalar
-    midpoint evaluations, numpy prefix arrays and np.searchsorted lookups."""
+    midpoint evaluations, numpy prefix arrays and np.searchsorted lookups.
+    The closed forms use numpy's exp and expm1, as lemmas' do: libm's differ
+    from them in the last bit on a few percent of arguments."""
     breaks = np.unique(np.concatenate([r.breaks, q.breaks]))
     mids = [0.5 * (a + b) for a, b in zip(breaks[:-1], breaks[1:])]
     rv = np.array([_searchsorted_step(r, m) for m in mids])
@@ -434,10 +489,10 @@ def _searchsorted_closures(y0, r, q):
     def pieces(i, dt):
         ri, qi = rv[i], qv[i]
         if ri != 0.0:
-            grow = math.exp(ri * dt)
-            return (A_at[i] + qi * math.exp(-R_at[i]) * (-math.expm1(-ri * dt)) / ri,
+            grow = np.exp(ri * dt)
+            return (A_at[i] + qi * np.exp(-R_at[i]) * (-np.expm1(-ri * dt)) / ri,
                     y_at[i] * grow + qi * (grow - 1.0) / ri)
-        return A_at[i] + qi * math.exp(-R_at[i]) * dt, y_at[i] + qi * dt
+        return A_at[i] + qi * np.exp(-R_at[i]) * dt, y_at[i] + qi * dt
 
     for i in range(len(rv)):
         dt = breaks[i + 1] - breaks[i]
@@ -448,7 +503,7 @@ def _searchsorted_closures(y0, r, q):
         i = min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(rv) - 1)
         dt = t - breaks[i]
         A_t, y_t = pieces(i, dt)
-        return math.exp(R_at[i] + rv[i] * dt) * (y0 + A_t), y_t
+        return np.exp(R_at[i] + rv[i] * dt) * (y0 + A_t), y_t
 
     return evaluate
 
