@@ -158,8 +158,11 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
     if tau_max <= 0.0:
         raise CoverageGapError(f"coverage gap: trajectory ends at t={t_last} <= t0={t0}")
 
+    # snapshot times increase strictly, so the taus come sorted; rounding
+    # and the clip can only tie neighbours
     taus = (times[(times > t0) & (times < T)] - t0) / s0
-    taus = np.unique(np.concatenate([[0.0], np.clip(taus, 0.0, tau_max)]))
+    taus = np.concatenate([[0.0], np.clip(taus, 0.0, tau_max)])
+    taus = taus[np.concatenate([[True], taus[1:] != taus[:-1]])]
 
     per_node = window_eff * sqrt_s0 / grid.h
     n_half = int(min(max(math.ceil(per_node), 32), 512))

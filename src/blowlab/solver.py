@@ -688,6 +688,17 @@ def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], grid: Ra
     return new_values, m, rarg
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line y ~ slope * x + intercept,
+    in closed form about the means of x and y.  ``np.linalg.lstsq`` on the
+    two-column design matrix would page ~1.1 MB of numpy's bundled LAPACK
+    into the process for a two-parameter fit.  x must not be constant."""
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    dx = x - x_mean
+    slope = float(dx @ (y - y_mean)) / float(dx @ dx)
+    return slope, y_mean - slope * x_mean
+
+
 def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
     """Fit supnorm ~ kappa_est (T_est - t)^(-1/(p-1)) on the last decade.
 
@@ -712,14 +723,13 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
     s_rel = np.concatenate([np.cumsum(dt[i0 + 1:][::-1])[::-1], [0.0]])
     p = params.p
     z = m[i0:] ** (-(p - 1.0))
-    # near blow-up both columns live many orders below 1; scale to keep the
-    # least-squares problem conditioned
+    # near blow-up both columns live many orders below 1; scale them to 1 so
+    # that the fit's sums of products stay far from underflow
     S = float(np.max(s_rel))
     Z = float(np.max(z))
     if not (S > 0.0 and Z > 0.0):
         raise InsufficientGrowthError("fit failed: degenerate window")
-    A = np.vstack([s_rel / S, np.ones_like(s_rel)]).T
-    (a_s, c_s), *_ = np.linalg.lstsq(A, z / Z, rcond=None)
+    a_s, c_s = _fit_line(s_rel / S, z / Z)
     a = a_s * Z / S
     c = c_s * Z
     if not a > 0.0:
@@ -785,21 +795,40 @@ def save_snapshots(trajectory: Trajectory, path) -> None:
     time accumulator), ``stop_field`` (the field of a run stopped between
     snapshots, at the last history time; empty otherwise), ``status``,
     ``config`` (JSON) and ``version``.
+
+    The archive is the one ``np.savez_compressed`` writes, member for
+    member, but streamed: ``values`` goes into its member one snapshot at a
+    time, so no (snapshots, M+1) array, no copy of it and no compressed
+    blob of it is ever held whole.
     """
-    values = np.stack([s.values for s in trajectory.snapshots])
-    stop = trajectory._stop_field
-    # a file handle, so numpy does not append ".npz" to the temp name
-    write_atomic(path, lambda fh: np.savez_compressed(
-        fh,
-        version=np.array(ARCHIVE_VERSION),
-        config=np.array(json.dumps(asdict(trajectory.config))),
-        status=np.array(trajectory.status),
-        times=trajectory.times,
-        values=values,
-        history=trajectory.maxnorm_history,
-        time_comp=np.array(trajectory._time_comp),
-        stop_field=np.empty(0) if stop is None else stop.values,
-    ))
+    snapshots, stop = trajectory.snapshots, trajectory._stop_field
+    members = {
+        "version": np.array(ARCHIVE_VERSION),
+        "config": np.array(json.dumps(asdict(trajectory.config))),
+        "status": np.array(trajectory.status),
+        "times": trajectory.times,
+        "values": None,  # streamed below
+        "history": trajectory.maxnorm_history,
+        "time_comp": np.array(trajectory._time_comp),
+        "stop_field": np.empty(0) if stop is None else stop.values,
+    }
+    values_header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                     "fortran_order": False,
+                     "shape": (len(snapshots), trajectory.config.grid.M + 1)}
+
+    def write(fh):
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as archive:
+            for key, array in members.items():
+                # zip64 headers as numpy forces them, so the bytes are savez's
+                with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                    if array is not None:
+                        np.lib.format.write_array(member, array)
+                    else:  # the snapshots, one row at a time
+                        np.lib.format.write_array_header_1_0(member, values_header)
+                        for snap in snapshots:
+                            member.write(np.ascontiguousarray(snap.values))
+
+    write_atomic(path, write)
 
 
 def load_snapshots(path) -> Trajectory:
@@ -809,8 +838,8 @@ def load_snapshots(path) -> Trajectory:
 
     Raises :class:`CheckpointError` when the file is not a readable archive,
     lacks a key (archives written before the history moved in, for one), has
-    another version, or does not hold one time per snapshot and at least
-    one snapshot.
+    another version, does not hold one time per snapshot and at least one
+    snapshot, or holds snapshot times that are not strictly increasing.
     """
     try:
         with np.load(path) as data:
@@ -827,6 +856,8 @@ def load_snapshots(path) -> Trajectory:
         if not len(times) == len(values) > 0:
             raise ValueError(f"{len(times)} snapshot times for {len(values)} snapshots "
                              "(need one per snapshot, and at least one)")
+        if not np.all(times[1:] > times[:-1]):
+            raise ValueError("snapshot times are not strictly increasing")
         snapshots = [RadialField(config.grid, row, t)
                      for t, row in zip(times.tolist(), values)]
         hist = arrays["history"]

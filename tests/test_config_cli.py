@@ -328,6 +328,21 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
         assert "Traceback" not in err
 
 
+def test_frames_refuses_unordered_snapshot_times(finished_run, capsys):
+    """An archive whose snapshot times do not increase strictly would give
+    wrong frames; ``frames`` refuses it with exit code 2."""
+    archive = finished_run / "snapshots.npz"
+    with np.load(archive) as data:
+        arrays = {key: data[key] for key in data.files}
+    times = arrays["times"].copy()
+    times[[1, 2]] = times[[2, 1]]
+    np.savez_compressed(archive, **{**arrays, "times": times})
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not strictly increasing" in err
+    assert not list(finished_run.glob("frame_*"))
+
+
 @pytest.mark.parametrize("config_text, argv, message", [
     (TINY_CONFIG + "max_steps = 100\n", [], "need 'blown-up'"),  # no fit, no --T
     (TINY_CONFIG, ["--x0", "5"], "unreachable: |x0|=5 (clipped to delta="),
@@ -435,16 +450,18 @@ def test_verify_json_output(capsys):
     assert doc["gronwall"]["n_violations"] == 0
 
 
-def test_import_verify_and_run_load_no_scipy_package(tmp_path):
+def test_import_verify_and_run_load_no_scipy_package_nor_numpy_random(tmp_path):
     """A fresh interpreter loads no scipy package (neither ``scipy`` nor
     ``scipy.linalg``, ``scipy.integrate`` or ``scipy.optimize``, together
-    about 45 MB of peak RSS) on ``import blowlab.cli``, while ``verify``
-    runs and passes, or while a tiny run (M=64) runs: LAPACK comes from
-    scipy's extension module alone, and the singular integral is a fixed
-    rule in numpy."""
+    about 45 MB of peak RSS) and not ``numpy.random`` (~6 MB) on
+    ``import blowlab.cli``, while ``verify`` runs and passes, or while a
+    tiny run (M=64) runs: LAPACK comes from scipy's extension module alone,
+    the singular integral is a fixed rule in numpy, and verify's random
+    instances come from its own SplitMix64 stream."""
     run = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")]
     code = ("import sys, blowlab, blowlab.cli\n"
-            "packages = {'scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.optimize'}\n"
+            "packages = {'scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.optimize',\n"
+            "            'numpy.random'}\n"
             "def check():\n"
             "    assert not packages & set(sys.modules), sorted(packages & set(sys.modules))\n"
             "check()\n"

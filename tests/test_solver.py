@@ -1,14 +1,19 @@
 import io
+import json
+import tracemalloc
 import weakref
-from dataclasses import replace
+import zipfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from blowlab import solver
+from blowlab import lemmas, solver
 from blowlab.fields import GridGeometry, RadialField, RadialGrid, sphere_area
+from blowlab.lemmas import nonlocal_decay_fit
 from blowlab.params import validate
 from blowlab.profiles import f_profile
 from blowlab.solver import (
@@ -32,6 +37,14 @@ from blowlab.solver import (
 from conftest import assert_same_steps, ref_laplacian, ref_laplacian_matrix, run_python
 
 KAPPA = 3.0 ** (-1.0 / 3.0)
+
+
+@pytest.fixture(scope="module")
+def default_run(default_params):
+    """``blowlab run``'s instance: M=1024, t_star 0.01, default config."""
+    g = RadialGrid(R=1.0, M=1024, dim=1)
+    return run_until_blowup(profile_seeded_field(g, default_params, t_star=0.01),
+                            SolverConfig(grid=g, params=default_params))
 
 
 def quiet_config(grid, params, **kw):
@@ -247,6 +260,59 @@ def test_estimate_T_insufficient_growth(default_params):
         estimate_T(traj, default_params)
 
 
+@given(n=st.integers(3, 60), width=st.floats(1e-3, 1e3), offset=st.floats(-10.0, 10.0),
+       slope=st.floats(-1e3, 1e3), intercept=st.floats(-1e3, 1e3),
+       noise=st.floats(0.0, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_line_matches_lstsq(n, width, offset, slope, intercept, noise, seed):
+    """On well-conditioned data (x spread over its width, its offset at most
+    10 widths) the closed-form fit is numpy's least-squares line up to
+    rounding."""
+    rng = np.random.default_rng(seed)
+    x = width * (offset + (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n)
+    y = slope * x + intercept + noise * rng.uniform(-1.0, 1.0, n)
+    (ref_slope, ref_intercept), *_ = np.linalg.lstsq(np.vstack([x, np.ones(n)]).T, y,
+                                                     rcond=None)
+    got_slope, got_intercept = solver._fit_line(x, y)
+    scale = float(np.max(np.abs(y)))
+    assert abs(got_slope - ref_slope) <= 1e-12 * scale / width
+    assert abs(got_intercept - ref_intercept) <= 1e-11 * scale
+
+
+def _lstsq_line(x, y):
+    (slope, intercept), *_ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    return slope, intercept
+
+
+def test_fits_match_lstsq_on_the_default_run(default_run, default_params, monkeypatch):
+    """On the window of ``blowlab run``'s instance, estimate_T and the decay
+    fit give what the former ``np.linalg.lstsq`` line gave: T_est, kappa_est
+    and the slope within 1e-13 relative (measured: T_est equal, kappa_est
+    3.2e-16, slope 2.1e-15), the residual, a rounding-level number, within
+    2e-13 absolute."""
+    eta = default_params.gamma / 4.0
+    new = estimate_T(default_run, default_params)
+    new_slope = nonlocal_decay_fit(default_run, default_params, eta).slope
+    monkeypatch.setattr(solver, "_fit_line", _lstsq_line)
+    monkeypatch.setattr(lemmas, "_fit_line", _lstsq_line)
+    old = estimate_T(default_run, default_params)
+    old_slope = nonlocal_decay_fit(default_run, default_params, eta).slope
+    assert new.T_est == pytest.approx(old.T_est, rel=1e-13, abs=0.0)
+    assert new.kappa_est == pytest.approx(old.kappa_est, rel=1e-13, abs=0.0)
+    assert new_slope == pytest.approx(old_slope, rel=1e-13, abs=0.0)
+    assert abs(new.residual - old.residual) <= 2e-13
+
+
+def test_fits_do_not_call_lstsq(small_run, default_params, monkeypatch):
+    """Neither fit reaches numpy's bundled LAPACK through ``lstsq``."""
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    est = estimate_T(small_run, default_params)
+    fit = nonlocal_decay_fit(small_run, default_params, default_params.gamma / 4.0)
+    assert np.isfinite(est.T_est) and np.isfinite(fit.slope)
+
+
 def _assert_same_run(loaded, run):
     assert_same_steps(loaded, run)
     assert loaded.config == run.config
@@ -304,6 +370,70 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
         _rewrite_archive(path, **changes)
         with pytest.raises(CheckpointError, match=f"corrupted .*: {counts} snapshots"):
             load_snapshots(path)
+
+
+def test_archive_refuses_unordered_snapshot_times(small_run, tmp_path):
+    """Frames look snapshots up by time, so an archive whose snapshot times
+    do not increase strictly is corrupted, not a run."""
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    whole = path.read_bytes()
+    swapped, tied = small_run.times.copy(), small_run.times.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    tied[2] = tied[1]
+    for times in (swapped, tied):
+        path.write_bytes(whole)
+        _rewrite_archive(path, times=times)
+        with pytest.raises(CheckpointError, match="corrupted .*not strictly increasing"):
+            load_snapshots(path)
+
+
+def _savez_archive(trajectory, path):
+    """The run archive as ``np.savez_compressed`` writes it from the stacked
+    snapshots: the reference for the streamed writer."""
+    stop = trajectory._stop_field
+    np.savez_compressed(
+        path, version=np.array(solver.ARCHIVE_VERSION),
+        config=np.array(json.dumps(asdict(trajectory.config))),
+        status=np.array(trajectory.status), times=trajectory.times,
+        values=np.stack([s.values for s in trajectory.snapshots]),
+        history=trajectory.maxnorm_history, time_comp=np.array(trajectory._time_comp),
+        stop_field=np.empty(0) if stop is None else stop.values)
+
+
+def test_archive_members_equal_savez_compressed(small_run, tmp_path):
+    """The streamed archive holds, member for member and byte for byte once
+    decompressed, what ``np.savez_compressed`` writes: for a blown-up run, a
+    budget-stopped run that keeps a stop field, and a dim=2 run."""
+    stopped = run_until_blowup(small_run.snapshots[0], replace(small_run.config, max_steps=7))
+    assert stopped.status == STATUS_BUDGET and stopped._stop_field is not None
+    params2 = validate(p=4.0, q=4.6, mu=0.1, dim=2)
+    g2 = RadialGrid(R=1.0, M=128, dim=2)
+    dim2 = run_until_blowup(profile_seeded_field(g2, params2, t_star=0.01),
+                            SolverConfig(grid=g2, params=params2, blowup_cap=1e4))
+    assert dim2.status == STATUS_BLOWN_UP
+    for trajectory in (small_run, stopped, dim2):
+        save_snapshots(trajectory, tmp_path / "streamed.npz")
+        _savez_archive(trajectory, tmp_path / "reference.npz")
+        with (zipfile.ZipFile(tmp_path / "streamed.npz") as streamed,
+              zipfile.ZipFile(tmp_path / "reference.npz") as reference):
+            assert streamed.namelist() == reference.namelist()
+            for name in reference.namelist():
+                assert streamed.read(name) == reference.read(name), name
+
+
+def test_save_snapshots_tracemalloc_peak_under_half_mb(default_run, tmp_path):
+    """The archive of ``blowlab run``'s instance (86 snapshots of 1025 nodes,
+    0.7 MB of values) is written without holding the values whole: the
+    stacked copy and its compressed blob peaked at ~3.5 MB."""
+    save_snapshots(default_run, tmp_path / "snapshots.npz")
+    tracemalloc.start()
+    try:
+        save_snapshots(default_run, tmp_path / "snapshots.npz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000
 
 
 def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
@@ -580,10 +710,11 @@ def test_artifact_writes_leave_no_temp_files(small_run, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["snapshots.npz"]
     before = (tmp_path / "snapshots.npz").read_bytes()
 
-    def failing_savez(*args, **kwargs):
+    def failing_write(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", failing_savez)
+    # the failure strikes midway, as the snapshots' member starts
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", failing_write)
     with pytest.raises(OSError, match="disk full"):
         save_snapshots(small_run, tmp_path / "snapshots.npz")
     # a failed write keeps the previous archive and cleans up after itself
