@@ -209,8 +209,7 @@ def cmd_frames(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    manifest = _manifest("frames", None, out, None)
-    for x0, frame, report in zip(x0_list, frames, reports):
+    for x0, frame in zip(x0_list, frames):
         # repr, not :g, so distinct x0 never share a file name
         tag = f"x0_{x0!r}".replace(".", "p").replace("-", "m")
         # x0, K0 and t0 are comment lines after the header, so skiprows=1 still
@@ -224,13 +223,9 @@ def cmd_frames(args) -> int:
                 for x, v, w in zip(xi, v_row, w_row))
         _write_csv(out / f"frame_{tag}.csv", ("tau", "xi", "v", "w"),
                    itertools.chain(constants, rows))
-        _write_json(out / f"frame_report_{tag}.json", {"manifest": manifest, **report})
 
-    final_profile = asdict(table)
-    _write_json(out / "final_profile.json", {"manifest": manifest, **final_profile})
-
-    doc = {"manifest": manifest, "T": T, "K0": args.K0, "reports": reports,
-           "final_profile": final_profile}
+    doc = {"manifest": _manifest("frames", None, out, None), "T": T, "K0": args.K0,
+           "reports": reports, "final_profile": asdict(table)}
     _write_json(out / "frames_summary.json", doc)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -258,46 +253,31 @@ def _semigroup_cases() -> tuple[list, list]:
 
 def cmd_verify(args) -> int:
     out = None if args.out is None else _out_dir(args.out)
-    failures = []
-    rows = []
-
     sweep = integral_sweep()
-    rows.append(("singular-integral sweep", f"{sweep.n_total} cases",
-                 f"worst margin {sweep.worst_margin:.3e}",
-                 "pass" if sweep.passed else "FAIL"))
-    if not sweep.passed:
-        wc = sweep.worst_case
-        failures.append(
-            f"integral bound violated at alpha={wc.alpha:.3g} theta={wc.theta:.3g} "
-            f"tau={wc.tau:.3g} (margin {sweep.worst_margin:.3e})")
-
     gron = gronwall_suite()
-    rows.append(("gronwall suite", f"{gron.n_points} points",
-                 f"worst margin {gron.worst_margin:.3e}",
-                 "pass" if gron.passed else "FAIL"))
-    if not gron.passed:
-        failures.append(f"gronwall bound violated ({gron.n_violations} points)")
-
     ident = gamma_exponent_identity_check()
-    ident_ok = ident <= 1e-14
-    rows.append(("exponent identity", "1000 samples", f"max |diff| {ident:.3e}",
-                 "pass" if ident_ok else "FAIL"))
-    if not ident_ok:
-        failures.append(f"exponent identity off by {ident:.3e}")
-
     t_values, test_fields = _semigroup_cases()
     smoothing = semigroup_smoothing_check(t_values, test_fields)
     scope = f"{len(test_fields)} fields x {len(t_values)} times"
-    sup_ok = smoothing.max_sup_ratio <= 1.0 + 1e-12
-    grad_ok = smoothing.max_grad_ratio <= 2.0 / np.sqrt(2.0 * np.e)
-    rows.append(("semigroup sup ratio", scope,
-                 f"max {smoothing.max_sup_ratio:.8f}", "pass" if sup_ok else "FAIL"))
-    rows.append(("semigroup grad ratio", scope,
-                 f"max {smoothing.max_grad_ratio:.6f}", "pass" if grad_ok else "FAIL"))
-    if not sup_ok:
-        failures.append(f"semigroup sup ratio {smoothing.max_sup_ratio} > 1 + 1e-12")
-    if not grad_ok:
-        failures.append(f"semigroup grad ratio {smoothing.max_grad_ratio} too large")
+    wc = sweep.worst_case
+    # (check, scope, result, passed, failure): the printed rows and the failures
+    checks = [
+        ("singular-integral sweep", f"{sweep.n_total} cases",
+         f"worst margin {sweep.worst_margin:.3e}", sweep.passed,
+         f"integral bound violated at alpha={wc.alpha:.3g} theta={wc.theta:.3g} "
+         f"tau={wc.tau:.3g} (margin {sweep.worst_margin:.3e})"),
+        ("gronwall suite", f"{gron.n_points} points", f"worst margin {gron.worst_margin:.3e}",
+         gron.passed, f"gronwall bound violated ({gron.n_violations} points)"),
+        ("exponent identity", "1000 samples", f"max |diff| {ident:.3e}", ident <= 1e-14,
+         f"exponent identity off by {ident:.3e}"),
+        ("semigroup sup ratio", scope, f"max {smoothing.max_sup_ratio:.8f}",
+         smoothing.max_sup_ratio <= 1.0 + 1e-12,
+         f"semigroup sup ratio {smoothing.max_sup_ratio} > 1 + 1e-12"),
+        ("semigroup grad ratio", scope, f"max {smoothing.max_grad_ratio:.6f}",
+         smoothing.max_grad_ratio <= 2.0 / np.sqrt(2.0 * np.e),
+         f"semigroup grad ratio {smoothing.max_grad_ratio} too large"),
+    ]
+    failures = [failure for *_, passed, failure in checks if not passed]
 
     doc = {
         "manifest": _manifest("verify", None, args.out, None),
@@ -318,7 +298,9 @@ def cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        _print_table(rows, ("check", "scope", "result", "status"))
+        _print_table([(check, scope, result, "pass" if passed else "FAIL")
+                      for check, scope, result, passed, _ in checks],
+                     ("check", "scope", "result", "status"))
         for failure in failures:
             print(f"FAIL: {failure}")
     return EXIT_VERIFY if failures else EXIT_OK
@@ -386,8 +368,9 @@ def _sweep_worker(job):
         solver._advance((Trajectory.start(pending[index][3], pending[index][1].solver)
                          for index in order),
                         lambda position, trajectory: finish(order[position], trajectory))
-    except Exception:  # a failure of the batch names no point: step the rest alone
-        pass
+    except Exception as exc:  # a failure of the batch names no point: step the rest alone
+        print("sweep: batch failed, stepping its points alone", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
     for index in list(pending):
         overrides, run_config, _, u0 = pending[index]
         try:

@@ -50,16 +50,20 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: validated params, solver config, seed knobs.
+    """Everything a run needs: the solver config, whose validated
+    parameters :attr:`params` reads, and the seed knobs.
 
     ``raw`` holds the keys as the file and the overrides set them (``beta``
     may be None); :meth:`to_dict` echoes them with the resolved beta."""
 
-    params: ModelParams
     solver: SolverConfig
     t_star: float
     taper_start: float
     raw: dict
+
+    @property
+    def params(self) -> ModelParams:
+        return self.solver.params
 
     def to_dict(self) -> dict:
         return {**self.raw, "beta": self.params.beta}
@@ -128,19 +132,16 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         check_seed(t_star, taper_start)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(params=params, solver=solver, t_star=t_star,
-                     taper_start=taper_start, raw=merged)
+    return RunConfig(solver=solver, t_star=t_star, taper_start=taper_start, raw=merged)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read a config file (or use defaults when path is None) and build."""
-    if path is None:
-        raw = {key: default for key, (_t, default) in _SCHEMA.items()}
-    else:
+    text = ""
+    if path is not None:
         try:
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        raw = parse_config_text(text, source=str(path))
-    return build_run_config(raw, overrides)
+    return build_run_config(parse_config_text(text, source=str(path)), overrides)

@@ -1,5 +1,5 @@
-"""Radial grid and fields, the kernels of the discrete operators, the
-ball-integral prefix and the sup norm, and the CSV writer.
+"""Radial grid and fields, the kernels of the discrete operators and the
+ball-integral prefix, and the CSV writer.
 
 Scalar fields are radially symmetric and live on the uniform grid
 r_i = i*h, i = 0..M.  The even extension across r = 0 fixes the origin
@@ -228,13 +228,6 @@ def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
     np.cumsum(J[..., 1:], axis=-1, out=J[..., 1:])
     J *= geom.area
     return J
-
-
-def _sup_values(values: np.ndarray, h: float) -> tuple[float, float]:
-    """(max |values|, its radius i*h); ties break to the smallest index."""
-    a = np.abs(values)
-    i = int(np.argmax(a))
-    return float(a[i]), i * h
 
 
 def write_csv(fh, header, rows, comments=()) -> None:

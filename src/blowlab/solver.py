@@ -36,13 +36,17 @@ and every kernel works on that memory (see ``fields``).  Each row keeps
 its own parameters and its own scalars as Python floats (step size,
 Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
 when it stops.  A single run is a batch of one (:func:`run_until_blowup`,
-:func:`continue_run`), stepped as a 1-D field by the same kernels.
-Every row is bit-identical to its run stepped alone: ``_Terms`` and
-``_Batch`` say what that takes.  ``_Batch`` builds the grid's fixed
-geometry, the Laplacian bands and reused buffers once per batch, and
-``_advance`` holds one ``np.errstate`` scope around the step loop.  Runs
-are deterministic: identical config and initial data give bit-identical
-trajectories, alone or in any batch.
+:func:`continue_run`), held as a 1-D field.  The step and its solves are
+one code path for both layouts, apart from the step size, a Python float
+for one run and a column of the rows' step sizes for a block; the single
+row's own path lives in the kernels (``fields``, :func:`_explicit_values`,
+:func:`_sups`), where numpy scalars at r = 0 and r = R cost less per call
+than the one-element columns of a block.  Every row is bit-identical to
+its run stepped alone: ``_Terms`` and ``_Batch`` say what that takes.
+``_Batch`` builds the grid's fixed geometry, the Laplacian bands and
+reused buffers once per batch, and ``_advance`` holds one ``np.errstate``
+scope around the step loop.  Runs are deterministic: identical config
+and initial data give bit-identical trajectories, alone or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -95,8 +99,6 @@ from .fields import (
     _laplacian_bands,
     _last_node,
     _nonlocal_prefix_values,
-    _sup_values,
-    _tiled,
     write_csv,
 )
 from .params import ModelParams
@@ -145,6 +147,8 @@ STATUS_COMPLETED = "completed"
 STATUS_OVERFLOWED = "overflowed"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_DECAYED = "decayed"
+STATUSES = (STATUS_RUNNING, STATUS_BLOWN_UP, STATUS_COMPLETED, STATUS_OVERFLOWED,
+            STATUS_BUDGET, STATUS_DECAYED)
 
 HISTORY_BLOCK = 4096  # history rows buffered as tuples before a flush to floats
 
@@ -231,7 +235,7 @@ class Trajectory:
         field = u0.copy()
         if config.boundary == BOUNDARY_DIRICHLET:
             field.values[-1] = 0.0
-        m, rarg = _sup_values(field.values, config.grid.h)
+        [m], [rarg] = _sups(field.values, config.grid.h)
         return cls(config=config, snapshots=[field],
                    maxnorm_history=np.array([[field.time, m, rarg, 0.0]]))
 
@@ -373,49 +377,49 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
 class _Batch:
     """What stepping k rows on one grid together reuses from step to step.
 
-    The rows' fields are held from step to step as one padded (k, M+3)
-    block (see ``fields``), which is also the layout of the block-diagonal
-    system whose solves, one LAPACK call each, are the two stages of a
-    step: the two cells after each row are separator unknowns, an identity
-    row with right-hand side +0 and zero coupling, so the products with the
-    coupling zeros that the tridiagonal elimination forms are +0 * +0 and
-    every block's arithmetic is exactly its own system's.  The kernels leave
-    other values in the separator cells, so each solve first resets them.
-    A non-finite row still crosses over (0 * NaN), which the caller detects.
-    A single row has no separators and is stepped as a 1-D field: numpy's
-    per-call cost on the cells at r = 0 and r = R is lower for scalars than
-    for one-element arrays.
+    The rows' fields are held from step to step in the layout :func:`_block`
+    gives them, and so are the Laplacian bands, the LU buffers and the
+    right-hand sides: one padded (k, M+3) block, which is also the layout of
+    the block-diagonal system whose solves, one LAPACK call each, are the
+    two stages of a step.  The two cells after each row are separator
+    unknowns, an identity row with right-hand side +0 and zero coupling, so
+    the products with the coupling zeros that the tridiagonal elimination
+    forms are +0 * +0 and every block's arithmetic is exactly its own
+    system's.  The kernels leave other values in the separator cells, so
+    each solve first resets them.  A non-finite row still crosses over
+    (0 * NaN), which the caller detects.  A single row has no separators
+    and is held as a 1-D (M+1,) field: the kernels then set the cells at
+    r = 0 and r = R as numpy scalars, which costs less per call than the
+    one-element columns of a block.  Each band is padded to a row's length
+    and LAPACK takes the flattened buffers, the off-diagonals without their
+    last entry, so the step itself is the same for both layouts.
     """
 
     def __init__(self, params: list[ModelParams], grid: RadialGrid, boundary: str):
-        k, n = len(params), grid.M + 1
-        self.single = k == 1
+        k = len(params)
         self.terms = _Terms(params, GridGeometry.of(grid))
         self.boundary = boundary
-        self.width = n + SEPARATORS
-        # -L's off-diagonals and L's diagonal along the flattened system, with
-        # +0 coupling and a 0 diagonal in the separators' rows: scaled by
-        # gamma*dt >= 0, they give those rows' identity and +0 coupling
+        # -L's off-diagonals and L's diagonal, with +0 coupling and a 0
+        # diagonal in the separators' rows: scaled by gamma*dt >= 0, they
+        # give those rows' identity and +0 coupling
         lower, diagonal, upper = _laplacian_bands(grid, boundary)
-        if not self.single:
-            lower, diagonal, upper = (_tiled(lower, k, self.width)[:-1],
-                                      _tiled(diagonal, k, self.width),
-                                      _tiled(upper, k, self.width)[:-1])
-        self.bands = (-lower, diagonal, -upper)
+        self.bands = (-_block([np.append(lower, 0.0)] * k), _block([diagonal] * k),
+                      -_block([np.append(upper, 0.0)] * k))
         self.lu = tuple(np.empty_like(band) for band in self.bands)  # factored in place
-        self.shape = (n,) if self.single else (k, self.width)
+        dl, d, du = (band.reshape(-1) for band in self.lu)
+        self.lu_flat = (dl[:-1], d, du[:-1])
+        self.shape = self.bands[1].shape
         sides = np.empty((2, *self.shape))  # the right-hand sides of the two solves
-        self.sides, self.sides_flat, self.separators = sides, sides.reshape(2, -1), sides[..., n:]
+        self.sides, self.sides_flat = sides, sides.reshape(2, -1)
+        self.separators = tuple(sides[..., grid.M + 1:])  # each stage's; none for one row
         self.work = np.empty((2, *self.shape))  # the two explicit stages
 
     def solve(self, lu, stage: int) -> np.ndarray:
         """The rows' fields that solve the system with right-hand side
         ``sides[stage]``, given the factors ``lu``: in place for the first
         stage, into a new block for the second, the step's result."""
-        if not self.single:
-            self.separators[stage] = 0.0
-        x = dgttrs(*lu, self.sides_flat[stage], overwrite_b=stage == 0)[0]
-        return x if self.single else x.reshape(self.shape)
+        self.separators[stage].fill(0.0)
+        return dgttrs(*lu, self.sides_flat[stage], overwrite_b=stage == 0)[0].reshape(self.shape)
 
 
 def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
@@ -425,21 +429,19 @@ def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     boundary, terms = batch.boundary, batch.terms
     n1, n2 = batch.work
     b1, b2 = batch.sides
-    # a single row multiplies by Python floats, as a scalar step does, and a
-    # block by its rows' step sizes repeated along each row
-    dt = dts[0] if batch.single else np.repeat(dts, batch.width).reshape(len(dts), -1)
+    # a single row multiplies by a Python float, as a scalar step does, and
+    # a block by the column of its rows' step sizes
+    dt = dts[0] if u.ndim == 1 else np.array(dts)[:, None]
     gdt = _GAMMA * dt
     # LU of I - gamma*dt*L, shared by both solves; band entry i couples
     # cells i and i+1 and takes cell i's step size
-    g = gdt if batch.single else gdt.reshape(-1)
-    off = g if batch.single else g[:-1]
     neg_lower, diagonal, neg_upper = batch.bands
     dl, d, du = batch.lu
-    np.multiply(neg_lower, off, out=dl)
-    np.multiply(g, diagonal, out=d)
+    np.multiply(neg_lower, gdt, out=dl)
+    np.multiply(gdt, diagonal, out=d)
     np.subtract(1.0, d, out=d)
-    np.multiply(neg_upper, off, out=du)
-    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    np.multiply(neg_upper, gdt, out=du)
+    *lu, info = dgttrf(*batch.lu_flat, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise NonFiniteFieldError(f"implicit matrix is singular (dt={dts})")
     _explicit_values(u, terms, boundary, out=n1)
@@ -503,21 +505,20 @@ class _Row:
 
     def __init__(self, position: int, traj: Trajectory):
         config = traj.config
-        h = config.grid.h
         self.position, self.traj, self.config, self.params = position, traj, config, config.params
         self.values = traj.last_field.values
         self.t = traj.last_field.time
         self.on_schedule = traj._stop_field is None  # the field is the last snapshot
         traj._stop_field = None
         self.comp = traj._time_comp
-        self.m, _ = _sup_values(self.values, h)
+        self.m = float(traj.maxnorm_history[-1, 1])  # the sup of the last field
         self.cap, self.t_max = config.blowup_cap, config.t_max
         self.t_end = None if config.t_max is None else config.t_max * (1.0 - 1e-15)
         self.stride, self.growth = config.record_stride, config.snapshot_growth
         # the schedule reads the last snapshot and the run's step count, so a
         # resumed run continues it where the uninterrupted run would be
-        self.next_snap_m = self.growth * max(_sup_values(traj.snapshots[-1].values, h)[0],
-                                             _TINY)
+        [snap_m], _ = _sups(traj.snapshots[-1].values, config.grid.h)
+        self.next_snap_m = self.growth * max(snap_m, _TINY)
         self.step = len(traj.maxnorm_history) - 1
         self.last_step = self.step + config.max_steps  # the budget
         self.blocks, self.rows = [traj.maxnorm_history], []
@@ -603,12 +604,13 @@ def _fields(values: np.ndarray) -> np.ndarray:
 
 
 def _sups(values: np.ndarray, h: float) -> tuple[list[float], list[float]]:
-    """:func:`_sup_values` of each row of a padded block, as lists, or of a
-    1-D field.  The separators hold +0 and never win the ties."""
-    if values.ndim == 1:
-        m, rarg = _sup_values(values, h)
-        return [m], [rarg]
+    """(max |u|, its radius i*h) of a 1-D field or of each row of a padded
+    block, as lists; ties break to the smallest index, so the separators,
+    which hold +0, never win them."""
     a = np.abs(values)
+    if values.ndim == 1:
+        i = int(np.argmax(a))
+        return [float(a[i])], [i * h]
     idx = a.argmax(axis=1)
     return a[np.arange(len(a)), idx].tolist(), [i * h for i in idx.tolist()]
 
@@ -658,7 +660,7 @@ def _advance(trajs, on_stop=None) -> None:
             try:
                 new_values = _ars222(values, dts, batch)
                 m, rarg = _sups(new_values, h)
-            except (NonFiniteFieldError, FloatingPointError):
+            except FloatingPointError:
                 new_values, m, rarg = values, [math.nan] * len(rows), [0.0] * len(rows)
             # argmax of |u| finds the first nan or inf: a finite sup, a finite field
             if len(rows) > 1 and not all(map(math.isfinite, m)):
@@ -682,9 +684,9 @@ def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], grid: Ra
     for i, (row, field, new) in enumerate(zip(rows, _fields(values), _fields(new_values))):
         try:
             new[:] = _ars222(field, dts[i:i + 1], _Batch([row.params], grid, boundary))
-        except (NonFiniteFieldError, FloatingPointError):
+        except FloatingPointError:
             continue
-        m[i], rarg[i] = _sup_values(new, grid.h)
+        [m[i]], [rarg[i]] = _sups(new, grid.h)
     return new_values, m, rarg
 
 
@@ -839,7 +841,8 @@ def load_snapshots(path) -> Trajectory:
     Raises :class:`CheckpointError` when the file is not a readable archive,
     lacks a key (archives written before the history moved in, for one), has
     another version, does not hold one time per snapshot and at least one
-    snapshot, or holds snapshot times that are not strictly increasing.
+    snapshot, holds snapshot times that are not strictly increasing, or
+    holds a status that is none of ``STATUSES``.
     """
     try:
         with np.load(path) as data:
@@ -861,10 +864,14 @@ def load_snapshots(path) -> Trajectory:
         snapshots = [RadialField(config.grid, row, t)
                      for t, row in zip(times.tolist(), values)]
         hist = arrays["history"]
-        if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4:
-            raise ValueError(f"history is {hist.dtype} {hist.shape}, need float64 (n, 4)")
+        if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4 or not len(hist):
+            raise ValueError(f"history is {hist.dtype} {hist.shape}, "
+                             "need float64 (n, 4) with n >= 1")
+        status = str(arrays["status"])
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}")
         stop = arrays["stop_field"]
-        return Trajectory(config=config, snapshots=snapshots, status=str(arrays["status"]),
+        return Trajectory(config=config, snapshots=snapshots, status=status,
                           maxnorm_history=hist, _time_comp=float(arrays["time_comp"]),
                           _stop_field=RadialField(config.grid, stop, float(hist[-1, 0]))
                           if stop.size else None)

@@ -206,8 +206,9 @@ def test_frames_writes_reports(finished_run):
     frame_csv = (finished_run / "frame_x0_0p1.csv").read_text().splitlines()
     assert frame_csv[0] == "tau,xi,v,w"
     assert len(frame_csv) > 10
-    table = json.loads((finished_run / "final_profile.json").read_text())
-    assert [point["r"] for point in table["points"]] == [0.1, 0.2]
+    assert [point["r"] for point in summary["final_profile"]["points"]] == [0.1, 0.2]
+    assert not list(finished_run.glob("frame_report_*.json"))
+    assert not (finished_run / "final_profile.json").exists()
 
 
 def _tuple_row_frame_csv(trajectory, x0, K0, T, window) -> bytes:
@@ -266,10 +267,10 @@ def test_frames_of_close_x0_get_distinct_files(finished_run):
     """Two x0 equal to 6 significant digits write two frame CSVs and two
     reports: the file tag is the repr of x0, not its %g form."""
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1234567,0.1234568"]) == 0
-    for x0 in (0.1234567, 0.1234568):
+    summary = json.loads((finished_run / "frames_summary.json").read_text())
+    for x0, report in zip((0.1234567, 0.1234568), summary["reports"]):
         tag = repr(x0).replace(".", "p")
         assert _frame_constants(finished_run / f"frame_x0_{tag}.csv")["x0"] == x0
-        report = json.loads((finished_run / f"frame_report_x0_{tag}.json").read_text())
         assert report["x0"] == x0
     assert len(list(finished_run.glob("frame_x0_*.csv"))) == 2
 
@@ -340,6 +341,16 @@ def test_frames_refuses_unordered_snapshot_times(finished_run, capsys):
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "not strictly increasing" in err
+    assert not list(finished_run.glob("frame_*"))
+
+
+def test_frames_refuses_an_unknown_status(finished_run, capsys):
+    archive = finished_run / "snapshots.npz"
+    with np.load(archive) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez_compressed(archive, **{**arrays, "status": np.array("bogus")})
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
+    assert "unknown status 'bogus'" in capsys.readouterr().err
     assert not list(finished_run.glob("frame_*"))
 
 
@@ -636,7 +647,7 @@ def test_one_failing_point_never_aborts_a_sweep(tmp_path, monkeypatch, stage):
         _assert_point_is_its_run_alone(config, out, row)
 
 
-def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch):
+def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch, capsys):
     """Each point's files are written as its run leaves the batch.  When the
     batch then fails, only the points still in it are stepped again, alone:
     every point gets one summary row and one set of files, its run alone."""
@@ -661,6 +672,9 @@ def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch):
                  "--out", str(out), "--workers", "1"]) == 0
     monkeypatch.undo()
     assert failures == [2]
+    err = capsys.readouterr().err
+    assert "sweep: batch failed, stepping its points alone" in err
+    assert "RuntimeError: injected batch failure" in err
     assert sorted(index for index, _ in summaries) == [0, 1, 2]
     assert summaries[0][1] == 0  # written before the batch failed
     rows = _summary_rows(out)

@@ -16,9 +16,9 @@ from blowlab.fields import (
     _gradient_values,
     _laplacian_bands,
     _nonlocal_prefix_values,
-    _sup_values,
 )
 from blowlab.profiles import f_profile, grad_f_profile
+from blowlab.solver import _block, _sups
 from conftest import ref_laplacian_matrix
 
 
@@ -213,15 +213,18 @@ def test_prefix_against_quadrature_oracle(default_params):
 
 def test_sup_norm_locations(default_params):
     g = grid1(M=64, R=4.0)
-    value, where = _sup_values(f_profile(g.r, default_params), g.h)
+    [value], [where] = _sups(f_profile(g.r, default_params), g.h)
     assert where == 0.0
     assert value == pytest.approx(default_params.kappa, rel=1e-14)
     u = np.zeros(g.M + 1)
     u[40] = 2.0
-    value, where = _sup_values(u[:17], g.h)
-    assert (value, where) == (0.0, 0.0)  # ties break to the smallest radius
-    value, where = _sup_values(u, g.h)
+    assert _sups(u[:17], g.h) == ([0.0], [0.0])  # ties break to the smallest radius
+    [value], [where] = _sups(u, g.h)
     assert (value, where) == (2.0, pytest.approx(2.5))
+    # in a padded block the separators hold +0 and never win: a zero row's
+    # sup stands at r = 0
+    rows = [u, np.zeros(g.M + 1), -u[::-1]]
+    assert _sups(_block(rows), g.h) == ([2.0, 0.0, 2.0], [40 * g.h, 0.0, 24 * g.h])
 
 
 def test_field_csv_shape(default_params):

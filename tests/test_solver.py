@@ -362,6 +362,10 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
     _rewrite_archive(path, config=np.array("{}"))
     with pytest.raises(CheckpointError, match="corrupted"):
         load_snapshots(path)
+    path.write_bytes(whole)
+    _rewrite_archive(path, history=np.empty((0, 4)))
+    with pytest.raises(CheckpointError, match=r"corrupted .*history .* n >= 1"):
+        load_snapshots(path)
     n = len(small_run.snapshots)
     for changes, counts in (({"times": small_run.times[:-1]}, f"{n - 1} snapshot times for {n}"),
                             ({"times": np.empty(0), "values": np.empty((0, 257))},
@@ -370,6 +374,16 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
         _rewrite_archive(path, **changes)
         with pytest.raises(CheckpointError, match=f"corrupted .*: {counts} snapshots"):
             load_snapshots(path)
+
+
+def test_archive_refuses_an_unknown_status(small_run, tmp_path):
+    """A status outside the six a run can have is refused, so a damaged
+    archive is never resumed or post-processed as a run."""
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    _rewrite_archive(path, status=np.array("bogus"))
+    with pytest.raises(CheckpointError, match="corrupted .*: unknown status 'bogus'"):
+        load_snapshots(path)
 
 
 def test_archive_refuses_unordered_snapshot_times(small_run, tmp_path):
@@ -666,12 +680,24 @@ def test_step_matches_the_previous_scheme(dim, M, boundary):
     sups = [float(np.max(np.abs(snap.values))) for snap in traj.snapshots]
     states = [traj.snapshots[0], traj.snapshots[int(np.argmax(np.array(sups) >= 1e2))],
               traj.snapshots[-1]]
+    # a 2-row padded block whose second row has another mu (nonzero, or 0,
+    # which skips the nonlocal term) and half the step size
+    others = [validate(p=4.0, q=params.q, mu=mu, dim=dim) for mu in (-0.2, 0.0)]
     for state in states:
         u = state.values
         sup = float(np.max(np.abs(u)))
         dt = solver._dt_of(config, sup)
         new = solver._ars222(u.copy(), [dt], solver._Batch([params], grid, boundary))
         assert np.max(np.abs(new - _previous_ars222(u, dt, params, grid, boundary))) <= 1e-13 * sup
+        for other in others:
+            rows, dts = [params, other], [dt, 0.5 * dt]
+            block = solver._ars222(solver._block([u, u]), dts, solver._Batch(rows, grid, boundary))
+            for row, row_params, dt_row in zip(solver._fields(block), rows, dts):
+                batch = solver._Batch([row_params], grid, boundary)
+                alone = solver._ars222(u.copy(), [dt_row], batch)
+                assert np.array_equal(row, alone)
+                previous = _previous_ars222(u, dt_row, row_params, grid, boundary)
+                assert np.max(np.abs(row - previous)) <= 1e-13 * sup
 
 
 def test_halving_dt_safety_barely_moves_T(default_params):
