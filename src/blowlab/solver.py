@@ -298,7 +298,7 @@ class _Terms:
     nonlocal term, as a single run does: adding +0 would turn -0 cells
     into +0.  A coefficient that all its rows share is held as one float
     and applied to the whole block, which also serves a single 1-D field;
-    differing mu are held per cell of the nonlocal rows.
+    differing mu are held as a column, one per nonlocal row.
     """
 
     def __init__(self, params: list[ModelParams], geom: GridGeometry):
@@ -313,8 +313,7 @@ class _Terms:
         self.geom = geom if k == 1 or n_nl == 0 else geom.stacked(n_nl)
         self.q = _runs([pr.q for pr in params[:n_nl]])
         mu = [pr.mu for pr in params[:n_nl]]
-        self.mu = (None if not mu else mu[0] if len(set(mu)) == 1
-                   else np.repeat(mu, len(geom.dr) + 1 + SEPARATORS).reshape(n_nl, -1))
+        self.mu = None if not mu else mu[0] if len(set(mu)) == 1 else np.array(mu)[:, None]
 
 
 def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
@@ -511,7 +510,7 @@ class _Row:
         self.on_schedule = traj._stop_field is None  # the field is the last snapshot
         traj._stop_field = None
         self.comp = traj._time_comp
-        self.m = float(traj.maxnorm_history[-1, 1])  # the sup of the last field
+        [self.m], _ = _sups(self.values, config.grid.h)  # the field decides, not its history
         self.cap, self.t_max = config.blowup_cap, config.t_max
         self.t_end = None if config.t_max is None else config.t_max * (1.0 - 1e-15)
         self.stride, self.growth = config.record_stride, config.snapshot_growth

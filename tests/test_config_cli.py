@@ -315,18 +315,21 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     np.savez_compressed(archive, **arrays)
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
     assert "history" in capsys.readouterr().err
-    # one snapshot time short, and no snapshot at all
+    # one snapshot time short, no snapshot at all, and an unknown status
     with np.load(io.BytesIO(whole)) as data:
         arrays = {key: data[key] for key in data.files}
     n = len(arrays["values"])
-    for times, values, message in (
-            (arrays["times"][:-1], arrays["values"], f"{n - 1} snapshot times for {n} snapshots"),
-            (arrays["times"][:0], arrays["values"][:0], "0 snapshot times for 0 snapshots")):
-        np.savez_compressed(archive, **{**arrays, "times": times, "values": values})
+    for changes, message in (
+            ({"times": arrays["times"][:-1]}, f"{n - 1} snapshot times for {n} snapshots"),
+            ({"times": arrays["times"][:0], "values": arrays["values"][:0]},
+             "0 snapshot times for 0 snapshots"),
+            ({"status": np.array("bogus")}, "unknown status 'bogus'")):
+        np.savez_compressed(archive, **{**arrays, **changes})
         assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+        assert not list(finished_run.glob("frame_*"))
 
 
 def test_frames_refuses_unordered_snapshot_times(finished_run, capsys):
@@ -341,16 +344,6 @@ def test_frames_refuses_unordered_snapshot_times(finished_run, capsys):
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "not strictly increasing" in err
-    assert not list(finished_run.glob("frame_*"))
-
-
-def test_frames_refuses_an_unknown_status(finished_run, capsys):
-    archive = finished_run / "snapshots.npz"
-    with np.load(archive) as data:
-        arrays = {key: data[key] for key in data.files}
-    np.savez_compressed(archive, **{**arrays, "status": np.array("bogus")})
-    assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
-    assert "unknown status 'bogus'" in capsys.readouterr().err
     assert not list(finished_run.glob("frame_*"))
 
 

@@ -366,6 +366,10 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
     _rewrite_archive(path, history=np.empty((0, 4)))
     with pytest.raises(CheckpointError, match=r"corrupted .*history .* n >= 1"):
         load_snapshots(path)
+    path.write_bytes(whole)
+    _rewrite_archive(path, status=np.array("bogus"))  # none of the six a run can have
+    with pytest.raises(CheckpointError, match="corrupted .*: unknown status 'bogus'"):
+        load_snapshots(path)
     n = len(small_run.snapshots)
     for changes, counts in (({"times": small_run.times[:-1]}, f"{n - 1} snapshot times for {n}"),
                             ({"times": np.empty(0), "values": np.empty((0, 257))},
@@ -374,16 +378,6 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
         _rewrite_archive(path, **changes)
         with pytest.raises(CheckpointError, match=f"corrupted .*: {counts} snapshots"):
             load_snapshots(path)
-
-
-def test_archive_refuses_an_unknown_status(small_run, tmp_path):
-    """A status outside the six a run can have is refused, so a damaged
-    archive is never resumed or post-processed as a run."""
-    path = tmp_path / "snapshots.npz"
-    save_snapshots(small_run, path)
-    _rewrite_archive(path, status=np.array("bogus"))
-    with pytest.raises(CheckpointError, match="corrupted .*: unknown status 'bogus'"):
-        load_snapshots(path)
 
 
 def test_archive_refuses_unordered_snapshot_times(small_run, tmp_path):
@@ -464,6 +458,13 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     resumed = continue_run(load_snapshots(path))
     assert resumed.status == full.status == STATUS_BLOWN_UP
     assert_same_steps(resumed, full)
+    # the resumed steps take the sup from the field, not from the stored history
+    damaged = load_snapshots(path)
+    damaged.maxnorm_history[-1, 1] = np.inf
+    resumed = continue_run(damaged)
+    n = len(half.maxnorm_history)
+    assert resumed.status == STATUS_BLOWN_UP
+    assert resumed.maxnorm_history[n:].tobytes() == full.maxnorm_history[n:].tobytes()
 
 
 def test_cap_is_checked_before_the_budget(default_params):

@@ -30,11 +30,13 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
     assert _tool().count_lines(path) == (13, 6)
 
 
-def test_prints_each_module_and_the_total(tmp_path, capsys):
+def test_prints_each_module_and_the_total(tmp_path, capsys, monkeypatch):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text("x = 1\n\n")
     (tmp_path / "b.py").write_text('"""doc"""\ny = 2\n')
-    assert _tool().main([str(tmp_path)]) == 0
+    tool = _tool()
+    monkeypatch.setattr(tool, "SRC", tmp_path)
+    assert tool.main() == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert lines == [["module", "lines", "code"], ["b.py", "2", "1"], ["pkg/a.py", "2", "1"],
                      ["total", "4", "2"]]

@@ -9,8 +9,7 @@ how ``tokenize`` sees the module, class and function docstrings.
 
 Run from anywhere::
 
-    python tools/src_lines.py            # the repository's src/
-    python tools/src_lines.py some/dir   # any other tree of .py files
+    python tools/src_lines.py
 """
 from __future__ import annotations
 
@@ -18,6 +17,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER, tokenize.COMMENT}
 # what stands before a string that starts a statement (line breaks inside
@@ -42,10 +42,9 @@ def count_lines(path: Path) -> tuple[int, int]:
     return data.count(b"\n"), len(code)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    counts = {path.relative_to(root).as_posix(): count_lines(path)
-              for path in sorted(root.rglob("*.py"))}
+def main() -> int:
+    counts = {path.relative_to(SRC).as_posix(): count_lines(path)
+              for path in sorted(SRC.rglob("*.py"))}
     width = max([len("total"), *map(len, counts)])
     print(f"{'module'.ljust(width)}  {'lines':>6}  {'code':>6}")
     for name, (lines, code) in counts.items():
@@ -56,4 +55,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
