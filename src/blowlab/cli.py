@@ -121,35 +121,24 @@ def cmd_run(args) -> int:
     manifest = _manifest("run", args.config, out, run_config)
     _write_json(out / "manifest.json", manifest)
 
-    u0 = profile_seeded_field(run_config.solver.grid, params,
-                              t_star=run_config.t_star,
-                              taper_start=run_config.taper_start)
+    u0 = _seed(run_config)
     start = perf_counter()
     trajectory = run_until_blowup(u0, run_config.solver)
     stepping_s = perf_counter() - start
 
     start = perf_counter()
     version = (f"blowlab {__version__}",)
-    write_atomic(out / "trajectory.csv",
-                 lambda fh: trajectory_to_csv(fh, trajectory, version), text=True)
-    save_snapshots(trajectory, out / RUN_ARCHIVE)
+    _save_run(out, trajectory, version)
     write_atomic(out / "field_final.csv",
                  lambda fh: field_to_csv(fh, trajectory.last_field, params,
                                          run_config.solver.boundary, version), text=True)
     writes_s = perf_counter() - start
 
-    summary = {"manifest": manifest, "status": trajectory.status,
-               "steps": len(trajectory.maxnorm_history) - 1,
-               "wall_s": {"stepping": stepping_s, "writes": writes_s},
-               "t_last": trajectory.last_field.time,
-               "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
+    summary = {"manifest": manifest, "wall_s": {"stepping": stepping_s, "writes": writes_s},
+               **_run_record(trajectory)}
+    if "estimate" in summary:
+        _write_json(out / "blowup_estimate.json", {"manifest": manifest, **summary["estimate"]})
     if trajectory.status == STATUS_BLOWN_UP:
-        try:
-            estimate = asdict(estimate_T(trajectory, params))
-            _write_json(out / "blowup_estimate.json", {"manifest": manifest, **estimate})
-            summary["estimate"] = estimate
-        except InsufficientGrowthError as exc:
-            summary["estimate_error"] = str(exc)
         # single-point headline: the far field must sit still while the core explodes
         r_min = 0.1 * run_config.solver.grid.R
         rows = far_field_report(trajectory, r_min)
@@ -168,10 +157,43 @@ def cmd_run(args) -> int:
         print(f"status: {trajectory.status}  t_last={summary['t_last']!r}  "
               f"supnorm={summary['supnorm_last']:.4g}")
         if "estimate" in summary:
-            est = summary["estimate"]
-            print(f"T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "
-                  f"residual={est['residual']:.3g}")
+            print(_estimate_line(summary["estimate"]))
     return EXIT_OVERFLOW if trajectory.status == STATUS_OVERFLOWED else EXIT_OK
+
+
+def _seed(run_config: RunConfig) -> RadialField:
+    """The initial field of a run: the profile seed its config asks for."""
+    return profile_seeded_field(run_config.solver.grid, run_config.params,
+                                t_star=run_config.t_star, taper_start=run_config.taper_start)
+
+
+def _save_run(out: Path, trajectory: Trajectory, comments=()) -> None:
+    """Write a finished run's archive and its history CSV, the CSV after
+    ``comments``."""
+    save_snapshots(trajectory, out / RUN_ARCHIVE)
+    write_atomic(out / "trajectory.csv",
+                 lambda fh: trajectory_to_csv(fh, trajectory, comments), text=True)
+
+
+def _run_record(trajectory: Trajectory) -> dict:
+    """What ``run_summary.json`` and a sweep row report of a finished run:
+    its status, steps, last time and sup-norm and, when it blew up, the
+    fields of its ``estimate_T`` fit as ``estimate`` or why the fit failed
+    as ``estimate_error``."""
+    record = {"status": trajectory.status, "steps": len(trajectory.maxnorm_history) - 1,
+              "t_last": trajectory.last_field.time,
+              "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
+    if trajectory.status == STATUS_BLOWN_UP:
+        try:
+            record["estimate"] = asdict(estimate_T(trajectory, trajectory.config.params))
+        except InsufficientGrowthError as exc:
+            record["estimate_error"] = str(exc)
+    return record
+
+
+def _estimate_line(estimate: dict) -> str:
+    return (f"T_est={estimate['T_est']!r}  kappa_est={estimate['kappa_est']:.6g}  "
+            f"residual={estimate['residual']:.3g}")
 
 
 def _load_run(out: Path) -> Trajectory:
@@ -283,11 +305,9 @@ def cmd_verify(args) -> int:
         "manifest": _manifest("verify", None, args.out, None),
         "integral_sweep": {"n_total": sweep.n_total, "n_failed": sweep.n_failed,
                            "worst_margin": sweep.worst_margin},
-        "gronwall": {"n_points": gron.n_points, "n_violations": gron.n_violations,
-                     "worst_margin": gron.worst_margin},
+        "gronwall": asdict(gron),
         "exponent_identity_max_diff": ident,
-        "semigroup": {"max_sup_ratio": smoothing.max_sup_ratio,
-                      "max_grad_ratio": smoothing.max_grad_ratio},
+        "semigroup": asdict(smoothing),
         "failures": failures,
     }
     if out is not None:
@@ -348,23 +368,20 @@ def _sweep_worker(job):
         try:
             point_dir = Path(out_dir) / f"point_{index:04d}"
             point_dir.mkdir(parents=True, exist_ok=True)
-            u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
-                                      t_star=run_config.t_star,
-                                      taper_start=run_config.taper_start)
-            pending[index] = (overrides, run_config, point_dir, u0)
+            pending[index] = (overrides, run_config, point_dir, _seed(run_config))
         except Exception as exc:  # the point's row carries it
             rows.append(_error_row(index, overrides, exc))
 
     def finish(index: int, trajectory: Trajectory) -> None:
-        overrides, run_config, point_dir, _ = pending.pop(index)
+        overrides, _, point_dir, _ = pending.pop(index)
         try:
-            rows.append(_point_summary(index, overrides, run_config, point_dir, trajectory))
+            rows.append(_point_summary(index, overrides, point_dir, trajectory))
         except Exception as exc:
             rows.append(_error_row(index, overrides, exc))
 
     order = list(pending)
     try:
-        # each run is made as the batch takes it, and no longer held once written
+        # every run is made before the first step; none is held once written
         solver._advance((Trajectory.start(pending[index][3], pending[index][1].solver)
                          for index in order),
                         lambda position, trajectory: finish(order[position], trajectory))
@@ -391,23 +408,14 @@ def _error_row(index: int, overrides: dict, exc: Exception) -> dict:
     return _point_row(index, overrides, "error", f"{type(exc).__name__}: {exc}")
 
 
-def _point_summary(index: int, overrides: dict, run_config: RunConfig, point_dir: Path,
+def _point_summary(index: int, overrides: dict, point_dir: Path,
                    trajectory: Trajectory) -> dict:
-    """Write a sweep point's run archive and history; its summary row."""
-    save_snapshots(trajectory, point_dir / RUN_ARCHIVE)
-    write_atomic(point_dir / "trajectory.csv",
-                 lambda fh: trajectory_to_csv(fh, trajectory), text=True)
-    row = {"index": index, **overrides, "status": trajectory.status,
-           "t_last": trajectory.last_field.time,
-           "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
-    if trajectory.status == STATUS_BLOWN_UP:
-        try:
-            est = estimate_T(trajectory, run_config.params)
-            row["T_est"] = est.T_est
-            row["kappa_est"] = est.kappa_est
-        except InsufficientGrowthError:
-            pass
-    return row
+    """Write a sweep point's run archive and history; its summary row, the
+    run's record with the fields of its estimate."""
+    _save_run(point_dir, trajectory)
+    record = _run_record(trajectory)
+    # the record last, so t_last is the run's and not the end of the fit window
+    return {"index": index, **overrides, **record.get("estimate", {}), **record}
 
 
 class _Heartbeat:
@@ -428,23 +436,20 @@ class _Heartbeat:
                   file=sys.stderr)
 
 
-def _sweep_chunks(points: list[tuple], workers: int) -> list[list[tuple]]:
-    """The points grouped by (grid, boundary closure), in index order, and
-    cut into chunks of about ceil(points / workers), at most SWEEP_CHUNK."""
+def _sweep_plan(points: list[tuple], workers: int) -> tuple[list[list[tuple]], int]:
+    """The chunks of a sweep asked for ``workers`` processes, and how many
+    it starts: at most the CPUs this process may run on, which also size
+    the chunks, and at most one per chunk.  The chunks are the points
+    grouped by (grid, boundary closure), in index order, and cut into
+    chunks of about ceil(points / workers), at most SWEEP_CHUNK."""
+    workers = max(1, min(workers, _usable_cpus()))
     groups = {}
     for point in points:
         solver_config = point[2].solver
         groups.setdefault((solver_config.grid, solver_config.boundary), []).append(point)
     size = max(1, min(SWEEP_CHUNK, math.ceil(len(points) / workers)))
-    return [group[i:i + size] for group in groups.values() for i in range(0, len(group), size)]
-
-
-def _sweep_plan(points: list[tuple], workers: int) -> tuple[list[list[tuple]], int]:
-    """The chunks of a sweep asked for ``workers`` processes, and how many
-    it starts: at most the CPUs this process may run on, which also size
-    the chunks, and at most one per chunk."""
-    workers = max(1, min(workers, _usable_cpus()))
-    chunks = _sweep_chunks(points, workers)
+    chunks = [group[i:i + size] for group in groups.values()
+              for i in range(0, len(group), size)]
     return chunks, min(workers, len(chunks))
 
 
@@ -521,9 +526,7 @@ def _report_lines(out: Path, summary: dict) -> list[str]:
         wall = summary["wall_s"]
         lines.append(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")
     if "estimate" in summary:
-        est = summary["estimate"]
-        lines.append(f"  T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "
-                     f"residual={est['residual']:.3g}")
+        lines.append(f"  {_estimate_line(summary['estimate'])}")
     frames_path = out / "frames_summary.json"
     if frames_path.exists():
         frames = json.loads(frames_path.read_text())

@@ -503,6 +503,9 @@ class _Row:
     schedule, each handled exactly as a run stepped alone handles them."""
 
     def __init__(self, position: int, traj: Trajectory):
+        if not len(traj.maxnorm_history):
+            raise ValueError("a run to step needs its initial history row: "
+                             "start it with Trajectory.start")
         config = traj.config
         self.position, self.traj, self.config, self.params = position, traj, config, config.params
         self.values = traj.last_field.values
@@ -840,8 +843,9 @@ def load_snapshots(path) -> Trajectory:
     Raises :class:`CheckpointError` when the file is not a readable archive,
     lacks a key (archives written before the history moved in, for one), has
     another version, does not hold one time per snapshot and at least one
-    snapshot, holds snapshot times that are not strictly increasing, or
-    holds a status that is none of ``STATUSES``.
+    snapshot, holds snapshot times that are not strictly increasing, holds
+    a status that is none of ``STATUSES``, or holds a non-finite snapshot
+    time or value, history cell or time compensation.
     """
     try:
         with np.load(path) as data:
@@ -858,6 +862,8 @@ def load_snapshots(path) -> Trajectory:
         if not len(times) == len(values) > 0:
             raise ValueError(f"{len(times)} snapshot times for {len(values)} snapshots "
                              "(need one per snapshot, and at least one)")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("a snapshot time is not finite")
         if not np.all(times[1:] > times[:-1]):
             raise ValueError("snapshot times are not strictly increasing")
         snapshots = [RadialField(config.grid, row, t)
@@ -866,15 +872,18 @@ def load_snapshots(path) -> Trajectory:
         if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4 or not len(hist):
             raise ValueError(f"history is {hist.dtype} {hist.shape}, "
                              "need float64 (n, 4) with n >= 1")
+        time_comp = float(arrays["time_comp"])
+        if not (np.all(np.isfinite(hist)) and math.isfinite(time_comp)):
+            raise ValueError("a history cell or the time compensation is not finite")
         status = str(arrays["status"])
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
         stop = arrays["stop_field"]
         return Trajectory(config=config, snapshots=snapshots, status=status,
-                          maxnorm_history=hist, _time_comp=float(arrays["time_comp"]),
+                          maxnorm_history=hist, _time_comp=time_comp,
                           _stop_field=RadialField(config.grid, stop, float(hist[-1, 0]))
                           if stop.size else None)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+    except (FloatingPointError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupted run archive {path}: {exc}") from exc
 
 

@@ -144,18 +144,40 @@ def test_run_param_override_flags(capsys):
     assert main(["run", "--dry-run", "--q", "5"]) == 2  # flag outside the window
 
 
-def test_run_writes_artifacts_and_blows_up(tmp_path, capsys):
-    config = write_config(tmp_path)
+@pytest.mark.parametrize("cap", ["1e2", "1e4", "1e7"])
+def test_run_writes_artifacts_and_blows_up(tmp_path, capsys, cap):
+    """Each run blows up.  At cap 1e2 the sup-norm grows less than the two
+    decades the fit needs, so the summary says why and no estimate file is
+    written; at 1e7 the core passes 1e6, so the summary carries the far
+    field, which stays within perfbench's localization bound of 10.
+    ``--json`` prints the summary file."""
+    config = write_config(tmp_path, TINY_CONFIG.replace("blowup_cap = 1e4",
+                                                        f"blowup_cap = {cap}"))
     out = tmp_path / "out"
-    assert main(["run", "--config", config, "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "blowup_estimate.json", "field_final.csv", "manifest.json", "run_summary.json",
-        "snapshots.npz", "trajectory.csv"]
+    assert main(["run", "--config", config, "--out", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == (out / "run_summary.json").read_text()
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["status"] == "blown-up"
     assert summary["manifest"]["config"]["M"] == 64
-    est = json.loads((out / "blowup_estimate.json").read_text())
-    assert est["kappa_est"] == pytest.approx(0.6934, rel=0.25)
+    names = ["field_final.csv", "manifest.json", "run_summary.json", "snapshots.npz",
+             "trajectory.csv"]
+    if cap == "1e2":
+        assert summary["estimate_error"] == ("insufficient growth: history spans fewer "
+                                             "than 2 decades of sup-norm")
+        assert "estimate" not in summary
+    else:
+        names.append("blowup_estimate.json")
+        est = json.loads((out / "blowup_estimate.json").read_text())
+        assert est == {"manifest": summary["manifest"], **summary["estimate"]}
+        assert est["kappa_est"] == pytest.approx(0.6934, rel=0.25)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    if cap == "1e7":
+        far = summary["far_field"]
+        assert far["r_min"] == 0.1
+        assert 0.0 < far["u_ratio_vs_initial"] < 10.0
+        assert 0.0 < far["grad_ratio_vs_initial"] < 10.0
+    else:
+        assert "far_field" not in summary
 
 
 def test_run_is_byte_reproducible(tmp_path):

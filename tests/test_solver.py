@@ -370,6 +370,20 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
     _rewrite_archive(path, status=np.array("bogus"))  # none of the six a run can have
     with pytest.raises(CheckpointError, match="corrupted .*: unknown status 'bogus'"):
         load_snapshots(path)
+    # non-finite state: a resumed run would step on with nan times or take
+    # a nan time for its stop field
+    history, times = small_run.maxnorm_history.copy(), small_run.times.copy()
+    history[3, 1], times[-1] = np.nan, np.inf
+    values = np.array([snap.values for snap in small_run.snapshots])
+    values[0, 5] = np.nan  # RadialField raises NonFiniteFieldError, not a ValueError
+    for changes, message in (({"time_comp": np.array(np.nan)}, "time compensation is not finite"),
+                             ({"history": history}, "history cell .* is not finite"),
+                             ({"times": times}, "snapshot time is not finite"),
+                             ({"values": values}, "non-finite field value at node 5")):
+        path.write_bytes(whole)
+        _rewrite_archive(path, **changes)
+        with pytest.raises(CheckpointError, match=f"corrupted .*: .*{message}"):
+            load_snapshots(path)
     n = len(small_run.snapshots)
     for changes, counts in (({"times": small_run.times[:-1]}, f"{n - 1} snapshot times for {n}"),
                             ({"times": np.empty(0), "values": np.empty((0, 257))},
@@ -465,6 +479,18 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     n = len(half.maxnorm_history)
     assert resumed.status == STATUS_BLOWN_UP
     assert resumed.maxnorm_history[n:].tobytes() == full.maxnorm_history[n:].tobytes()
+
+
+def test_stepping_refuses_a_run_without_its_initial_row(default_params):
+    """A ``Trajectory`` built from its fields alone has no history; stepped
+    on, it recorded one row per step and no initial row."""
+    g = RadialGrid(R=1.0, M=64, dim=1)
+    u0 = profile_seeded_field(g, default_params, t_star=0.01)
+    traj = Trajectory(config=SolverConfig(grid=g, params=default_params, max_steps=5),
+                      snapshots=[u0])
+    with pytest.raises(ValueError, match="initial history row: start it with Trajectory.start"):
+        continue_run(traj)
+    assert len(traj.maxnorm_history) == 0 and len(traj.snapshots) == 1
 
 
 def test_cap_is_checked_before_the_budget(default_params):
