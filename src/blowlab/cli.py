@@ -156,8 +156,8 @@ def cmd_run(args) -> int:
     else:
         print(f"status: {trajectory.status}  t_last={summary['t_last']!r}  "
               f"supnorm={summary['supnorm_last']:.4g}")
-        if "estimate" in summary:
-            print(_estimate_line(summary["estimate"]))
+        for line in _fit_lines(summary):
+            print(line)
     return EXIT_OVERFLOW if trajectory.status == STATUS_OVERFLOWED else EXIT_OK
 
 
@@ -191,9 +191,22 @@ def _run_record(trajectory: Trajectory) -> dict:
     return record
 
 
-def _estimate_line(estimate: dict) -> str:
-    return (f"T_est={estimate['T_est']!r}  kappa_est={estimate['kappa_est']:.6g}  "
-            f"residual={estimate['residual']:.3g}")
+def _fit_lines(summary: dict) -> list[str]:
+    """What ``run`` and ``report`` print of a run's ``estimate_T`` fit, or
+    why it failed, and of its far field, each when the summary holds it."""
+    lines = []
+    if "estimate" in summary:
+        est = summary["estimate"]
+        lines.append(f"T_est={est['T_est']!r}  kappa_est={est['kappa_est']:.6g}  "
+                     f"residual={est['residual']:.3g}")
+    if "estimate_error" in summary:
+        lines.append(f"no T_est: {summary['estimate_error']}")
+    if "far_field" in summary:
+        far = summary["far_field"]
+        lines.append(f"far field at r >= {far['r_min']!r} while sup-norm > 1e6: "
+                     f"max|u| {far['u_ratio_vs_initial']:.4g}x and "
+                     f"max|du/dr| {far['grad_ratio_vs_initial']:.4g}x the initial field's")
+    return lines
 
 
 def _load_run(out: Path) -> Trajectory:
@@ -525,8 +538,7 @@ def _report_lines(out: Path, summary: dict) -> list[str]:
     if "wall_s" in summary:
         wall = summary["wall_s"]
         lines.append(f"  wall: stepping={wall['stepping']:.3f}s  writes={wall['writes']:.3f}s")
-    if "estimate" in summary:
-        lines.append(f"  {_estimate_line(summary['estimate'])}")
+    lines += [f"  {line}" for line in _fit_lines(summary)]
     frames_path = out / "frames_summary.json"
     if frames_path.exists():
         frames = json.loads(frames_path.read_text())

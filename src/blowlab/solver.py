@@ -5,24 +5,36 @@ The right-hand side is
     du/dt = Lap(u) + |u|^(p-1) u + mu * |du/dr| * J(r),
 
 with J the running ball integral of |u|^(q-1).  Stepping is the IMEX
-scheme ARS(2,2,2) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997):
-the Laplacian is implicit, as the tridiagonal matrix L whose bands
-``fields._laplacian_bands`` builds, the one definition of L, and the rest,
-N(u) = |u|^(p-1) u + mu * |du/dr| * J, is explicit.  With
-gamma = 1 - 1/sqrt(2) and delta = 1 - 1/(2*gamma), one step from u solves
-twice with one matrix:
+scheme ARS(3,4,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997,
+sec. 2.7): the Laplacian is implicit, as the tridiagonal matrix L whose
+bands ``fields._laplacian_bands`` builds, the one definition of L, and the
+rest, N(u) = |u|^(p-1) u + mu * |du/dr| * J, is explicit.  With
+gamma = 0.4358665215, beta1 = -3 gamma^2/2 + 4 gamma - 1/4 and
+beta2 = 3 gamma^2/2 - 5 gamma + 5/4, the tableaus are
 
-    (I - gamma*dt*L) Y     = b1 = u + gamma*dt*N(u)
-    (I - gamma*dt*L) u_new = b2 = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y)
+    explicit   a^21 = gamma
+               a^31 = 0.3212788860     a^32 = 0.3966543747
+               a^41 = -0.105858296     a^42 = a^43 = 0.5529291479
+               weights (0, beta1, beta2, gamma)
+    implicit   stage 2: (gamma), stage 3: ((1-gamma)/2, gamma),
+               stage 4: (beta1, beta2, gamma), on stages 2..4
 
-L is never applied to Y: the first solve gives Y - b1 = gamma*dt*L Y, so
+and one step from u = U_1 takes, for i = 2, 3, 4,
 
-    b2 = u + ((1-gamma)/gamma)*(Y - u) + dt*((delta - (1-gamma))*N(u) + (1-delta)*N(Y)),
+    (I - gamma*dt*L) U_i = b_i = u + dt * sum_j<i a^ij N(U_j) + sum_1<j<i a_ij dt*L U_j.
 
-which is the same b2 in exact arithmetic and needs neither b1 nor a
-stencil.  The scheme is second order, L-stable and stiffly accurate
-(u_new is the last stage).  Diffusion puts no bound on the step, so the
-step-size law has one branch, the local reaction time scale,
+L is never applied to a stage: each solve gives U_i - b_i = gamma*dt*L U_i,
+so the later right-hand sides take dt*L U_i as (U_i - b_i)/gamma, which
+needs no stencil.  The implicit weights are the last implicit row (the
+scheme is stiffly accurate in its implicit part), so
+
+    u_new = U_4 + dt * (-a^41 N(U_1) + (beta1 - a^42) N(U_2) + (beta2 - a^43) N(U_3)
+                        + gamma N(U_4)).
+
+A step costs one LU factorization of I - gamma*dt*L (``dgttrf``), three
+solves with it (``dgttrs``) and four evaluations of N.  The scheme is third
+order and L-stable.  Diffusion puts no bound on the step, so the step-size
+law has one branch, the local reaction time scale,
 
     dt = dt_safety / (1 + p * supnorm^(p-1)),
 
@@ -31,7 +43,7 @@ and the step count does not grow with the grid size M.
 Runs that share one grid and one boundary closure step in lockstep
 (:func:`run_together`): their fields stay, from step to step, the rows of
 one contiguous padded (k, M+3) block, which is the block-diagonal system
-of all rows that the two solves of a step take in one LAPACK call each,
+of all rows that the three solves of a step take in one LAPACK call each,
 and every kernel works on that memory (see ``fields``).  Each row keeps
 its own parameters and its own scalars as Python floats (step size,
 Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
@@ -133,13 +145,23 @@ def _load_flapack():
 _flapack = _load_flapack()
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
-ARCHIVE_VERSION = 4  # 1 was the JSON checkpoint that held the history apart;
+ARCHIVE_VERSION = 5  # 1 was the JSON checkpoint that held the history apart;
                      # 2 stored a config with the reaction switch; 3 held
-                     # runs of the explicit Heun stepper and no stop field
+                     # runs of the explicit Heun stepper and no stop field;
+                     # 4 held runs of the ARS(2,2,2) step
 
-# ARS(2,2,2) coefficients
-_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
-_DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
+# ARS(3,4,3) coefficients (see the module docstring): gamma, the implicit
+# diagonal; the rows of stages 2-4 left of it, explicit on N(U_1..U_i-1) and
+# implicit on dt*L U_2..U_i-1; and the weights of N(U_1..U_4) in u_new - U_4,
+# the explicit weights (0, beta1, beta2, gamma) less the last explicit row
+_ARS_GAMMA = 0.4358665215
+_ARS_BETA = (-1.5 * _ARS_GAMMA ** 2 + 4.0 * _ARS_GAMMA - 0.25,
+             1.5 * _ARS_GAMMA ** 2 - 5.0 * _ARS_GAMMA + 1.25)
+_ARS_EXPLICIT = ((_ARS_GAMMA,), (0.3212788860, 0.3966543747),
+                 (-0.105858296, 0.5529291479, 0.5529291479))
+_ARS_IMPLICIT = ((), ((1.0 - _ARS_GAMMA) / 2.0,), _ARS_BETA)
+_ARS_FINAL = tuple(w - a for w, a in zip((0.0, *_ARS_BETA, _ARS_GAMMA),
+                                         (*_ARS_EXPLICIT[2], 0.0)))
 
 STATUS_RUNNING = "running"
 STATUS_BLOWN_UP = "blown-up"
@@ -165,7 +187,9 @@ class InsufficientGrowthError(ValueError):
 class SolverConfig:
     grid: RadialGrid
     params: ModelParams
-    dt_safety: float = 0.05
+    # the largest of 0.1, 0.125, ..., 0.2 at which blowlab run's T_est and
+    # kappa_est err by at most half what ARS(2,2,2) at 0.05 did (README)
+    dt_safety: float = 0.15
     blowup_cap: float = 1e8
     boundary: str = BOUNDARY_DIRICHLET
     record_stride: int = 2000
@@ -380,18 +404,20 @@ class _Batch:
     gives them, and so are the Laplacian bands, the LU buffers and the
     right-hand sides: one padded (k, M+3) block, which is also the layout of
     the block-diagonal system whose solves, one LAPACK call each, are the
-    two stages of a step.  The two cells after each row are separator
-    unknowns, an identity row with right-hand side +0 and zero coupling, so
-    the products with the coupling zeros that the tridiagonal elimination
-    forms are +0 * +0 and every block's arithmetic is exactly its own
-    system's.  The kernels leave other values in the separator cells, so
-    each solve first resets them.  A non-finite row still crosses over
-    (0 * NaN), which the caller detects.  A single row has no separators
-    and is held as a 1-D (M+1,) field: the kernels then set the cells at
-    r = 0 and r = R as numpy scalars, which costs less per call than the
-    one-element columns of a block.  Each band is padded to a row's length
-    and LAPACK takes the flattened buffers, the off-diagonals without their
-    last entry, so the step itself is the same for both layouts.
+    three implicit stages of a step.  The two cells after each row are
+    separator unknowns, an identity row with right-hand side +0 and zero
+    coupling, so the products with the coupling zeros that the tridiagonal
+    elimination forms are +0 * +0 and every block's arithmetic is exactly
+    its own system's.  The kernels leave other values in the separator
+    cells, so each solve first resets them, and so does the step in its
+    result, where a nonzero separator would win ``_sups``'s argmax.  A
+    non-finite row still crosses over (0 * NaN), which the caller detects.
+    A single row has no separators and is held as a 1-D (M+1,) field: the
+    kernels then set the cells at r = 0 and r = R as numpy scalars, which
+    costs less per call than the one-element columns of a block.  Each band
+    is padded to a row's length and LAPACK takes the flattened buffers, the
+    off-diagonals without their last entry, so the step itself is the same
+    for both layouts.
     """
 
     def __init__(self, params: list[ModelParams], grid: RadialGrid, boundary: str):
@@ -408,31 +434,30 @@ class _Batch:
         dl, d, du = (band.reshape(-1) for band in self.lu)
         self.lu_flat = (dl[:-1], d, du[:-1])
         self.shape = self.bands[1].shape
-        sides = np.empty((2, *self.shape))  # the right-hand sides of the two solves
-        self.sides, self.sides_flat = sides, sides.reshape(2, -1)
-        self.separators = tuple(sides[..., grid.M + 1:])  # each stage's; none for one row
-        self.work = np.empty((2, *self.shape))  # the two explicit stages
+        self.padding = (..., slice(grid.M + 1, None))  # the separators; none for one row
+        sides = np.empty((3, *self.shape))  # the right-hand sides of the three solves
+        self.sides, self.sides_flat = sides, sides.reshape(3, -1)
+        self.work = np.empty((4, *self.shape))  # the four explicit stages
 
     def solve(self, lu, stage: int) -> np.ndarray:
-        """The rows' fields that solve the system with right-hand side
-        ``sides[stage]``, given the factors ``lu``: in place for the first
-        stage, into a new block for the second, the step's result."""
-        self.separators[stage].fill(0.0)
-        return dgttrs(*lu, self.sides_flat[stage], overwrite_b=stage == 0)[0].reshape(self.shape)
+        """The rows' fields, as a new block, that solve the system with
+        right-hand side ``sides[stage]``, given the factors ``lu``; that
+        side is kept."""
+        self.sides[stage][self.padding] = 0.0
+        return dgttrs(*lu, self.sides_flat[stage])[0].reshape(self.shape)
 
 
-def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
-    """One ARS(2,2,2) step (see the module docstring) of the batch's 1-D
+def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
+    """One ARS(3,4,3) step (see the module docstring) of the batch's 1-D
     field ``u`` or of every row of its padded block ``u``, row i by
     ``dts[i]``."""
     boundary, terms = batch.boundary, batch.terms
-    n1, n2 = batch.work
-    b1, b2 = batch.sides
+    n, sides = batch.work, batch.sides
     # a single row multiplies by a Python float, as a scalar step does, and
     # a block by the column of its rows' step sizes
     dt = dts[0] if u.ndim == 1 else np.array(dts)[:, None]
-    gdt = _GAMMA * dt
-    # LU of I - gamma*dt*L, shared by both solves; band entry i couples
+    gdt = _ARS_GAMMA * dt
+    # LU of I - gamma*dt*L, shared by the three solves; band entry i couples
     # cells i and i+1 and takes cell i's step size
     neg_lower, diagonal, neg_upper = batch.bands
     dl, d, du = batch.lu
@@ -443,21 +468,36 @@ def _ars222(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     *lu, info = dgttrf(*batch.lu_flat, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise NonFiniteFieldError(f"implicit matrix is singular (dt={dts})")
-    _explicit_values(u, terms, boundary, out=n1)
-    np.multiply(n1, gdt, out=b1)
-    b1 += u
-    y = batch.solve(lu, 0)  # overwrites b1
-    _explicit_values(y, terms, boundary, out=n2)
-    # stage two's (1-gamma)*dt*L Y, recovered from the first solve
-    np.subtract(y, u, out=b2)
-    b2 *= (1.0 - _GAMMA) / _GAMMA
-    n1 *= _DELTA - (1.0 - _GAMMA)
-    n2 *= 1.0 - _DELTA
-    n1 += n2
-    n1 *= dt
-    b2 += n1
-    b2 += u
-    return batch.solve(lu, 1)
+    tmp = n[3]  # free until the last stage's explicit term
+    stage = u
+    for i, (explicit, implicit) in enumerate(zip(_ARS_EXPLICIT, _ARS_IMPLICIT)):
+        _explicit_values(stage, terms, boundary, out=n[i])
+        # b = u + dt * sum_j a^_ij N_j + sum_j a_ij dt*L U_j, the sides
+        # before this one holding their stages' dt*L U_j
+        b = sides[i]
+        np.multiply(n[0], explicit[0], out=b)
+        for n_j, a in zip(n[1:], explicit[1:]):
+            np.multiply(n_j, a, out=tmp)
+            b += tmp
+        b *= dt
+        b += u
+        for lu_j, a in zip(sides, implicit):
+            np.multiply(lu_j, a, out=tmp)
+            b += tmp
+        stage = batch.solve(lu, i)
+        if i < 2:  # this stage's dt*L U, recovered from its solve
+            np.subtract(stage, b, out=b)
+            b /= _ARS_GAMMA
+    _explicit_values(stage, terms, boundary, out=n[3])
+    # u_new = U4 + dt * sum_j w_j N_j, accumulated in N4's buffer
+    n[3] *= _ARS_FINAL[3]
+    for n_j, w in zip(n[:3], _ARS_FINAL):
+        n_j *= w
+        n[3] += n_j
+    n[3] *= dt
+    stage += n[3]
+    stage[batch.padding] = 0.0
+    return stage
 
 
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
@@ -660,7 +700,7 @@ def _advance(trajs, on_stop=None) -> None:
             if batch is None:
                 batch = _Batch([row.params for row in rows], grid, boundary)
             try:
-                new_values = _ars222(values, dts, batch)
+                new_values = _ars343(values, dts, batch)
                 m, rarg = _sups(new_values, h)
             except FloatingPointError:
                 new_values, m, rarg = values, [math.nan] * len(rows), [0.0] * len(rows)
@@ -685,7 +725,7 @@ def _step_alone(values: np.ndarray, dts: list[float], rows: list[_Row], grid: Ra
     m, rarg = [math.nan] * len(rows), [0.0] * len(rows)
     for i, (row, field, new) in enumerate(zip(rows, _fields(values), _fields(new_values))):
         try:
-            new[:] = _ars222(field, dts[i:i + 1], _Batch([row.params], grid, boundary))
+            new[:] = _ars343(field, dts[i:i + 1], _Batch([row.params], grid, boundary))
         except FloatingPointError:
             continue
         [m[i]], [rarg[i]] = _sups(new, grid.h)

@@ -44,7 +44,7 @@ def small_run(default_params):
 @pytest.fixture(scope="session")
 def acceptance_run(default_params):
     """The desk-scale reference run: p=4, q=3, N=1, mu=0.1, profile seed with
-    t_star=0.01, M=4096, R=1, cap 1e8 (~1,370 steps, about a second); shared
+    t_star=0.01, M=4096, R=1, cap 1e8 (440 steps, under a second); shared
     by every acceptance criterion that inspects the real simulation."""
     grid = RadialGrid(R=1.0, M=4096, dim=1)
     u0 = profile_seeded_field(grid, default_params, t_star=0.01)

@@ -180,6 +180,33 @@ def test_run_writes_artifacts_and_blows_up(tmp_path, capsys, cap):
         assert "far_field" not in summary
 
 
+@pytest.mark.parametrize("cap", ["1e2", "1e7"])
+def test_run_and_report_print_the_failed_fit_and_the_far_field(tmp_path, capsys, cap):
+    """The text of ``run`` and of ``report`` says why a fit failed (cap 1e2:
+    too little growth) and gives the far field (cap 1e7), one line each, as
+    the run summary holds them, with no numpy reprs."""
+    config = write_config(tmp_path, TINY_CONFIG.replace("blowup_cap = 1e4",
+                                                        f"blowup_cap = {cap}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    run_text = capsys.readouterr().out
+    assert main(["report", "--out", str(out)]) == 0
+    report_text = capsys.readouterr().out
+    summary = json.loads((out / "run_summary.json").read_text())
+    if cap == "1e2":
+        expected = [f"no T_est: {summary['estimate_error']}"]
+        assert "T_est=" not in run_text + report_text
+    else:
+        far = summary["far_field"]
+        expected = [f"far field at r >= 0.1 while sup-norm > 1e6: "
+                    f"max|u| {far['u_ratio_vs_initial']:.4g}x and "
+                    f"max|du/dr| {far['grad_ratio_vs_initial']:.4g}x the initial field's"]
+    for line in expected:
+        assert line in run_text.splitlines()
+        assert f"  {line}" in report_text.splitlines()
+    assert "np.float64" not in run_text + report_text
+
+
 def test_run_is_byte_reproducible(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -668,7 +695,7 @@ def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch, capsys):
     every point gets one summary row and one set of files, its run alone."""
     config = write_config(tmp_path)
     summaries, failures = [], []
-    step, summary = solver._ars222, cli._point_summary
+    step, summary = solver._ars343, cli._point_summary
 
     def failing_step(values, dts, batch):
         if 1 < len(dts) < 3:  # a row has left the batch of three
@@ -680,7 +707,7 @@ def test_failed_batch_writes_each_point_once(tmp_path, monkeypatch, capsys):
         summaries.append((index, len(failures)))
         return summary(index, *args)
 
-    monkeypatch.setattr(solver, "_ars222", failing_step)
+    monkeypatch.setattr(solver, "_ars343", failing_step)
     monkeypatch.setattr(cli, "_point_summary", counted_summary)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", config, "--grid", "blowup_cap=1e3:1e4:3",

@@ -180,7 +180,7 @@ def test_small_data_does_not_blow_up(heat_params):
     """Compactly supported bump at sup-norm 1e-3, mu=0: diffusion wins."""
     g = RadialGrid(R=1.0, M=128, dim=1)
     bump = 1e-3 * np.clip(1.0 - (g.r / 0.25) ** 2, 0.0, None) ** 2
-    config = quiet_config(g, heat_params, blowup_cap=1.0, max_steps=2_000)
+    config = quiet_config(g, heat_params, blowup_cap=1.0, max_steps=667)  # t ~ 100
     traj = run_until_blowup(RadialField(g, bump), config)
     assert traj.status == STATUS_BUDGET
     assert traj.maxnorm_history[-1, 1] < 1e-3  # decayed, not grown
@@ -337,11 +337,14 @@ def _rewrite_archive(path, drop=(), **changes):
 
 
 def test_archive_version_mismatch(small_run, tmp_path):
+    """Version 4 held runs of the ARS(2,2,2) step, which a resume would
+    continue with another step: it is refused like any other version."""
     path = tmp_path / "snapshots.npz"
     save_snapshots(small_run, path)
-    _rewrite_archive(path, version=np.array(99))
-    with pytest.raises(CheckpointError, match="version"):
-        load_snapshots(path)
+    for version in (4, 99):
+        _rewrite_archive(path, version=np.array(version))
+        with pytest.raises(CheckpointError, match=rf"version {version} \(expected 5\)"):
+            load_snapshots(path)
 
 
 def test_archive_unreadable_or_incomplete(small_run, tmp_path):
@@ -464,8 +467,8 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     full = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
                                              blowup_cap=1e4, max_steps=5000))
     half = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
-                                             blowup_cap=1e4, max_steps=323))
-    assert half.status == STATUS_BUDGET
+                                             blowup_cap=1e4, max_steps=105))
+    assert half.status == STATUS_BUDGET and half._stop_field is not None  # between snapshots
     assert half._time_comp != 0.0  # so the resume must carry the compensation
     path = tmp_path / "snapshots.npz"
     save_snapshots(half, path)
@@ -498,8 +501,8 @@ def test_cap_is_checked_before_the_budget(default_params):
     g = RadialGrid(R=1.0, M=256, dim=1)
     u0 = profile_seeded_field(g, default_params, t_star=0.01)
     traj = run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
-                                             blowup_cap=1e4, max_steps=645))
-    assert len(traj.maxnorm_history) - 1 == 645
+                                             blowup_cap=1e4, max_steps=207))
+    assert len(traj.maxnorm_history) - 1 == 207
     assert traj.maxnorm_history[-1, 1] >= 1e4
     assert traj.status == STATUS_BLOWN_UP
 
@@ -508,7 +511,7 @@ def test_stop_hook_gets_each_run_as_it_stops_and_keeps_none(default_params):
     """``_advance`` hands each run to its stop hook once, with the run's
     place in the input, as the run leaves the batch, and holds it no longer:
     by the time a run stops, the runs before it are gone.  The third run's
-    step 183 overflows while the others step on: it leaves through the same
+    step 61 overflows while the others step on: it leaves through the same
     exit, with its last finite field and no history row for the rejected
     step, and each run is the same run stepped alone."""
     grid = RadialGrid(R=1.0, M=32, dim=1)
@@ -528,7 +531,7 @@ def test_stop_hook_gets_each_run_as_it_stops_and_keeps_none(default_params):
         assert np.all(np.isfinite(hist)) and np.all(np.isfinite(last.values))
         assert last.time == hist[-1, 0]
         assert np.max(np.abs(last.values)) == hist[-1, 1]
-        assert position != 2 or len(hist) == 183
+        assert position != 2 or len(hist) == 61
         stopped.append((position, weakref.ref(trajectory)))
 
     solver._advance((Trajectory.start(u0, config) for u0, config in runs), on_stop)
@@ -646,41 +649,60 @@ def _ref_run(u0, config):
 @pytest.mark.parametrize("boundary", ["dirichlet-zero", "neumann-zero"])
 @pytest.mark.parametrize("dim,q", [(1, 3.0), (2, 4.6)])
 def test_run_converges_to_heun_reference(dim, q, boundary, mu):
-    """IMEX and Heun, both at dt_safety 0.05, fit the same blow-up: T_est
-    within 1e-3 relative (measured <= 5.1e-4) and kappa_est within 5e-4
-    (measured 1.1e-4)."""
+    """IMEX at the default dt_safety and Heun at its own 0.05 fit the same
+    blow-up: T_est within 1e-3 relative and kappa_est within 5e-4."""
     params = validate(p=4.0, q=q, mu=mu, dim=dim)
     g = RadialGrid(R=1.0, M=64, dim=dim)
     u0 = profile_seeded_field(g, params, t_star=0.01)
     config = SolverConfig(grid=g, params=params, boundary=boundary,
                           blowup_cap=1e6, max_steps=10 ** 5)
     traj = run_until_blowup(u0, config)
-    hist = _ref_run(u0, config)
+    hist = _ref_run(u0, replace(config, dt_safety=0.05))
     heun = estimate_T(replace(traj, maxnorm_history=hist), params)
     imex = estimate_T(traj, params)
     assert abs(imex.T_est / heun.T_est - 1.0) < 1e-3
     assert abs(imex.kappa_est / heun.kappa_est - 1.0) < 5e-4
 
 
+T_RICHARDSON = 0.0107260303  # blowlab run's T, extrapolated in dt_safety (M=1024)
+
+
 def test_default_run_matches_heun_at_M1024(default_params):
-    """``blowlab run``'s instance (M=1024, t_star 0.01): T_est within 1e-3 of
-    the Heun run's 0.010726062070088969 (measured 5.1e-4), and kappa_est
-    within 0.1% of 3^(-1/3) (measured 0.02%; Heun's was 1.03% off)."""
+    """``blowlab run``'s instance (M=1024, t_star 0.01): T_est within 3e-4 of
+    the T that both schemes extrapolate to in the step size (measured
+    -1.96e-4), and kappa_est within 1.5e-4 of 3^(-1/3) (measured -8.3e-5)."""
     g = RadialGrid(R=1.0, M=1024, dim=1)
     traj = run_until_blowup(profile_seeded_field(g, default_params, t_star=0.01),
                             SolverConfig(grid=g, params=default_params))
     est = estimate_T(traj, default_params)
-    assert abs(est.T_est / 0.010726062070088969 - 1.0) < 1e-3
-    assert abs(est.kappa_est / KAPPA - 1.0) < 1e-3
+    assert abs(est.T_est / T_RICHARDSON - 1.0) < 3e-4
+    assert abs(est.kappa_est / KAPPA - 1.0) < 1.5e-4
 
 
-def _previous_ars222(u, dt, params, grid, boundary):
-    """One step of the scheme before stage two recovered L Y from the first
-    stage: b2 = u + dt*(delta*N(u) + (1-delta)*N(Y) + (1-gamma)*L Y) with the
-    reference Laplacian applied to Y, solved with the same LAPACK routines
-    on the reference matrix's bands."""
+# ARS(3,4,3), Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25 (1997) 151, sec. 2.7
+_G = 0.4358665215
+_B1, _B2 = -1.5 * _G ** 2 + 4.0 * _G - 0.25, 1.5 * _G ** 2 - 5.0 * _G + 1.25
+_A_EXPLICIT = [[0.0, 0.0, 0.0, 0.0],
+               [_G, 0.0, 0.0, 0.0],
+               [0.3212788860, 0.3966543747, 0.0, 0.0],
+               [-0.105858296, 0.5529291479, 0.5529291479, 0.0]]
+_A_IMPLICIT = [[0.0, 0.0, 0.0, 0.0],
+               [0.0, _G, 0.0, 0.0],
+               [0.0, (1.0 - _G) / 2.0, _G, 0.0],
+               [0.0, _B1, _B2, _G]]
+_WEIGHTS = [0.0, _B1, _B2, _G]  # of both parts: the implicit part's is its last row
+
+
+def _reference_ars343(u, dt, params, grid, boundary):
+    """One ARS(3,4,3) step as its tableaus write it, with every stage's L U
+    the reference Laplacian applied to that stage; the stages are solved
+    with the same LAPACK routines on the reference matrix's bands.  The
+    implicit weights are the last implicit row (the scheme is stiffly
+    accurate), so u_new = U_4 + dt * sum_j (w_j - a^_4j) N(U_j): the
+    textbook u + dt * sum_j w_j (N(U_j) + L U_j) would add the last solve's
+    residual, ~eps * gamma*dt*|L| * sup = 3e-13 * sup at the seed, undamped."""
     L = ref_laplacian_matrix(grid, boundary)
-    gdt = solver._GAMMA * dt
+    gdt = _G * dt
     *lu, info = dgttrf(-np.diag(L, -1) * gdt, 1.0 - gdt * np.diag(L), -np.diag(L, 1) * gdt)
     assert info == 0
     terms = solver._Terms([params], GridGeometry.of(grid))
@@ -688,18 +710,20 @@ def _previous_ars222(u, dt, params, grid, boundary):
     def explicit(v):
         return solver._explicit_values(v, terms, boundary, np.empty_like(v))
 
-    n1 = explicit(u)
-    y = dgttrs(*lu, u + gdt * n1)[0]
-    b2 = u + dt * (solver._DELTA * n1 + (1.0 - solver._DELTA) * explicit(y)
-                   + (1.0 - solver._GAMMA) * ref_laplacian(y, grid.h, grid.dim, boundary))
-    return dgttrs(*lu, b2)[0]
+    N, LU = [explicit(u)], [ref_laplacian(u, grid.h, grid.dim, boundary)]
+    for i in range(1, 4):
+        b = u + dt * sum(_A_EXPLICIT[i][j] * N[j] + _A_IMPLICIT[i][j] * LU[j] for j in range(i))
+        stage = dgttrs(*lu, b)[0]
+        N.append(explicit(stage))
+        LU.append(ref_laplacian(stage, grid.h, grid.dim, boundary))
+    return stage + dt * sum((w - a) * n for w, a, n in zip(_WEIGHTS, _A_EXPLICIT[3], N))
 
 
 @pytest.mark.parametrize("dim,M,boundary", [(1, 1024, "dirichlet-zero"), (2, 256, "neumann-zero")])
 def test_step_matches_the_previous_scheme(dim, M, boundary):
     """From the seed (sup ~3) and from states at sup ~1e2 and ~6e5, one step
-    equals the previous scheme's within 1e-13 * sup at every node (measured
-    <= 4.4e-15 * sup)."""
+    equals the reference ARS(3,4,3) step within 1e-13 * sup at every node
+    (measured <= 9.0e-14 * sup, at the seed), alone and as a row of a block."""
     params = validate(p=4.0, q=3.0 if dim == 1 else 4.6, mu=0.1, dim=dim)
     grid = RadialGrid(R=1.0, M=M, dim=dim)
     config = SolverConfig(grid=grid, params=params, boundary=boundary, blowup_cap=6e5)
@@ -714,30 +738,45 @@ def test_step_matches_the_previous_scheme(dim, M, boundary):
         u = state.values
         sup = float(np.max(np.abs(u)))
         dt = solver._dt_of(config, sup)
-        new = solver._ars222(u.copy(), [dt], solver._Batch([params], grid, boundary))
-        assert np.max(np.abs(new - _previous_ars222(u, dt, params, grid, boundary))) <= 1e-13 * sup
+        new = solver._ars343(u.copy(), [dt], solver._Batch([params], grid, boundary))
+        reference = _reference_ars343(u, dt, params, grid, boundary)
+        assert np.max(np.abs(new - reference)) <= 1e-13 * sup
         for other in others:
             rows, dts = [params, other], [dt, 0.5 * dt]
-            block = solver._ars222(solver._block([u, u]), dts, solver._Batch(rows, grid, boundary))
+            block = solver._ars343(solver._block([u, u]), dts, solver._Batch(rows, grid, boundary))
+            assert np.all(block[:, grid.M + 1:] == 0.0)  # +0 separators
             for row, row_params, dt_row in zip(solver._fields(block), rows, dts):
                 batch = solver._Batch([row_params], grid, boundary)
-                alone = solver._ars222(u.copy(), [dt_row], batch)
+                alone = solver._ars343(u.copy(), [dt_row], batch)
                 assert np.array_equal(row, alone)
-                previous = _previous_ars222(u, dt_row, row_params, grid, boundary)
-                assert np.max(np.abs(row - previous)) <= 1e-13 * sup
+                reference = _reference_ars343(u, dt_row, row_params, grid, boundary)
+                assert np.max(np.abs(row - reference)) <= 1e-13 * sup
+
+
+def _T_est_at(params, grid, safeties):
+    """T_est of the runs from the profile seed at each of ``safeties``."""
+    u0 = profile_seeded_field(grid, params, t_star=0.01)
+    return np.array([estimate_T(run_until_blowup(u0, SolverConfig(
+        grid=grid, params=params, dt_safety=s)), params).T_est for s in safeties])
 
 
 def test_halving_dt_safety_barely_moves_T(default_params):
-    """At M=256 halving dt_safety from 0.05 moves T_est by 3.9e-4 relative
-    (bound 1e-3), and the next halving by ~4x less: second order."""
-    g = RadialGrid(R=1.0, M=256, dim=1)
-    u0 = profile_seeded_field(g, default_params, t_star=0.01)
-    T = [estimate_T(run_until_blowup(u0, SolverConfig(grid=g, params=default_params,
-                                                      dt_safety=c)), default_params).T_est
-         for c in (0.05, 0.025, 0.0125)]
-    first, second = abs(T[1] / T[0] - 1.0), abs(T[2] / T[1] - 1.0)
-    assert first < 1e-3
-    assert second < first / 3.0
+    """At M=256 halving dt_safety from the default moves T_est by 1.7e-4
+    relative (bound 1e-3), and the next halving by 8.07x less (bound 7x):
+    third order."""
+    T = _T_est_at(default_params, RadialGrid(R=1.0, M=256, dim=1), (0.15, 0.075, 0.0375))
+    d = np.abs(np.diff(T))
+    assert d[0] / T[0] < 1e-3
+    assert d[0] / d[1] >= 7.0
+
+
+def test_halving_dt_safety_is_third_order_in_dim2():
+    """dim=2, p=3.5, q=4, mu=0.1 at M=512: the differences of T_est fall by
+    8.01x and 8.02x (bound 7x) as dt_safety halves from the default."""
+    params = validate(p=3.5, q=4.0, mu=0.1, dim=2)
+    T = _T_est_at(params, RadialGrid(R=1.0, M=512, dim=2), (0.15, 0.075, 0.0375, 0.01875))
+    d = np.abs(np.diff(T))
+    assert np.all(d[:-1] / d[1:] >= 7.0)
 
 
 def test_dt_overflow_is_flagged_not_raised(default_params):
