@@ -631,6 +631,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # an artifact path it cannot write, such as a directory
+        path = exc.filename2 or exc.filename  # an atomic write's target, not its temp file
+        print(f"config error: {path}: {exc.strerror}" if path else f"config error: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

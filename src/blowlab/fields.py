@@ -12,10 +12,11 @@ heat-semigroup check diagonalizes them.  No kernel applies L to a field;
 the step recovers its L term from its first stage (see ``solver``).
 
 The kernels (``_gradient_values``, ``_nonlocal_prefix_values``) take node
-values, not a :class:`RadialField`: one field as a 1-D array of its M+1
-nodes, or k fields as one contiguous padded (k, M+3) block.  Each row of a
-block holds a field's nodes and then ``SEPARATORS`` cells, the layout of
-the solver's block-diagonal system.  A kernel runs its stencil on the
+values, not a :class:`RadialField`: the field u, or for the prefix its
+integrand |u|^(q-1), of one field as a 1-D array of its M+1 nodes or of k
+fields as one contiguous padded (k, M+3) block.  Each row of a block
+holds a field's nodes and then ``SEPARATORS`` cells, the layout of the
+solver's block-diagonal system.  A kernel runs its stencil on the
 flattened buffer, with the per-node arrays of :meth:`GridGeometry.stacked`
 laid out along it, and sets the cells at r = 0 and r = R of every row
 through column views.  What it leaves in the separator cells means
@@ -196,24 +197,16 @@ def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
     return out
 
 
-def _nonlocal_prefix_values(abs_u: np.ndarray, geom: GridGeometry,
-                            q: float | list) -> np.ndarray:
+def _nonlocal_prefix_values(integrand: np.ndarray, geom: GridGeometry) -> np.ndarray:
     """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr of one
     field or of a padded block (as :func:`_gradient_values`).
 
-    Takes |u| (the right-hand side computes it once for both of its terms).
-    ``q`` is a float, or for a block a list of (rows, q) pairs that cover
-    it, each block of rows raised to its own scalar power.  The prefix sum
-    is the cumulative trapezoid rule written out, with the same operations
-    in the same order as scipy's ``cumulative_trapezoid``; the panels are
-    formed on the flattened buffer and summed along each row.
+    Takes the integrand |u|^(q-1), raised by the caller, and scales it by
+    r^(N-1) in place.  The prefix sum is the cumulative trapezoid rule
+    written out, with the same operations in the same order as scipy's
+    ``cumulative_trapezoid``; the panels are formed on the flattened buffer
+    and summed along each row.
     """
-    if isinstance(q, list):
-        integrand = np.empty_like(abs_u)
-        for rows, q_rows in q:
-            integrand[rows] = abs_u[rows] ** (q_rows - 1.0)
-    else:
-        integrand = abs_u ** (q - 1.0)
     flat = _flat(integrand)
     if geom.r_pow is not None:
         flat *= geom.r_pow
@@ -262,7 +255,8 @@ def field_to_csv(fh, field: RadialField, params: ModelParams, boundary: str,
     """Snapshot CSV (r, u, du_dr, J) after ``comments``, a comment carrying
     the time and one per parameter."""
     du = _gradient_values(field.values, field.grid.h, boundary)
-    J = _nonlocal_prefix_values(np.abs(field.values), GridGeometry.of(field.grid), params.q)
+    J = _nonlocal_prefix_values(np.abs(field.values) ** (params.q - 1.0),
+                                GridGeometry.of(field.grid))
     comments = [*comments, f"time: {field.time!r}"]
     comments += [f"{key}: {val!r}" for key, val in asdict(params).items()]
     rows = zip(field.grid.r.tolist(), field.values.tolist(), du.tolist(), J.tolist())

@@ -462,7 +462,7 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     times = trajectory.times
     s = T - times
     J = np.array([
-        _nonlocal_prefix_values(np.abs(snap.values), geom, params.q)[-1]
+        _nonlocal_prefix_values(np.abs(snap.values) ** (params.q - 1.0), geom)[-1]
         for snap in trajectory.snapshots
     ])
     keep = (s > 0.0) & (s < 1.0) & (J > 0.0)

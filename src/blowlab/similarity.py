@@ -73,8 +73,9 @@ def time_scale_of_x0(x0: float, K0: float, T: float) -> float:
     :func:`default_delta`, which lies below the peak of the scale map, so
     every |x0| up to it has its anchor on the monotone branch.
     """
-    if x0 == 0.0:
-        raise ValueError("x0 must be nonzero (the origin is the blow-up point)")
+    if x0 == 0.0 or not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite and nonzero (the origin is the blow-up point), "
+                         f"got {x0!r}")
     if not K0 > 0.0:
         raise ValueError(f"K0 must be positive, got {K0}")
     if not T > 0.0:

@@ -54,11 +54,12 @@ for one run and a column of the rows' step sizes for a block; the single
 row's own path lives in the kernels (``fields``, :func:`_explicit_values`,
 :func:`_sups`), where numpy scalars at r = 0 and r = R cost less per call
 than the one-element columns of a block.  Every row is bit-identical to
-its run stepped alone: ``_Terms`` and ``_Batch`` say what that takes.
-``_Batch`` builds the grid's fixed geometry, the Laplacian bands and
-reused buffers once per batch, and ``_advance`` holds one ``np.errstate``
-scope around the step loop.  Runs are deterministic: identical config
-and initial data give bit-identical trajectories, alone or in any batch.
+its run stepped alone: ``_Batch`` says what that takes.  ``_Batch`` decides
+the explicit term's coefficients and builds the grid's fixed geometry, the
+Laplacian bands and reused buffers once per batch, and ``_advance`` holds
+one ``np.errstate`` scope around the step loop.  Runs are deterministic:
+identical config and initial data give bit-identical trajectories, alone
+or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -310,41 +311,8 @@ def check_seed(t_star: float, taper_start: float) -> None:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-class _Terms:
-    """The explicit term's coefficients for the rows of a batch, laid out as
-    the batch holds its fields (see ``_Batch``).
-
-    The rows come sorted by (mu == 0, p, q), so every group of rows that
-    shares an exponent is contiguous and is raised to that scalar exponent:
-    numpy picks its ``pow`` kernel by memory layout and takes a fast path
-    for a scalar 2.0, so this is what keeps each row bit-identical to the
-    run stepped alone.  The rows with mu == 0 come last and skip the
-    nonlocal term, as a single run does: adding +0 would turn -0 cells
-    into +0.  A coefficient that all its rows share is held as one float
-    and applied to the whole block, which also serves a single 1-D field;
-    differing mu are held as a column, one per nonlocal row.
-    """
-
-    def __init__(self, params: list[ModelParams], geom: GridGeometry):
-        k = len(params)
-        n_nl = sum(pr.mu != 0.0 for pr in params)
-        if any(pr.mu == 0.0 for pr in params[:n_nl]):
-            raise ValueError("rows with mu == 0 must come last")
-        self.p = _runs([pr.p for pr in params])
-        # the rows that have the nonlocal term are all of them (None) or the
-        # first n_nl; geom is their geometry, a 1-D field's or their block's
-        self.nonlocal_rows = None if n_nl == k else slice(0, n_nl)
-        self.geom = geom if k == 1 or n_nl == 0 else geom.stacked(n_nl)
-        self.q = _runs([pr.q for pr in params[:n_nl]])
-        mu = [pr.mu for pr in params[:n_nl]]
-        self.mu = None if not mu else mu[0] if len(set(mu)) == 1 else np.array(mu)[:, None]
-
-
-def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
-    """The value all rows share, or (rows, value) for each maximal run of
-    equal values."""
-    if len(set(values)) <= 1:
-        return values[0] if values else None
+def _runs(values: list[float]) -> list[tuple[slice, float]]:
+    """(rows, value) for each maximal run of equal values."""
     runs, start = [], 0
     for i in range(1, len(values) + 1):
         if i == len(values) or values[i] != values[start]:
@@ -353,8 +321,22 @@ def _runs(values: list[float]) -> float | list[tuple[slice, float]]:
     return runs
 
 
-def _explicit_values(u: np.ndarray, terms: _Terms, boundary: str,
-                     out: np.ndarray) -> np.ndarray:
+def _powers(abs_u: np.ndarray, exponent: list[tuple[slice, float]],
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``abs_u`` raised to a batch exponent, runs of rows as ``_runs``
+    gives them, into ``out`` or a new array.  One run is the whole array, a
+    1-D field too; into a new array it is ``**``, whose fast path for an
+    exponent of 2 or 0.5 gives the bits of ``np.power`` in half the time."""
+    if len(exponent) == 1:
+        e = exponent[0][1]
+        return abs_u ** e if out is None else np.power(abs_u, e, out=out)
+    out = np.empty_like(abs_u) if out is None else out
+    for rows, e in exponent:
+        np.power(abs_u[rows], e, out=out[rows])
+    return out
+
+
+def _explicit_values(u: np.ndarray, batch: _Batch, out: np.ndarray) -> np.ndarray:
     """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
     of a 1-D field or of each row of a padded block, written into ``out``.
 
@@ -362,26 +344,22 @@ def _explicit_values(u: np.ndarray, terms: _Terms, boundary: str,
     here is an expected condition, detected by the caller's finiteness test.
     """
     abs_u = np.abs(u)
-    if isinstance(terms.p, list):
-        for rows, p in terms.p:
-            np.power(abs_u[rows], p - 1.0, out=out[rows])
-    else:
-        np.power(abs_u, terms.p - 1.0, out=out)
+    _powers(abs_u, batch.p_minus_1, out)
     out *= u
-    if terms.mu is not None:
-        rows = terms.nonlocal_rows
+    if batch.mu is not None:
+        rows = batch.nonlocal_rows
         if rows is not None:
             u, abs_u = u[rows], abs_u[rows]
-        g = _gradient_values(u, terms.geom.h, boundary)
-        J = _nonlocal_prefix_values(abs_u, terms.geom, terms.q)
+        g = _gradient_values(u, batch.geom.h, batch.boundary)
+        J = _nonlocal_prefix_values(_powers(abs_u, batch.q_minus_1), batch.geom)
         np.abs(g, out=g)
-        g *= terms.mu
+        g *= batch.mu
         g *= J
         if rows is None:
             out += g
         else:
             out[rows] += g
-    if boundary == BOUNDARY_DIRICHLET:
+    if batch.boundary == BOUNDARY_DIRICHLET:
         out.T[_last_node(out)] = 0.0
     return out
 
@@ -418,12 +396,35 @@ class _Batch:
     is padded to a row's length and LAPACK takes the flattened buffers, the
     off-diagonals without their last entry, so the step itself is the same
     for both layouts.
+
+    The batch also holds the coefficients of the explicit term N(u) for
+    :func:`_explicit_values`.  The rows come sorted by (mu == 0, p, q), so
+    the rows that share an exponent p-1 or q-1 are contiguous, and each run
+    of them (:func:`_runs`) is raised to its scalar exponent by
+    :func:`_powers`.  A scalar exponent gives the same bits on a 1-D field,
+    on a block and on a run of its rows, which keeps each row bit-identical
+    to its run stepped alone; a (k, 1) column of the rows' exponents does
+    not (with numpy 2.4 on AVX-512, at 2.0 and 0.5 it changed 26 and 55 of
+    1,027 wide-range values per row).  mu is one float when the rows share
+    it and a column otherwise.  The rows with mu == 0 come last and skip
+    the nonlocal term, as a single run does: adding +0 would turn -0 cells
+    into +0.  ``nonlocal_rows`` is None when every row has the term, so a
+    single run takes no views, and ``geom`` is those rows' geometry.
     """
 
     def __init__(self, params: list[ModelParams], grid: RadialGrid, boundary: str):
         k = len(params)
-        self.terms = _Terms(params, GridGeometry.of(grid))
+        n_nl = sum(pr.mu != 0.0 for pr in params)
+        if any(pr.mu == 0.0 for pr in params[:n_nl]):
+            raise ValueError("rows with mu == 0 must come last")
         self.boundary = boundary
+        self.p_minus_1 = _runs([pr.p - 1.0 for pr in params])
+        self.q_minus_1 = _runs([pr.q - 1.0 for pr in params[:n_nl]])
+        mu = [pr.mu for pr in params[:n_nl]]
+        self.mu = None if not mu else mu[0] if len(set(mu)) == 1 else np.array(mu)[:, None]
+        self.nonlocal_rows = None if n_nl == k else slice(0, n_nl)
+        geom = GridGeometry.of(grid)
+        self.geom = geom if k == 1 or n_nl == 0 else geom.stacked(n_nl)
         # -L's off-diagonals and L's diagonal, with +0 coupling and a 0
         # diagonal in the separators' rows: scaled by gamma*dt >= 0, they
         # give those rows' identity and +0 coupling
@@ -451,7 +452,6 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     """One ARS(3,4,3) step (see the module docstring) of the batch's 1-D
     field ``u`` or of every row of its padded block ``u``, row i by
     ``dts[i]``."""
-    boundary, terms = batch.boundary, batch.terms
     n, sides = batch.work, batch.sides
     # a single row multiplies by a Python float, as a scalar step does, and
     # a block by the column of its rows' step sizes
@@ -471,7 +471,7 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     tmp = n[3]  # free until the last stage's explicit term
     stage = u
     for i, (explicit, implicit) in enumerate(zip(_ARS_EXPLICIT, _ARS_IMPLICIT)):
-        _explicit_values(stage, terms, boundary, out=n[i])
+        _explicit_values(stage, batch, out=n[i])
         # b = u + dt * sum_j a^_ij N_j + sum_j a_ij dt*L U_j, the sides
         # before this one holding their stages' dt*L U_j
         b = sides[i]
@@ -488,7 +488,7 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
         if i < 2:  # this stage's dt*L U, recovered from its solve
             np.subtract(stage, b, out=b)
             b /= _ARS_GAMMA
-    _explicit_values(stage, terms, boundary, out=n[3])
+    _explicit_values(stage, batch, out=n[3])
     # u_new = U4 + dt * sum_j w_j N_j, accumulated in N4's buffer
     n[3] *= _ARS_FINAL[3]
     for n_j, w in zip(n[:3], _ARS_FINAL):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -434,6 +435,24 @@ def _out_under_file(tmp_path):
     return ["verify", "--out", str(tmp_path / "taken" / "report")]
 
 
+def _artifact_is_directory(command, name):
+    """The setup of ``command`` whose artifact ``name`` is taken by a
+    directory in its --out; frames first needs a run there."""
+    def setup(tmp_path):
+        out = tmp_path / "out"
+        argv = {"run": ["run", "--config", write_config(tmp_path)],
+                "frames": ["frames", "--x0", "0.1"],
+                "sweep": ["sweep", "--config", write_config(tmp_path), "--grid", "mu=0:0.1:2",
+                          "--workers", "1"],
+                "verify": ["verify"]}[command]
+        if command == "frames":
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        (out / name).mkdir(parents=True)
+        return [*argv, "--out", str(out)]
+    return setup
+
+
 def _summary_not_json(tmp_path):
     (tmp_path / "run_summary.json").write_text("{not json")
     return ["report", "--out", str(tmp_path)]
@@ -449,8 +468,15 @@ def _summary_without_keys(tmp_path):
     (_out_under_file, "cannot write to --out"),
     (_summary_not_json, "cannot read the run summary"),
     (_summary_without_keys, "missing key 'manifest'"),
+    (_artifact_is_directory("run", "manifest.json"), "manifest.json: Is a directory"),
+    (_artifact_is_directory("frames", "frames_summary.json"),
+     "frames_summary.json: Is a directory"),
+    (_artifact_is_directory("sweep", "sweep_summary.csv"), "sweep_summary.csv: Is a directory"),
+    (_artifact_is_directory("verify", "verification_report.json"),
+     "verification_report.json: Is a directory"),
 ], ids=["run-out-is-file", "verify-out-under-file", "report-not-json",
-        "report-missing-keys"])
+        "report-missing-keys", "run-manifest-is-dir", "frames-summary-is-dir",
+        "sweep-summary-is-dir", "verify-report-is-dir"])
 def test_unusable_paths_are_config_errors(tmp_path, capsys, setup, message):
     assert main(setup(tmp_path)) == 2
     captured = capsys.readouterr()

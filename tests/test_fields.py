@@ -44,7 +44,7 @@ def grad_of(g, values):
 
 
 def prefix_of(g, values, params):
-    return _nonlocal_prefix_values(np.abs(values), GridGeometry.of(g), params.q)
+    return _nonlocal_prefix_values(np.abs(values) ** (params.q - 1.0), GridGeometry.of(g))
 
 
 def test_grid_nodes():
@@ -121,9 +121,8 @@ def test_laplacian_bands_are_the_stencil_matrix_on_verify_grid():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_padded_block_kernels_are_the_1d_kernels_row_by_row(dim, boundary):
     """Each node of a padded block comes out of the gradient and the
-    ball-integral prefix bit for bit as from the kernel on its 1-D field,
-    with one q for all rows or one per run of rows; NaN in the separator
-    cells reaches no node."""
+    ball-integral prefix bit for bit as from the kernel on its 1-D field;
+    NaN in the separator cells reaches no node."""
     grid = grid1(M=24, dim=dim)
     geom = GridGeometry.of(grid)
     rng = np.random.default_rng(dim)
@@ -131,17 +130,12 @@ def test_padded_block_kernels_are_the_1d_kernels_row_by_row(dim, boundary):
     fields[1, 5] = -0.0
     block = np.full((3, grid.M + 1 + SEPARATORS), np.nan)
     block[:, :-SEPARATORS] = fields
-    stacked = geom.stacked(3)
-    qs = [3.0, 3.0, 4.5]
     with np.errstate(invalid="ignore"):
         outputs = [
             (_gradient_values(block, grid.h, boundary),
              [_gradient_values(f, grid.h, boundary) for f in fields]),
-            (_nonlocal_prefix_values(np.abs(block), stacked, 3.0),
-             [_nonlocal_prefix_values(np.abs(f), geom, 3.0) for f in fields]),
-            (_nonlocal_prefix_values(np.abs(block), stacked,
-                                     [(slice(0, 2), 3.0), (slice(2, 3), 4.5)]),
-             [_nonlocal_prefix_values(np.abs(f), geom, q) for f, q in zip(fields, qs)]),
+            (_nonlocal_prefix_values(np.abs(block) ** 2.0, geom.stacked(3)),
+             [_nonlocal_prefix_values(np.abs(f) ** 2.0, geom) for f in fields]),
         ]
     for padded, alone in outputs:
         for row, single in zip(padded[:, :-SEPARATORS], alone):

@@ -103,7 +103,7 @@ def test_nonlocal_prefix_is_nondecreasing_from_zero(params, M, data):
     grid = RadialGrid(R=data.draw(st.floats(0.1, 10.0), label="R"), M=M, dim=params.dim)
     values = data.draw(arrays(np.float64, M + 1, elements=st.floats(-1e3, 1e3)),
                        label="values")
-    J = _nonlocal_prefix_values(np.abs(values), GridGeometry.of(grid), params.q)
+    J = _nonlocal_prefix_values(np.abs(values) ** (params.q - 1.0), GridGeometry.of(grid))
     assert J[0] == 0.0
     assert np.all(np.diff(J) >= 0.0)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,11 @@ import numpy as np
 from blowlab.cli import main
 from test_config_cli import write_config
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+def _tool(name="same_outputs"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -57,3 +58,34 @@ def test_results_that_differ_are_named(tmp_path, capsys):
     np.savez_compressed(b / "run.npz", x=np.arange(3))
     assert tool.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == "differs  run.npz\ndiffers  summary.json\n"
+
+
+def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
+    """One run of ``tools/reference_outputs.py``: every command exits 0 and
+    leaves its streams and its artifacts, and no stream holds the OUT path."""
+    tool = _tool("reference_outputs")
+    out = (tmp_path / "ref").resolve()
+    assert tool.main([str(out)]) == 0
+    assert json.loads((out / "exit_codes.json").read_text()) == {
+        name: 0 for name, _ in tool.COMMANDS}
+    streams = {f"{name}.stdout{'.json' if '--json' in args else ''}"
+               for name, args in tool.COMMANDS} | {f"{name}.stderr" for name, _ in tool.COMMANDS}
+    assert {path.name for path in (out / "streams").iterdir()} == streams
+    for path in (out / "streams").iterdir():
+        assert str(out) not in path.read_text()
+    assert (out / "streams" / "report.stdout").read_text().startswith("run in <OUT>/run\n")
+    assert "wall:" not in (out / "streams" / "report.stdout").read_text()
+    json.loads((out / "streams" / "run-mu0.stdout.json").read_text())
+    run_files = {"manifest.json", "run_summary.json", "blowup_estimate.json", "snapshots.npz",
+                 "trajectory.csv", "field_final.csv"}
+    expected = {
+        "run": run_files | {"frames_summary.json", "frame_x0_0p2.csv", "frame_x0_0p1.csv",
+                            "frame_x0_0p05.csv"},
+        "run-dim2": run_files, "run-cap1e7": run_files, "run-mu0": run_files,
+        "run-cap1e2": run_files - {"blowup_estimate.json"},  # too short for a fit
+        "verify": {"verification_report.json", "integral_sweep.csv"},
+        "sweep-2": {"manifest.json", "sweep_summary.csv", "point_0014"},
+        "sweep-1": {"manifest.json", "sweep_summary.csv", "point_0014"},
+    }
+    for tree, names in expected.items():
+        assert names <= {path.name for path in (out / tree).iterdir()}, tree

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,8 @@ def test_t0_plateau_branch():
 def test_t0_error_cases():
     with pytest.raises(ValueError, match="nonzero"):
         time_scale_of_x0(0.0, 4.0, 1.0)
+    with pytest.raises(ValueError, match="finite and nonzero .* got nan"):
+        time_scale_of_x0(math.nan, 4.0, 1.0)
     # reachable scale but before t=0
     with pytest.raises(ValueError, match="unreachable"):
         time_scale_of_x0(0.3, 4.0, T=1e-4)

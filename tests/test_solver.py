@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from blowlab import lemmas, solver
-from blowlab.fields import GridGeometry, RadialField, RadialGrid, sphere_area
+from blowlab.fields import RadialField, RadialGrid, sphere_area
 from blowlab.lemmas import nonlocal_decay_fit
 from blowlab.params import validate
 from blowlab.profiles import f_profile
@@ -60,8 +60,7 @@ def full_rhs(field, params, boundary):
     the explicit term, from the kernel a step calls."""
     grid = field.grid
     out = np.empty(grid.M + 1)
-    solver._explicit_values(field.values, solver._Terms([params], GridGeometry.of(grid)),
-                            boundary, out)
+    solver._explicit_values(field.values, solver._Batch([params], grid, boundary), out)
     return out + ref_laplacian(field.values, grid.h, grid.dim, boundary)
 
 
@@ -705,10 +704,10 @@ def _reference_ars343(u, dt, params, grid, boundary):
     gdt = _G * dt
     *lu, info = dgttrf(-np.diag(L, -1) * gdt, 1.0 - gdt * np.diag(L), -np.diag(L, 1) * gdt)
     assert info == 0
-    terms = solver._Terms([params], GridGeometry.of(grid))
+    batch = solver._Batch([params], grid, boundary)
 
     def explicit(v):
-        return solver._explicit_values(v, terms, boundary, np.empty_like(v))
+        return solver._explicit_values(v, batch, np.empty_like(v))
 
     N, LU = [explicit(u)], [ref_laplacian(u, grid.h, grid.dim, boundary)]
     for i in range(1, 4):
@@ -723,7 +722,8 @@ def _reference_ars343(u, dt, params, grid, boundary):
 def test_step_matches_the_previous_scheme(dim, M, boundary):
     """From the seed (sup ~3) and from states at sup ~1e2 and ~6e5, one step
     equals the reference ARS(3,4,3) step within 1e-13 * sup at every node
-    (measured <= 9.0e-14 * sup, at the seed), alone and as a row of a block."""
+    (measured <= 9.0e-14 * sup, at the seed), alone and as a row of a block
+    whose rows differ in q and mu."""
     params = validate(p=4.0, q=3.0 if dim == 1 else 4.6, mu=0.1, dim=dim)
     grid = RadialGrid(R=1.0, M=M, dim=dim)
     config = SolverConfig(grid=grid, params=params, boundary=boundary, blowup_cap=6e5)
@@ -731,8 +731,10 @@ def test_step_matches_the_previous_scheme(dim, M, boundary):
     sups = [float(np.max(np.abs(snap.values))) for snap in traj.snapshots]
     states = [traj.snapshots[0], traj.snapshots[int(np.argmax(np.array(sups) >= 1e2))],
               traj.snapshots[-1]]
-    # a 2-row padded block whose second row has another mu (nonzero, or 0,
-    # which skips the nonlocal term) and half the step size
+    # a 3-row padded block: its second row has another q, so the nonlocal
+    # rows are raised in two or three runs of q, and its last another mu
+    # (nonzero, or 0, which skips the nonlocal term) and half the step size
+    other_q = validate(p=4.0, q=3.5 if dim == 1 else 4.3, mu=0.1, dim=dim)
     others = [validate(p=4.0, q=params.q, mu=mu, dim=dim) for mu in (-0.2, 0.0)]
     for state in states:
         u = state.values
@@ -742,8 +744,8 @@ def test_step_matches_the_previous_scheme(dim, M, boundary):
         reference = _reference_ars343(u, dt, params, grid, boundary)
         assert np.max(np.abs(new - reference)) <= 1e-13 * sup
         for other in others:
-            rows, dts = [params, other], [dt, 0.5 * dt]
-            block = solver._ars343(solver._block([u, u]), dts, solver._Batch(rows, grid, boundary))
+            rows, dts = [params, other_q, other], [dt, dt, 0.5 * dt]
+            block = solver._ars343(solver._block([u] * 3), dts, solver._Batch(rows, grid, boundary))
             assert np.all(block[:, grid.M + 1:] == 0.0)  # +0 separators
             for row, row_params, dt_row in zip(solver._fields(block), rows, dts):
                 batch = solver._Batch([row_params], grid, boundary)
