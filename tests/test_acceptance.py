@@ -114,10 +114,14 @@ def test_criterion_5_blowup_run(acceptance_run, default_params):
     est, scaled = _fit_window_scaled_amplitude(traj, default_params)
     dev = float(np.max(np.abs(scaled / KAPPA - 1.0)))
     argmax_r = float(traj.maxnorm_history[-1, 2])
-    ok = (traj.status == STATUS_BLOWN_UP and dev <= 0.15 and argmax_r <= 2.0 * h)
+    # the window's distances to T outlive the resolution of absolute time
+    first, last = est.fit_window_to_T
+    ok = (traj.status == STATUS_BLOWN_UP and dev <= 0.15 and argmax_r <= 2.0 * h
+          and first > last > 0.0)
     report(5, ok, f"status {traj.status}, (T-t)^(1/3)*supnorm within "
                   f"{100 * dev:.2f}% of kappa over the fitted decade "
-                  f"(kappa_est {est.kappa_est:.4f}), argmax r = {argmax_r:g} <= 2h")
+                  f"(kappa_est {est.kappa_est:.4f}, T-t from {first:.3g} to {last:.3g}), "
+                  f"argmax r = {argmax_r:g} <= 2h")
 
 
 def test_criterion_6_single_point_blowup(acceptance_run):

@@ -45,15 +45,22 @@ def test_two_runs_compare_equal_and_a_change_is_named(tmp_path, capsys):
 
 def test_results_that_differ_are_named(tmp_path, capsys):
     """Outside the volatile keys a JSON value is a result, and so is each
-    archive member's dtype, shape and bytes."""
+    archive member's dtype, shape and bytes, the bytes in C order whatever
+    order the member is stored in."""
     a, b = tmp_path / "a", tmp_path / "b"
-    for out, value in ((a, 1.0), (b, 2.0)):
+    grid = np.arange(12.0).reshape(3, 4)
+    for out, value, order in ((a, 1.0, "C"), (b, 2.0, "F")):
         out.mkdir()
         (out / "summary.json").write_text(
             f'{{"wall_s": {value}, "manifest": {{"out_dir": "{out}"}}, "t": 1.0}}')
-        np.savez_compressed(out / "run.npz", x=np.arange(3.0))
+        np.savez_compressed(out / "run.npz", x=np.arange(3.0), v=np.asarray(grid, order=order))
     tool = _tool()
     assert tool.main([str(a), str(b)]) == 0
+    changed = np.asfortranarray(grid)
+    changed[2, 1] = -1.0
+    np.savez_compressed(b / "run.npz", x=np.arange(3.0), v=changed)
+    assert tool.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "differs  run.npz\n"
     (b / "summary.json").write_text('{"t": 1.5}')
     np.savez_compressed(b / "run.npz", x=np.arange(3))
     assert tool.main([str(a), str(b)]) == 1

@@ -239,7 +239,7 @@ def test_estimate_T_exact_power_law(default_params):
     assert est.T_est == pytest.approx(0.8, abs=1e-9)
     assert est.kappa_est == pytest.approx(KAPPA, abs=1e-9)
     assert est.residual < 1e-7  # limited by rounding of supnorm^{-(p-1)} itself
-    assert est.fit_window[1] < est.T_est
+    assert est.fit_window_to_T[0] > est.fit_window_to_T[1] > 0.0
 
 
 def test_estimate_T_with_noise(default_params):
@@ -412,23 +412,25 @@ def test_archive_refuses_unordered_snapshot_times(small_run, tmp_path):
             load_snapshots(path)
 
 
-def _savez_archive(trajectory, path):
+def _savez_archive(trajectory, path, order):
     """The run archive as ``np.savez_compressed`` writes it from the stacked
-    snapshots: the reference for the streamed writer."""
+    snapshots in ``order``: "F" is the reference for the streamed writer,
+    "C" the snapshot-major layout that earlier writers stored."""
     stop = trajectory._stop_field
     np.savez_compressed(
         path, version=np.array(solver.ARCHIVE_VERSION),
         config=np.array(json.dumps(asdict(trajectory.config))),
         status=np.array(trajectory.status), times=trajectory.times,
-        values=np.stack([s.values for s in trajectory.snapshots]),
+        values=np.asarray(np.stack([s.values for s in trajectory.snapshots]), order=order),
         history=trajectory.maxnorm_history, time_comp=np.array(trajectory._time_comp),
         stop_field=np.empty(0) if stop is None else stop.values)
 
 
 def test_archive_members_equal_savez_compressed(small_run, tmp_path):
     """The streamed archive holds, member for member and byte for byte once
-    decompressed, what ``np.savez_compressed`` writes: for a blown-up run, a
-    budget-stopped run that keeps a stop field, and a dim=2 run."""
+    decompressed, what ``np.savez_compressed`` writes of the values in
+    Fortran order: for a blown-up run, a budget-stopped run that keeps a
+    stop field, and a dim=2 run."""
     stopped = run_until_blowup(small_run.snapshots[0], replace(small_run.config, max_steps=7))
     assert stopped.status == STATUS_BUDGET and stopped._stop_field is not None
     params2 = validate(p=4.0, q=4.6, mu=0.1, dim=2)
@@ -438,7 +440,7 @@ def test_archive_members_equal_savez_compressed(small_run, tmp_path):
     assert dim2.status == STATUS_BLOWN_UP
     for trajectory in (small_run, stopped, dim2):
         save_snapshots(trajectory, tmp_path / "streamed.npz")
-        _savez_archive(trajectory, tmp_path / "reference.npz")
+        _savez_archive(trajectory, tmp_path / "reference.npz", "F")
         with (zipfile.ZipFile(tmp_path / "streamed.npz") as streamed,
               zipfile.ZipFile(tmp_path / "reference.npz") as reference):
             assert streamed.namelist() == reference.namelist()
@@ -446,9 +448,29 @@ def test_archive_members_equal_savez_compressed(small_run, tmp_path):
                 assert streamed.read(name) == reference.read(name), name
 
 
+def test_snapshot_major_archive_loads_and_resumes_as_the_node_major_one(small_run, tmp_path):
+    """An archive whose values are stored snapshot by snapshot at deflate
+    level 6, as earlier writers stored them, loads to the trajectory that
+    the node-major archive of the same run gives, and a budget-stopped one
+    resumes to the uninterrupted run bit for bit."""
+    half = run_until_blowup(small_run.snapshots[0], replace(small_run.config, max_steps=105))
+    assert half.status == STATUS_BUDGET and half._stop_field is not None
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    for trajectory in (small_run, half):
+        _savez_archive(trajectory, old, "C")
+        save_snapshots(trajectory, new)
+        with np.load(old) as snapshot_major, np.load(new) as node_major:
+            assert snapshot_major["values"].flags.c_contiguous
+            assert node_major["values"].flags.f_contiguous
+        loaded = load_snapshots(new)
+        _assert_same_run(load_snapshots(old), loaded)
+        assert all(snap.values.flags.c_contiguous for snap in loaded.snapshots)
+    assert_same_steps(continue_run(load_snapshots(old)), small_run)
+
+
 def test_save_snapshots_tracemalloc_peak_under_half_mb(default_run, tmp_path):
-    """The archive of ``blowlab run``'s instance (86 snapshots of 1025 nodes,
-    0.7 MB of values) is written without holding the values whole: the
+    """The archive of ``blowlab run``'s instance (79 snapshots of 1025 nodes,
+    0.65 MB of values) is written without holding the values whole: the
     stacked copy and its compressed blob peaked at ~3.5 MB."""
     save_snapshots(default_run, tmp_path / "snapshots.npz")
     tracemalloc.start()

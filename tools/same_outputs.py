@@ -8,7 +8,9 @@ bytes everywhere, so each kind of file is compared by what it holds:
 - ``.json`` files parsed, with the keys ``wall_s``, ``out_dir`` and
   ``config_path`` dropped at any depth (timings and paths);
 - ``.npz`` archives member by member: the member names, and each member's
-  dtype, shape and bytes (the zip entries carry their write time);
+  dtype, shape and bytes, the bytes taken in C order, so a member stored
+  in Fortran order equals a C-ordered one of the same values (the zip
+  entries carry their write time);
 - every other file byte for byte.
 
 Prints each file (or directory) that differs, is missing from B or is extra
@@ -37,8 +39,9 @@ def _stable(doc):
 
 def _members(path: Path) -> dict:
     with np.load(path) as archive:
-        return {name: (archive[name].dtype.str, archive[name].shape, archive[name].tobytes())
-                for name in archive.files}
+        arrays = {name: archive[name] for name in archive.files}
+    return {name: (array.dtype.str, array.shape, array.tobytes("C"))
+            for name, array in arrays.items()}
 
 
 def same_file(a: Path, b: Path) -> bool:
