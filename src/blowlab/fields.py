@@ -231,14 +231,11 @@ def write_csv(fh, header, rows, comments=()) -> None:
     A number is written as its ``repr`` (the shortest round-trip form), None
     as an empty cell and a string as :func:`_csv_text` quotes it, so
     ``csv.reader`` reads every cell back.  ``csv.writer`` would take ~1.4x
-    as long on the float tables.  A row that is a ``str`` is a line its
-    caller has already rendered by these rules, line break included, and is
-    written as it is: a caller whose rows share cells renders them once."""
+    as long on the float tables."""
     for comment in comments:
         fh.write(f"# {comment}\n")
     for row in itertools.chain([header], rows):
-        fh.write(row if row.__class__ is str else
-                 ",".join(["" if v is None else _csv_text(v) if v.__class__ is str
+        fh.write(",".join(["" if v is None else _csv_text(v) if v.__class__ is str
                            else repr(v) for v in row]) + "\n")
 
 

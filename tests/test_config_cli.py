@@ -11,7 +11,6 @@ import pytest
 from blowlab import cli, lemmas, solver
 from blowlab.cli import main
 from blowlab.config import ConfigError, load_config, parse_config_text
-from blowlab.fields import write_csv
 from blowlab.params import beta_window
 from blowlab.similarity import extract_frame
 from blowlab.solver import SolverConfig, load_snapshots, profile_seeded_field, run_until_blowup
@@ -253,76 +252,65 @@ def test_frames_writes_reports(finished_run):
     assert len(summary["reports"]) == 2
     for report in summary["reports"]:
         assert np.isfinite(report["eps0_measured"])
-    frame_csv = (finished_run / "frame_x0_0p1.csv").read_text().splitlines()
-    assert frame_csv[0] == "tau,xi,v,w"
-    assert len(frame_csv) > 10
+    with np.load(finished_run / "frame_x0_0p1.npz", allow_pickle=False) as frame:
+        assert frame["v"].shape == (len(frame["tau"]), len(frame["xi"]))
+        assert frame["v"].size > 10
+    assert not list(finished_run.glob("frame_x0_*.csv"))
     assert [point["r"] for point in summary["final_profile"]["points"]] == [0.1, 0.2]
     assert not list(finished_run.glob("frame_report_*.json"))
     assert not (finished_run / "final_profile.json").exists()
 
 
-def _tuple_row_frame_csv(trajectory, x0, K0, T, window) -> bytes:
-    """A frame CSV as tuple rows render it, every cell on every line, after
-    the header and the x0, K0 and t0 comment lines: the reference the frames
-    command's pre-rendered lines must match."""
-    frame = extract_frame(trajectory, x0, K0, T, window=window)
-    xi = frame.xi_grid.tolist()
-    rows = ((tau, *cells)
-            for tau, v_row, w_row in zip(frame.tau_grid.tolist(), frame.v.tolist(),
-                                         frame.w.tolist())
-            for cells in zip(xi, v_row, w_row))
-    fh = io.StringIO()
-    write_csv(fh, ("tau", "xi", "v", "w"), rows)
-    header, body = fh.getvalue().split("\n", 1)
-    return f"{header}\n# x0: {x0!r}\n# K0: {K0!r}\n# t0: {frame.t0!r}\n{body}".encode()
-
-
 @pytest.mark.parametrize("K0, window", [(2.0, None), (8.0, 1.5)])
-def test_frame_csv_bytes_match_tuple_rows(finished_run, K0, window):
+def test_frame_npz_arrays_match_extract_frame(finished_run, K0, window):
+    """Each frame file holds the tau and xi grids and v and w of
+    ``extract_frame`` at the fitted T, bit for bit, as float64."""
     argv = ["--window", repr(window)] if window is not None else []
     assert main(["frames", "--out", str(finished_run), "--x0=0.1,-0.15",
                  "--K0", repr(K0), *argv]) == 0
     trajectory = load_snapshots(finished_run / "snapshots.npz")
     T = json.loads((finished_run / "frames_summary.json").read_text())["T"]
     for x0, tag in ((0.1, "0p1"), (-0.15, "m0p15")):
-        assert ((finished_run / f"frame_x0_{tag}.csv").read_bytes()
-                == _tuple_row_frame_csv(trajectory, x0, K0, T, window))
+        frame = extract_frame(trajectory, x0, K0, T, window=window)
+        with np.load(finished_run / f"frame_x0_{tag}.npz", allow_pickle=False) as stored:
+            for key, array in (("tau", frame.tau_grid), ("xi", frame.xi_grid),
+                               ("v", frame.v), ("w", frame.w)):
+                value = stored[key]
+                assert value.dtype == np.float64 and value.shape == array.shape, key
+                assert value.tobytes() == array.tobytes(), key
 
 
-def _frame_constants(path) -> dict:
-    """The ``# key: value`` lines of a frame CSV, values as floats."""
-    lines = path.read_text().splitlines()
-    return {key: float(text) for key, text in
-            (line[2:].split(": ") for line in lines if line.startswith("# "))}
-
-
-def test_frame_csv_constants_read_back_and_numpy_reads_the_table(finished_run):
-    """x0, K0 and t0 stand once per file, after the header, and read back
-    exactly to the summary; numpy reads the table past them."""
+def test_frame_npz_holds_the_arrays_and_the_summary_constants(finished_run):
+    """A frame file holds exactly tau (n_tau,), xi (n_xi,), v and w
+    (n_tau, n_xi) and the 0-d x0, K0 and t0, which equal the summary's;
+    it loads without pickles."""
     assert main(["frames", "--out", str(finished_run), "--x0", "0.05,-0.15",
                  "--K0", "3.5"]) == 0
     summary = json.loads((finished_run / "frames_summary.json").read_text())
     for tag, report in zip(("0p05", "m0p15"), summary["reports"]):
-        path = finished_run / f"frame_x0_{tag}.csv"
-        assert _frame_constants(path) == {"x0": report["x0"], "K0": summary["K0"],
-                                          "t0": report["t0"]}
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert table.ndim == 2 and table.shape[1] == 4
-        named = np.genfromtxt(path, delimiter=",", names=True)
-        assert named.dtype.names == ("tau", "xi", "v", "w")
-        assert np.array_equal(np.column_stack([named[k] for k in named.dtype.names]), table)
+        with np.load(finished_run / f"frame_x0_{tag}.npz", allow_pickle=False) as frame:
+            arrays = {key: frame[key] for key in frame.files}
+        assert sorted(arrays) == ["K0", "t0", "tau", "v", "w", "x0", "xi"]
+        assert all(array.dtype == np.float64 for array in arrays.values())
+        assert all(arrays[key].shape == () for key in ("x0", "K0", "t0"))
+        assert {key: arrays[key].item() for key in ("x0", "K0", "t0")} == {
+            "x0": report["x0"], "K0": summary["K0"], "t0": report["t0"]}
+        n_tau, n_xi = len(arrays["tau"]), len(arrays["xi"])
+        assert arrays["tau"].shape == (n_tau,) and arrays["xi"].shape == (n_xi,)
+        assert arrays["v"].shape == arrays["w"].shape == (n_tau, n_xi)
 
 
 def test_frames_of_close_x0_get_distinct_files(finished_run):
-    """Two x0 equal to 6 significant digits write two frame CSVs and two
+    """Two x0 equal to 6 significant digits write two frame files and two
     reports: the file tag is the repr of x0, not its %g form."""
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1234567,0.1234568"]) == 0
     summary = json.loads((finished_run / "frames_summary.json").read_text())
     for x0, report in zip((0.1234567, 0.1234568), summary["reports"]):
         tag = repr(x0).replace(".", "p")
-        assert _frame_constants(finished_run / f"frame_x0_{tag}.csv")["x0"] == x0
+        with np.load(finished_run / f"frame_x0_{tag}.npz", allow_pickle=False) as frame:
+            assert frame["x0"] == x0
         assert report["x0"] == x0
-    assert len(list(finished_run.glob("frame_x0_*.csv"))) == 2
+    assert len(list(finished_run.glob("frame_x0_*.npz"))) == 2
 
 
 def test_frames_and_report_print_close_x0_apart(finished_run, capsys):
@@ -532,15 +520,16 @@ def test_verify_json_output(capsys):
 def test_import_verify_and_run_load_no_scipy_package_nor_numpy_random(tmp_path):
     """A fresh interpreter loads no scipy package (neither ``scipy`` nor
     ``scipy.linalg``, ``scipy.integrate`` or ``scipy.optimize``, together
-    about 45 MB of peak RSS) and not ``numpy.random`` (~6 MB) on
-    ``import blowlab.cli``, while ``verify`` runs and passes, or while a
-    tiny run (M=64) runs: LAPACK comes from scipy's extension module alone,
-    the singular integral is a fixed rule in numpy, and verify's random
-    instances come from its own SplitMix64 stream."""
+    about 45 MB of peak RSS), not ``numpy.random`` (~6 MB) and not
+    ``multiprocessing`` (~1 MB) on ``import blowlab.cli``, while ``verify``
+    runs and passes, or while a tiny run (M=64) runs: LAPACK comes from
+    scipy's extension module alone, the singular integral is a fixed rule
+    in numpy, verify's random instances come from its own SplitMix64
+    stream, and only a sweep imports the process pool."""
     run = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")]
     code = ("import sys, blowlab, blowlab.cli\n"
             "packages = {'scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.optimize',\n"
-            "            'numpy.random'}\n"
+            "            'numpy.random', 'multiprocessing'}\n"
             "def check():\n"
             "    assert not packages & set(sys.modules), sorted(packages & set(sys.modules))\n"
             "check()\n"
@@ -878,10 +867,8 @@ def test_text_outputs_carry_no_numpy_reprs(tmp_path, capsys):
         stdout.append(capsys.readouterr().out)
     assert not any("np.float64" in text for text in stdout)
     assert "np.float64" not in (tmp_path / "sweep" / "sweep_summary.csv").read_text()
-    frame_csv = out / "frame_x0_0p2.csv"
-    assert "np.float64" not in frame_csv.read_text()
-    frame = np.loadtxt(frame_csv, delimiter=",", skiprows=1)
-    assert frame.shape[1] == 4 and np.all(np.isfinite(frame))
+    with np.load(out / "frame_x0_0p2.npz", allow_pickle=False) as frame:
+        assert all(np.all(np.isfinite(frame[key])) for key in frame.files)
     # numpy's skiprows counts the comment lines too, so skip through the header
     header_row = (out / "field_final.csv").read_text().splitlines().index("r,u,du_dr,J")
     field = np.loadtxt(out / "field_final.csv", delimiter=",", comments="#",

@@ -123,18 +123,6 @@ def test_write_csv_cells_read_back(rows):
     assert list(csv.reader(io.StringIO(fh.getvalue(), newline=""))) == expected
 
 
-@given(st.lists(st.tuples(st.booleans(), st.lists(st.floats(), min_size=1, max_size=7)),
-                max_size=8))
-def test_write_csv_str_rows_match_tuple_rows(drawn):
-    """Rows a caller renders itself as str lines, mixed in any order with
-    tuple rows, write the same text as the tuple rows alone."""
-    tuples, mixed = io.StringIO(), io.StringIO()
-    write_csv(tuples, ("a", "b"), [tuple(row) for _, row in drawn])
-    write_csv(mixed, ("a", "b"), [",".join(f"{v!r}" for v in row) + "\n" if as_str
-                                  else tuple(row) for as_str, row in drawn])
-    assert mixed.getvalue() == tuples.getvalue()
-
-
 @st.composite
 def seeded_runs(draw):
     """A profile seed and a solver config at p=4: dim 1-2, either closure,

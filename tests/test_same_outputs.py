@@ -86,8 +86,8 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
     run_files = {"manifest.json", "run_summary.json", "blowup_estimate.json", "snapshots.npz",
                  "trajectory.csv", "field_final.csv"}
     expected = {
-        "run": run_files | {"frames_summary.json", "frame_x0_0p2.csv", "frame_x0_0p1.csv",
-                            "frame_x0_0p05.csv"},
+        "run": run_files | {"frames_summary.json", "frame_x0_0p2.npz", "frame_x0_0p1.npz",
+                            "frame_x0_0p05.npz"},
         "run-dim2": run_files, "run-cap1e7": run_files, "run-mu0": run_files,
         "run-cap1e2": run_files - {"blowup_estimate.json"},  # too short for a fit
         "verify": {"verification_report.json", "integral_sweep.csv"},
