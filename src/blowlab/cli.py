@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numerical overflow,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -570,7 +571,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; :func:`main` finds
+    each command's ``cmd_<name>`` function when it runs it."""
     parser = argparse.ArgumentParser(
         prog="blowlab",
         description="blow-up laboratory for the gradient/non-local perturbed "
@@ -589,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mu", type=float, default=None, help="override strength mu")
     p_run.add_argument("--dim", type=int, default=None, help="override dimension")
     p_run.add_argument("--beta", type=float, default=None, help="override weight beta")
-    p_run.set_defaults(func=cmd_run)
 
     p_frames = sub.add_parser("frames", help="similarity-frame diagnostics of a run")
     p_frames.add_argument("--out", default="out", help="directory with run artifacts")
@@ -600,12 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_frames.add_argument("--T", type=float, default=None,
                           help="blow-up time override (default: fitted)")
     p_frames.add_argument("--json", action="store_true")
-    p_frames.set_defaults(func=cmd_frames)
 
     p_verify = sub.add_parser("verify", help="run the analytical-oracle suites")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None, help="also write report artifacts here")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", default=None)
@@ -616,20 +617,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes, at most the usable CPUs and one per "
                               "chunk; they also size the chunks (1 runs the sweep in "
                               "this process)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="summarize artifacts of a finished run")
     p_report.add_argument("--out", default="out")
     p_report.add_argument("--json", action="store_true")
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a function set on the module in its place runs
+    command = globals()[f"cmd_{args.command}"]
     # the one place an input the command cannot use becomes exit code 2
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

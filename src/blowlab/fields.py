@@ -125,13 +125,25 @@ class RadialField:
             )
         ensure_finite(self.values)
 
+    @classmethod
+    def of_finite(cls, grid: RadialGrid, values: np.ndarray, time: float) -> "RadialField":
+        """The field of ``values``, a float64 array of shape (M+1,) that the
+        caller has just found finite (with :func:`ensure_finite`, or by a
+        finite max |u|), held as it is, without a second pass over it."""
+        field = cls.__new__(cls)
+        field.grid, field.values, field.time = grid, values, time
+        return field
+
     def copy(self) -> "RadialField":
         return RadialField(self.grid, self.values.copy(), self.time)
 
 
 def ensure_finite(values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteFieldError` naming the first non-finite node
+    of ``values``, one field or the rows of several (the node within its
+    row)."""
     if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        bad = int(np.flatnonzero(~np.isfinite(values))[0]) % values.shape[-1]
         raise NonFiniteFieldError(f"non-finite field value at node {bad}")
 
 

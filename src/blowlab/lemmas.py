@@ -31,8 +31,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (BOUNDARY_NEUMANN, GridGeometry, _gradient_values, _laplacian_bands,
-                     _nonlocal_prefix_values)
+from .fields import (BOUNDARY_NEUMANN, SEPARATORS, GridGeometry, _gradient_values,
+                     _laplacian_bands, _nonlocal_prefix_values)
 from .params import ModelParams, gamma_of, q_bounds
 from .similarity import S_TURN, scale_radius, scale_radius_inverse
 from .solver import Trajectory, _fit_line, _flapack, estimate_T
@@ -461,10 +461,20 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     geom = GridGeometry.of(grid)
     times = trajectory.times
     s = T - times
-    J = np.array([
-        _nonlocal_prefix_values(np.abs(snap.values) ** (params.q - 1.0), geom)[-1]
-        for snap in trajectory.snapshots
-    ])
+    # J(R) of the snapshots from padded blocks (see ``fields``) of ~64 KB,
+    # so the prefix's arrays stay small at any M: each row's prefix sum is
+    # its field's alone, to the bit
+    snapshots = trajectory.snapshots
+    per_block = max(1, 8192 // (grid.M + 1 + SEPARATORS))
+    J = np.empty(len(snapshots))
+    for i in range(0, len(snapshots), per_block):
+        chunk = snapshots[i:i + per_block]
+        integrand = np.zeros((len(chunk), grid.M + 1 + SEPARATORS))
+        np.stack([snap.values for snap in chunk], out=integrand[:, :grid.M + 1])
+        np.abs(integrand, out=integrand)
+        integrand **= params.q - 1.0
+        J[i:i + len(chunk)] = _nonlocal_prefix_values(
+            integrand, geom.stacked(len(chunk)))[:, grid.M]
     keep = (s > 0.0) & (s < 1.0) & (J > 0.0)
     if not np.any(keep):
         raise ValueError("insufficient window: no usable (T-t, J) samples")

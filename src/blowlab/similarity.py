@@ -16,6 +16,18 @@ snapshots.  The diagnostics measure, on the sampled frame, the smallest
 constants for which the no-blow-up threshold hypothesis, the uniform
 boundedness conclusion, the gradient-smallness bound and the sharp flat
 behavior of v hold.
+
+A frame is sampled as a few array operations over every (tau, xi) at
+once, with the values a per-tau loop of ``np.interp`` calls gives, to the
+bit.  The time brackets and weights of all taus, and the node bracket
+r_j <= r < r_(j+1) of each xi, are found once.  One gather takes the
+snapshots the time brackets use, over the nodes the xi reach, as one
+padded block, and one kernel call takes their gradients.  Each tau's
+field and gradient are interpolated in time on those nodes, and in space
+with ``np.interp``'s arithmetic written out: (y_(j+1) - y_j) / (r_(j+1) -
+r_j) * (r - r_j) + y_j, and y_j where r is the node r_j (y_M at or past
+R).  A frame that meets a non-finite slope (values near the float
+limit) is refused, not sampled.
 """
 from __future__ import annotations
 
@@ -27,7 +39,7 @@ import numpy as np
 from .fields import _gradient_values
 from .params import ModelParams
 from .profiles import final_grad_bound, final_profile, v_K0
-from .solver import STATUS_BLOWN_UP, Trajectory
+from .solver import STATUS_BLOWN_UP, Trajectory, _block
 
 # s |log s| increases up to s = 1/e and turns there; the anchor relation is
 # only invertible on the monotone branch.
@@ -176,29 +188,54 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
     amp_v = s0 ** (1.0 / (params.p - 1.0))
     amp_w = amp_v * sqrt_s0
 
-    grads: dict[int, np.ndarray] = {}
+    # each tau's snapshots (k-1, k) and its weight theta between them
+    t_target = t0 + taus * s0
+    k = np.clip(np.searchsorted(times, t_target, side="right"), 1, len(times) - 1)
+    tk0, tk1 = times[k - 1], times[k]  # strictly increasing: tk1 > tk0
+    theta = np.clip((t_target - tk0) / (tk1 - tk0), 0.0, 1.0)[:, None]
 
-    def grad_of(k: int) -> np.ndarray:
-        if k not in grads:
-            grads[k] = _gradient_values(trajectory.snapshots[k].values, grid.h,
-                                        trajectory.config.boundary)
-        return grads[k]
-
+    # each xi's node bracket [j, j+1] as np.interp finds it; on a node, and
+    # at or past R, np.interp takes the node's value
     nodes = grid.r
-    v = np.empty((len(taus), len(xi)))
-    w = np.empty_like(v)
-    for j, tau in enumerate(taus):
-        t_target = t0 + tau * s0
-        k = int(np.searchsorted(times, t_target, side="right"))
-        k = min(max(k, 1), len(times) - 1)
-        tk0, tk1 = times[k - 1], times[k]
-        theta = 0.0 if tk1 == tk0 else (t_target - tk0) / (tk1 - tk0)
-        theta = min(max(theta, 0.0), 1.0)
-        u_t = (1.0 - theta) * trajectory.snapshots[k - 1].values \
-            + theta * trajectory.snapshots[k].values
-        g_t = (1.0 - theta) * grad_of(k - 1) + theta * grad_of(k)
-        v[j] = amp_v * np.interp(r_phys, nodes, u_t)
-        w[j] = amp_w * sign * np.interp(r_phys, nodes, g_t)
+    j = np.searchsorted(nodes, r_phys, side="right") - 1
+    at = np.minimum(j, grid.M)
+    on_node = (r_phys == nodes[at]) | (j >= grid.M)
+    left = np.minimum(j, grid.M - 1)
+    lo, hi = int(left.min()), int(left.max()) + 2  # the nodes the brackets read
+    offset = r_phys - nodes[left]
+    dx = np.diff(nodes[lo:hi])
+    left, at = left - lo, at[on_node] - lo  # as columns of nodes lo..hi-1
+
+    # the snapshots the brackets use, from one node below lo to one above
+    # hi - 1, and their gradients, as one padded block: each node lo..hi-1
+    # is an inner cell of the stencil or the field's own r = 0 or r = R
+    used = np.zeros(len(times), dtype=bool)
+    used[k - 1] = used[k] = True
+    row_of = np.cumsum(used) - 1  # a used snapshot's row in the block
+    first = max(lo - 1, 0)
+    block = _block([trajectory.snapshots[i].values[first:hi + 1]
+                    for i in np.flatnonzero(used)])
+    grads = _gradient_values(block, grid.h, trajectory.config.boundary)
+    rows = row_of[k - 1], row_of[k]
+    cells = slice(lo - first, hi - first)
+
+    def sample(stack: np.ndarray, what: str) -> np.ndarray:
+        """np.interp(r_phys, nodes, row) of each tau's row of ``stack``
+        interpolated in time, by np.interp's arithmetic."""
+        y = (1.0 - theta) * stack[rows[0], cells] + theta * stack[rows[1], cells]
+        out = ((y[:, 1:] - y[:, :-1]) / dx)[:, left]  # the slopes
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"the {what} near x0={x0!r} is too large to interpolate "
+                             "(a non-finite slope between two nodes)")
+        out *= offset
+        out += y[:, left]
+        out[:, on_node] = y[:, at]
+        return out
+
+    v = sample(block, "field")
+    v *= amp_v
+    w = sample(grads, "gradient")
+    w *= amp_w * sign
 
     return SimilarityFrame(
         x0=float(x0), K0=float(K0), t0=t0, s0=s0,

@@ -113,6 +113,7 @@ from .fields import (
     _laplacian_bands,
     _last_node,
     _nonlocal_prefix_values,
+    ensure_finite,
     write_csv,
 )
 from .params import ModelParams
@@ -609,7 +610,8 @@ class _Row:
             self.next_snap_m = self.growth * max(m, _TINY)
 
     def snapshot(self, values: np.ndarray) -> None:
-        fld = RadialField(self.config.grid, values.copy(), self.t)
+        # a row is accepted or kept only with a finite sup-norm, so it is finite
+        fld = RadialField.of_finite(self.config.grid, values.copy(), self.t)
         snapshots = self.traj.snapshots
         if snapshots and snapshots[-1].time == self.t:
             snapshots[-1] = fld  # deep tail: keep the latest state at a tied time
@@ -911,7 +913,8 @@ def load_snapshots(path) -> Trajectory:
         config = SolverConfig.from_dict(json.loads(str(arrays["config"])))
         # one copy of a node-major archive's values, so each snapshot is a
         # contiguous row; an archive written snapshot by snapshot needs none
-        times, values = arrays["times"], np.ascontiguousarray(arrays["values"])
+        times = arrays["times"]
+        values = np.ascontiguousarray(arrays["values"], dtype=float)
         if not len(times) == len(values) > 0:
             raise ValueError(f"{len(times)} snapshot times for {len(values)} snapshots "
                              "(need one per snapshot, and at least one)")
@@ -919,7 +922,12 @@ def load_snapshots(path) -> Trajectory:
             raise ValueError("a snapshot time is not finite")
         if not np.all(times[1:] > times[:-1]):
             raise ValueError("snapshot times are not strictly increasing")
-        snapshots = [RadialField(config.grid, row, t)
+        nodes = config.grid.M + 1
+        if values.shape != (len(times), nodes):
+            raise ValueError(f"values shape {values.shape} != (snapshots, M+1) = "
+                             f"({len(times)}, {nodes})")
+        ensure_finite(values)  # once for every snapshot
+        snapshots = [RadialField.of_finite(config.grid, row, t)
                      for t, row in zip(times.tolist(), values)]
         hist = arrays["history"]
         if hist.dtype != np.float64 or hist.ndim != 2 or hist.shape[1] != 4 or not len(hist):

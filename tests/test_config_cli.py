@@ -89,6 +89,20 @@ def test_build_config_rejects_bad_window(tmp_path):
 
 # ------------------------------------------------------------------- run
 
+def test_parser_is_built_once_and_commands_are_found_when_called(tmp_path, monkeypatch,
+                                                                  capsys):
+    """main parses with one parser per process, yet runs the command
+    function the module holds at the call, so a function set there later
+    (a wrapper, a test's stub) is the one that runs."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["report", "--out", str(tmp_path)]) == 2  # the real command: no run there
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.out) or 0)
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert seen == [str(tmp_path)]
+    capsys.readouterr()
+
+
 def test_run_dry_run_prints_derived_constants(capsys):
     assert main(["run", "--dry-run"]) == 0
     out = capsys.readouterr().out

@@ -11,8 +11,8 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from blowlab import lemmas
 from blowlab.cli import _semigroup_cases
-from blowlab.fields import (BOUNDARY_NEUMANN, RadialField, RadialGrid, _gradient_values,
-                            _laplacian_bands)
+from blowlab.fields import (BOUNDARY_NEUMANN, GridGeometry, RadialField, RadialGrid,
+                            _gradient_values, _laplacian_bands)
 from blowlab.lemmas import (
     IntegralCase,
     StepFunction,
@@ -275,6 +275,35 @@ def test_decay_fit_on_profile_field(default_params):
     assert np.isfinite(fit.C_eta) and fit.C_eta > 0.0
     again = nonlocal_decay_fit(traj, default_params, eta, T=1.0, s_window=(1e-4, 1e-2))
     assert (again.slope, again.C_eta) == (fit.slope, fit.C_eta)  # deterministic
+
+
+@pytest.mark.parametrize("dim, q", [(1, 3.0), (2, 4.3)])
+def test_decay_fit_takes_each_snapshots_own_J(dim, q, monkeypatch):
+    """J(R) of the snapshots comes from the prefix kernel on padded blocks
+    of them (two blocks of 40 snapshots at M=256), and equals, bit for
+    bit, the prefix of each snapshot taken alone."""
+    params = validate(p=4.0, q=q, mu=0.1, dim=dim)
+    grid = RadialGrid(R=1.0, M=256, dim=dim)
+    snaps = []
+    for s in np.logspace(-2.0, -4.0, 40):
+        ell = np.sqrt(s * abs(np.log(s)))
+        snaps.append(RadialField(grid, s ** (-1.0 / 3.0) * f_profile(grid.r / ell, params),
+                                 time=1.0 - s))
+    traj = Trajectory(config=SolverConfig(grid=grid, params=params), snapshots=snaps,
+                      status=STATUS_BLOWN_UP)
+    kernel, blocks = lemmas._nonlocal_prefix_values, []
+
+    def recorded(integrand, geom):
+        blocks.append(kernel(integrand, geom))
+        return blocks[-1]
+
+    monkeypatch.setattr(lemmas, "_nonlocal_prefix_values", recorded)
+    nonlocal_decay_fit(traj, params, params.gamma / 4.0, T=1.0, s_window=(1e-4, 1e-2))
+    assert len(blocks) == 2
+    geom = GridGeometry.of(grid)
+    alone = [kernel(np.abs(snap.values) ** (q - 1.0), geom)[-1] for snap in snaps]
+    assert np.concatenate([J[:, grid.M] for J in blocks]).tobytes() == \
+        np.array(alone).tobytes()
 
 
 def test_resolution_floor_inverts_the_scale_map():

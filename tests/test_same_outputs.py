@@ -88,7 +88,11 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
     expected = {
         "run": run_files | {"frames_summary.json", "frame_x0_0p2.npz", "frame_x0_0p1.npz",
                             "frame_x0_0p05.npz"},
-        "run-dim2": run_files, "run-cap1e7": run_files, "run-mu0": run_files,
+        "frames-K0-2": {"snapshots.npz", "frames_summary.json", "frame_x0_0p2.npz",
+                        "frame_x0_0p1.npz", "frame_x0_0p05.npz", "frame_x0_m0p15.npz"},
+        "frames-wall": {"snapshots.npz", "frames_summary.json", "frame_x0_0p999.npz"},
+        "run-dim2": run_files | {"frames_summary.json", "frame_x0_m0p15.npz"},
+        "run-cap1e7": run_files, "run-mu0": run_files,
         "run-cap1e2": run_files - {"blowup_estimate.json"},  # too short for a fit
         "verify": {"verification_report.json", "integral_sweep.csv"},
         "sweep-2": {"manifest.json", "sweep_summary.csv", "point_0014"},
@@ -96,3 +100,5 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
     }
     for tree, names in expected.items():
         assert names <= {path.name for path in (out / tree).iterdir()}, tree
+    wall = json.loads((out / "frames-wall" / "frames_summary.json").read_text())
+    assert [report["clipped"] for report in wall["reports"]] == [True]

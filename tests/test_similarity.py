@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blowlab.fields import RadialField, RadialGrid
+from blowlab.fields import RadialField, RadialGrid, _gradient_values
+from blowlab.params import validate
 from blowlab.profiles import f_profile, final_profile, v_K0
 from blowlab.similarity import (
     CoverageGapError,
@@ -25,6 +27,8 @@ from blowlab.solver import (
     SolverConfig,
     Trajectory,
     estimate_T,
+    profile_seeded_field,
+    run_until_blowup,
 )
 
 T_REF = 1.0
@@ -285,3 +289,89 @@ def test_small_run_frame_report_finite(small_run, default_params):
                   report.w_sup_decay, report.v_minus_vK0_sup):
         assert np.isfinite(value) and value >= 0.0
     assert report.M_measured < 5.0  # bounded frame far from the blow-up point
+
+
+# ------------------------------------- the frame against a per-tau loop
+
+def loop_frame(trajectory, frame):
+    """v and w on ``frame``'s grids as a loop over tau computes them: the
+    time bracket of each tau, its two snapshots and their gradients mixed
+    by the weight, and one np.interp call per tau for each of v and w."""
+    grid, times = trajectory.config.grid, trajectory.times
+    t0, s0 = frame.t0, frame.s0
+    x_phys = frame.x0 + frame.xi_grid * math.sqrt(s0)
+    r_phys, sign = np.abs(x_phys), np.sign(x_phys)
+    amp_v = s0 ** (1.0 / (frame.params.p - 1.0))
+    amp_w = amp_v * math.sqrt(s0)
+    v = np.empty((len(frame.tau_grid), len(frame.xi_grid)))
+    w = np.empty_like(v)
+    for i, tau in enumerate(frame.tau_grid):
+        t_target = t0 + tau * s0
+        k = int(np.searchsorted(times, t_target, side="right"))
+        k = min(max(k, 1), len(times) - 1)
+        tk0, tk1 = times[k - 1], times[k]
+        theta = 0.0 if tk1 == tk0 else (t_target - tk0) / (tk1 - tk0)
+        theta = min(max(theta, 0.0), 1.0)
+        a, b = trajectory.snapshots[k - 1].values, trajectory.snapshots[k].values
+        ga, gb = (_gradient_values(u, grid.h, trajectory.config.boundary) for u in (a, b))
+        v[i] = amp_v * np.interp(r_phys, grid.r, (1.0 - theta) * a + theta * b)
+        w[i] = amp_w * sign * np.interp(r_phys, grid.r, (1.0 - theta) * ga + theta * gb)
+    return v, w
+
+
+@pytest.fixture(scope="module")
+def neumann_run():
+    """A dim=2 run under the neumann closure (q=4.3, M=128, cap 1e4)."""
+    params = validate(p=4.0, q=4.3, mu=0.1, dim=2)
+    grid = RadialGrid(R=1.0, M=128, dim=2)
+    config = SolverConfig(grid=grid, params=params, boundary="neumann-zero", blowup_cap=1e4)
+    return run_until_blowup(profile_seeded_field(grid, params), config)
+
+
+# (x0, K0, window): both signs of x0; the default window, a narrow one and
+# one clipped to span r = 0 to R; x0 on a node (5/128); and x0 within one
+# cell of R, where the window is clipped to less than a cell
+FRAME_CASES = [(0.2, 4.0, None), (-0.15, 2.0, None), (0.1, 8.0, 0.5), (-0.05, 4.0, 1000.0),
+               (0.0390625, 4.0, None), (0.999, 8.0, 1.0), (-0.997, 8.0, None)]
+
+
+@pytest.mark.parametrize("run", ["small_run", "neumann_run"])
+@pytest.mark.parametrize("x0, K0, window", FRAME_CASES)
+def test_frame_equals_the_per_tau_interp_loop(run, x0, K0, window, request):
+    trajectory = request.getfixturevalue(run)
+    T = estimate_T(trajectory, trajectory.config.params).T_est
+    frame = extract_frame(trajectory, x0, K0, T, window=window)
+    assert frame.clipped == (window == 1000.0 or abs(x0) > 0.99)
+    v, w = loop_frame(trajectory, frame)
+    assert frame.v.tobytes() == v.tobytes()
+    assert frame.w.tobytes() == w.tobytes()
+
+
+def test_frame_refuses_a_non_finite_slope(default_params):
+    """Next to a value near the float limit np.interp meets an infinite
+    slope; the frame is refused with a message, not filled with inf."""
+    def u(r, s):
+        return np.where(r < 0.3, 1e308, -1e308) * (1.0 + 0.0 * s)
+
+    traj = synthetic_trajectory(default_params, u, M=64, n_snap=50)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="field near x0=0.3 .* non-finite slope"):
+        extract_frame(traj, x0=0.3, K0=4.0, T=T_REF)
+
+
+def test_frame_tracemalloc_peak_under_1_mb(default_params):
+    """One frame of a M=512 run, the widest of perfbench `analyse`'s
+    (K0=2, x0=0.2: 60 taus by 131 xi, 0.46 MB), holds less than 1 MB at
+    its peak."""
+    grid = RadialGrid(R=1.0, M=512, dim=1)
+    run = run_until_blowup(profile_seeded_field(grid, default_params),
+                           SolverConfig(grid=grid, params=default_params))
+    T = estimate_T(run, default_params).T_est
+    tracemalloc.start()
+    try:
+        frame = extract_frame(run, 0.2, 2.0, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.v.size > 5000
+    assert peak < 1_000_000, peak

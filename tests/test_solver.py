@@ -396,6 +396,21 @@ def test_archive_unreadable_or_incomplete(small_run, tmp_path):
             load_snapshots(path)
 
 
+def test_archive_names_a_non_finite_value_by_its_node_in_its_snapshot(small_run, tmp_path):
+    """The loader checks every snapshot's values in one pass, and names the
+    node within its snapshot, not within the stacked values."""
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(small_run, path)
+    values = np.array([snap.values for snap in small_run.snapshots])
+    values[3, 7] = np.inf
+    _rewrite_archive(path, values=values)
+    with pytest.raises(CheckpointError, match=r"non-finite field value at node 7$"):
+        load_snapshots(path)
+    _rewrite_archive(path, values=values[:, :-1])
+    with pytest.raises(CheckpointError, match=r"values shape .* != \(snapshots, M\+1\)"):
+        load_snapshots(path)
+
+
 def test_archive_refuses_unordered_snapshot_times(small_run, tmp_path):
     """Frames look snapshots up by time, so an archive whose snapshot times
     do not increase strictly is corrupted, not a run."""

@@ -14,15 +14,19 @@ the same results when, run from each into its own OUT,
     python tools/same_outputs.py OUT_A OUT_B
 
 exits 0.  The commands: ``run`` at M=1024, ``frames --x0 0.2,0.1,0.05
---K0 4`` and ``report`` (as text and as JSON) on it, a dim=2 neumann run
-(q=4.3, M=256, cap 1e6), runs at M=64 to the caps 1e2 and 1e7, a mu=0 run
-at M=512, ``verify --out`` and the 15-point dim=2 sweep at ``--workers``
-2 and 1.
+--K0 4`` and ``report`` (as text and as JSON) on it; on copies of its run
+archive, each in its own tree, ``frames`` at K0 = 2 and 8 with x0 =
+0.2, 0.1, 0.05 and -0.15, and at x0 = 0.999, one cell from the wall, with
+a ``--window`` that is clipped; a dim=2 neumann run (q=4.3, M=256, cap
+1e6) and ``frames`` on it; runs at M=64 to the caps 1e2 and 1e7, a mu=0
+run at M=512, ``verify --out`` and the 15-point dim=2 sweep at
+``--workers`` 2 and 1.
 """
 from __future__ import annotations
 
 import json
 import re
+import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -47,7 +51,15 @@ COMMANDS = [
     ("frames", ["frames", "--out", "{out}/run", "--x0", "0.2,0.1,0.05", "--K0", "4"]),
     ("report", ["report", "--out", "{out}/run"]),
     ("report-json", ["report", "--out", "{out}/run", "--json"]),
+    ("frames-K0-2", ["frames", "--out", "{out}/frames-K0-2", "--x0", "0.2,0.1,0.05,-0.15",
+                     "--K0", "2"]),
+    ("frames-K0-8", ["frames", "--out", "{out}/frames-K0-8", "--x0", "0.2,0.1,0.05,-0.15",
+                     "--K0", "8"]),
+    ("frames-wall", ["frames", "--out", "{out}/frames-wall", "--x0", "0.999", "--K0", "8",
+                     "--window", "1"]),
     ("run-dim2", ["run", "--config", "{cfg}/dim2.cfg", "--out", "{out}/run-dim2"]),
+    ("frames-dim2", ["frames", "--out", "{out}/run-dim2", "--x0", "0.2,0.1,-0.15",
+                     "--K0", "4"]),
     ("run-cap1e2", ["run", "--config", "{cfg}/cap1e2.cfg", "--out", "{out}/run-cap1e2"]),
     ("run-cap1e7", ["run", "--config", "{cfg}/cap1e7.cfg", "--out", "{out}/run-cap1e7"]),
     ("run-mu0", ["run", "--config", "{cfg}/mu0.cfg", "--out", "{out}/run-mu0", "--json"]),
@@ -57,6 +69,8 @@ COMMANDS = [
     ("sweep-1", ["sweep", "--config", "{cfg}/sweep.cfg", "--grid", SWEEP_GRID,
                  "--workers", "1", "--out", "{out}/sweep-1"]),
 ]
+# command -> the tree whose run archive it reads, copied into OUT/<command>
+ARCHIVE_OF = {"frames-K0-2": "run", "frames-K0-8": "run", "frames-wall": "run"}
 # lines that hold wall times
 _VOLATILE = re.compile(r"\s*wall: |sweep: \d+/\d+ points done ")
 
@@ -76,6 +90,10 @@ def run_commands(out: Path) -> dict:
     codes = {}
     for name, args in COMMANDS:
         argv = [arg.format(out=out, cfg=cfg) for arg in args]
+        if name in ARCHIVE_OF:
+            (out / name).mkdir()
+            shutil.copyfile(out / ARCHIVE_OF[name] / "snapshots.npz",
+                            out / name / "snapshots.npz")
         raw = {key: streams / f"{name}.{key}.raw" for key in ("stdout", "stderr")}
         # real files, line-buffered, so forked sweep workers write to them too
         with raw["stdout"].open("w", buffering=1) as fo, \
