@@ -137,17 +137,8 @@ def cmd_run(args) -> int:
                **_run_record(trajectory)}
     if "estimate" in summary:
         _write_json(out / "blowup_estimate.json", {"manifest": manifest, **summary["estimate"]})
-    if trajectory.status == STATUS_BLOWN_UP:
-        # single-point headline: the far field must sit still while the core explodes
-        r_min = 0.1 * run_config.solver.grid.R
-        rows = far_field_report(trajectory, r_min)
-        window = rows[rows[:, 1] > 1e6]
-        if len(window) and rows[0, 2] > 0.0 and rows[0, 3] > 0.0:
-            summary["far_field"] = {
-                "r_min": r_min,
-                "u_ratio_vs_initial": float(np.max(window[:, 2]) / rows[0, 2]),
-                "grad_ratio_vs_initial": float(np.max(window[:, 3]) / rows[0, 3]),
-            }
+    if (far := far_field_report(trajectory)) is not None:
+        summary["far_field"] = far
     _write_json(out / "run_summary.json", summary)
 
     if args.json:
@@ -163,7 +154,7 @@ def cmd_run(args) -> int:
 def _seed(run_config: RunConfig) -> RadialField:
     """The initial field of a run: the profile seed its config asks for."""
     return profile_seeded_field(run_config.solver.grid, run_config.params,
-                                t_star=run_config.t_star, taper_start=run_config.taper_start)
+                                t_star=run_config.t_star)
 
 
 def _save_run(out: Path, trajectory: Trajectory, comments=()) -> None:
@@ -184,7 +175,7 @@ def _run_record(trajectory: Trajectory) -> dict:
               "supnorm_last": float(trajectory.maxnorm_history[-1, 1])}
     if trajectory.status == STATUS_BLOWN_UP:
         try:
-            record["estimate"] = asdict(estimate_T(trajectory, trajectory.config.params))
+            record["estimate"] = asdict(estimate_T(trajectory))
         except InsufficientGrowthError as exc:
             record["estimate_error"] = str(exc)
     return record
@@ -202,7 +193,8 @@ def _fit_lines(summary: dict) -> list[str]:
         lines.append(f"no T_est: {summary['estimate_error']}")
     if "far_field" in summary:
         far = summary["far_field"]
-        lines.append(f"far field at r >= {far['r_min']!r} while sup-norm > 1e6: "
+        lines.append(f"far field at r >= {far['r_min']!r} while sup-norm > 1e6 "
+                     f"(snapshots: {far['window_snapshots']}): "
                      f"max|u| {far['u_ratio_vs_initial']:.4g}x and "
                      f"max|du/dr| {far['grad_ratio_vs_initial']:.4g}x the initial field's")
     return lines
@@ -235,7 +227,7 @@ def cmd_frames(args) -> int:
     try:
         T = args.T
         if T is None:  # the fit is deterministic: the T_est that run wrote
-            T = estimate_T(trajectory, trajectory.config.params).T_est
+            T = estimate_T(trajectory).T_est
         frames = [extract_frame(trajectory, x0, args.K0, T, window=args.window)
                   for x0 in x0_list]
         reports = [asdict(frame_report(frame)) for frame in frames]
@@ -419,8 +411,7 @@ def _point_summary(index: int, overrides: dict, point_dir: Path,
     run's record with the fields of its estimate."""
     _save_run(point_dir, trajectory)
     record = _run_record(trajectory)
-    # the record last, so t_last is the run's and not the end of the fit window
-    return {"index": index, **overrides, **record.get("estimate", {}), **record}
+    return {"index": index, **overrides, **record, **record.get("estimate", {})}
 
 
 class _Heartbeat:

@@ -44,7 +44,6 @@ _SCHEMA = {
     "M": (int, 4096),
     **{key: (typ, _SOLVER_DEFAULTS[key]) for key, typ in _SOLVER_TYPES.items()},
     "t_star": (float, 0.01),
-    "taper_start": (float, 0.85),
 }
 
 
@@ -58,7 +57,6 @@ class RunConfig:
 
     solver: SolverConfig
     t_star: float
-    taper_start: float
     raw: dict
 
     @property
@@ -128,11 +126,10 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             key: None if merged[key] is None else typ(merged[key])
             for key, typ in _SOLVER_TYPES.items()})
         t_star = float(merged["t_star"])
-        taper_start = float(merged["taper_start"])
-        check_seed(t_star, taper_start)
+        check_seed(t_star)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(solver=solver, t_star=t_star, taper_start=taper_start, raw=merged)
+    return RunConfig(solver=solver, t_star=t_star, raw=merged)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:

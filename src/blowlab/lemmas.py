@@ -456,7 +456,7 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     if not 0.0 < eta < params.gamma:
         raise ValueError(f"eta must be in (0, gamma={params.gamma:.6g}), got {eta}")
     if T is None:
-        T = estimate_T(trajectory, params).T_est
+        T = estimate_T(trajectory).T_est
     grid = trajectory.config.grid
     geom = GridGeometry.of(grid)
     times = trajectory.times

@@ -283,35 +283,31 @@ class BlowupEstimate:
     fit_window_to_T: tuple[float, float]  # T_est - t at the window's first and
                                           # last rows, from backward dt sums
     residual: float
-    t_last: float = 0.0      # last history time entering the fit
-    delta_end: float = 0.0   # fitted T_est - t_last; kept separately because
-                             # the subtraction underflows in float64 near blow-up
 
 
 def profile_seeded_field(grid: RadialGrid, params: ModelParams,
-                         t_star: float = 0.01, taper_start: float = 0.85) -> RadialField:
+                         t_star: float = 0.01) -> RadialField:
     """Initial data matching the intermediate prediction at time-to-blow-up
-    t_star, smoothly tapered to zero on [taper_start*R, R].
+    t_star, smoothly tapered to zero on [0.85 R, R].
 
     The profile tail decays only algebraically, so on a finite grid the raw
     profile is O(1) at r = R; the taper makes the seed compatible with the
     dirichlet-zero closure instead of leaving an artificial boundary layer.
     """
-    check_seed(t_star, taper_start)
+    check_seed(t_star)
     r = grid.r
     ell = np.sqrt(t_star * abs(np.log(t_star)))
     u = t_star ** (-1.0 / (params.p - 1.0)) * f_profile(r / ell, params)
-    a = taper_start * grid.R
+    a = 0.85 * grid.R
     x = np.clip((r - a) / (grid.R - a), 0.0, 1.0)
     u *= 1.0 - x ** 3 * (x * (6.0 * x - 15.0) + 10.0)  # quintic smoothstep, C^2
     return RadialField(grid, u, time=0.0)
 
 
-def check_seed(t_star: float, taper_start: float) -> None:
-    """Reject seed settings outside the open interval (0, 1)."""
-    for name, value in (("t_star", t_star), ("taper_start", taper_start)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must be in (0, 1), got {value}")
+def check_seed(t_star: float) -> None:
+    """Reject a seed's t_star outside the open interval (0, 1)."""
+    if not 0.0 < t_star < 1.0:
+        raise ValueError(f"t_star must be in (0, 1), got {t_star}")
 
 
 def _runs(values: list[float]) -> list[tuple[slice, float]]:
@@ -747,13 +743,16 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
-def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
-    """Fit supnorm ~ kappa_est (T_est - t)^(-1/(p-1)) on the last decade.
+def estimate_T(trajectory: Trajectory) -> BlowupEstimate:
+    """Fit supnorm ~ kappa_est (T_est - t)^(-1/(p-1)) on the last decade,
+    with p the run's own.
 
     Works in z = supnorm^-(p-1), which is linear in time for reaction-driven
     growth: z = a (T - t).  Time differences inside the window come from
     backward dt sums, so the fit survives the collapse of absolute time
-    resolution near blow-up.
+    resolution near blow-up: ``fit_window_to_T[1]``, the fitted T_est - t
+    at the last row, is kept apart from T_est, since T_est - t underflows
+    in float64 there.
     """
     if trajectory.status != STATUS_BLOWN_UP:
         raise InsufficientGrowthError(
@@ -769,7 +768,7 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
     i0 = int(np.argmax(m >= 0.1 * m_max))
     # time from each window row to the last row, by exact backward summation
     s_rel = np.concatenate([np.cumsum(dt[i0 + 1:][::-1])[::-1], [0.0]])
-    p = params.p
+    p = trajectory.config.params.p
     z = m[i0:] ** (-(p - 1.0))
     # near blow-up both columns live many orders below 1; scale them to 1 so
     # that the fit's sums of products stay far from underflow
@@ -783,35 +782,47 @@ def estimate_T(trajectory: Trajectory, params: ModelParams) -> BlowupEstimate:
     if not a > 0.0:
         raise InsufficientGrowthError("fit failed: non-positive growth-rate slope")
     delta_end = max(c / a, 0.0)
-    t_last = float(t[-1])
-    T_est = float(t_last + delta_end)
     kappa_est = a ** (-1.0 / (p - 1.0))
     model = kappa_est * (delta_end + s_rel) ** (-1.0 / (p - 1.0))
     residual = float(np.max(np.abs(model - m[i0:]) / m[i0:]))
     return BlowupEstimate(
-        T_est=T_est, kappa_est=float(kappa_est),
+        T_est=float(t[-1] + delta_end), kappa_est=float(kappa_est),
         fit_window_to_T=(float(s_rel[0] + delta_end), float(delta_end)), residual=residual,
-        t_last=t_last, delta_end=float(delta_end),
     )
 
 
-def far_field_report(trajectory: Trajectory, r_min: float) -> np.ndarray:
-    """Per-snapshot far-field levels: (t, global supnorm, sup_{r>=r_min}|u|,
-    sup_{r>=r_min}|du/dr|).  The localization diagnostic of a single-point
-    blow-up: the far columns must stay flat while the global one explodes.
+def far_field_report(trajectory: Trajectory) -> dict | None:
+    """The localization headline of a blown-up run, the ``far_field`` of
+    ``run_summary.json``: over the snapshots whose sup-norm exceeds 1e6,
+    the largest |u| and |du/dr| at r >= r_min = 0.1 R, each as a ratio to
+    the initial field's, and how many snapshots that window holds.  A
+    single-point blow-up keeps both ratios small while the core explodes.
+    None when the run did not blow up, no snapshot passes 1e6 or the
+    initial far field is zero.
+
+    Near the cap the history's times tie, and a snapshot at a tied time
+    replaces the one before it, so the window can hold only the final field.
     """
-    grid = trajectory.config.grid
+    if trajectory.status != STATUS_BLOWN_UP:
+        return None
+    snapshots = trajectory.snapshots
+    window = [snap for snap in snapshots if np.max(np.abs(snap.values)) > 1e6]
+    if not window:
+        return None
+    grid, boundary = trajectory.config.grid, trajectory.config.boundary
+    r_min = 0.1 * grid.R
     i_min = int(np.ceil(r_min / grid.h - 1e-12))
-    rows = []
-    for snap in trajectory.snapshots:
-        g = _gradient_values(snap.values, grid.h, trajectory.config.boundary)
-        rows.append((
-            snap.time,
-            float(np.max(np.abs(snap.values))),
-            float(np.max(np.abs(snap.values[i_min:]))),
-            float(np.max(np.abs(g[i_min:]))),
-        ))
-    return np.asarray(rows, dtype=float)
+
+    def levels(snap: RadialField) -> tuple[float, float]:
+        g = _gradient_values(snap.values, grid.h, boundary)
+        return float(np.max(np.abs(snap.values[i_min:]))), float(np.max(np.abs(g[i_min:])))
+
+    (u0, g0), *far = [levels(snap) for snap in [snapshots[0], *window]]
+    if not (u0 > 0.0 and g0 > 0.0):
+        return None
+    return {"r_min": r_min, "u_ratio_vs_initial": max(u for u, _ in far) / u0,
+            "grad_ratio_vs_initial": max(g for _, g in far) / g0,
+            "window_snapshots": len(window)}
 
 
 def write_atomic(path, write, text: bool = False) -> None:

@@ -115,10 +115,11 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     path = write_config(tmp_path, "p = 4\nq = 5\n")
     assert main(["run", "--config", path]) == 2
     assert "q upper bound" in capsys.readouterr().err
-    for key in ("t_star", "taper_start"):
-        path = write_config(tmp_path, f"{key} = 1.5\n")
+    for line, message in [("t_star = 1.5", "t_star must be in (0, 1)"),
+                          ("taper_start = 1.5", "unknown key 'taper_start'")]:
+        path = write_config(tmp_path, f"{line}\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert f"{key} must be in (0, 1)" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     path = write_config(tmp_path, "boundary = sideways\n")
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "boundary must be one of" in capsys.readouterr().err
@@ -190,6 +191,7 @@ def test_run_writes_artifacts_and_blows_up(tmp_path, capsys, cap):
         assert far["r_min"] == 0.1
         assert 0.0 < far["u_ratio_vs_initial"] < 10.0
         assert 0.0 < far["grad_ratio_vs_initial"] < 10.0
+        assert far["window_snapshots"] >= 1
     else:
         assert "far_field" not in summary
 
@@ -212,7 +214,8 @@ def test_run_and_report_print_the_failed_fit_and_the_far_field(tmp_path, capsys,
         assert "T_est=" not in run_text + report_text
     else:
         far = summary["far_field"]
-        expected = [f"far field at r >= 0.1 while sup-norm > 1e6: "
+        expected = [f"far field at r >= 0.1 while sup-norm > 1e6 "
+                    f"(snapshots: {far['window_snapshots']}): "
                     f"max|u| {far['u_ratio_vs_initial']:.4g}x and "
                     f"max|du/dr| {far['grad_ratio_vs_initial']:.4g}x the initial field's"]
     for line in expected:
@@ -662,7 +665,7 @@ def _assert_point_is_its_run_alone(config, out, row):
     overrides = {key: float(row[key]) for key in ("M", "mu", "blowup_cap") if key in row}
     run_config = load_config(config, overrides)
     u0 = profile_seeded_field(run_config.solver.grid, run_config.params,
-                              t_star=run_config.t_star, taper_start=run_config.taper_start)
+                              t_star=run_config.t_star)
     stored = load_snapshots(out / f"point_{int(row['index']):04d}" / "snapshots.npz")
     assert_same_steps(stored, run_until_blowup(u0, run_config.solver))
 
@@ -701,7 +704,8 @@ def test_one_failing_point_never_aborts_a_sweep(tmp_path, monkeypatch, stage):
     original = getattr(*target)
 
     def failing(*args, **kwargs):
-        params = args[1] if stage != "step" else args[0].params
+        params = (args[1] if stage == "seed" else args[0].params if stage == "step"
+                  else args[0].config.params)
         if params.mu == 0.1:
             raise RuntimeError(f"injected {stage} failure")
         return original(*args, **kwargs)

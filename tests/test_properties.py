@@ -222,8 +222,8 @@ def test_sweep_chunks_at_production_shape_are_the_runs_alone():
                for p in (3.5, 4.0, 4.5) for mu in np.linspace(-0.2, 0.2, 5)]
     at_wall = []
     for chunk in (configs[:8], configs[8:]):
-        seeds = [profile_seeded_field(rc.solver.grid, rc.params, t_star=rc.t_star,
-                                      taper_start=rc.taper_start) for rc in chunk]
+        seeds = [profile_seeded_field(rc.solver.grid, rc.params, t_star=rc.t_star)
+                 for rc in chunk]
         together = run_together([Trajectory.start(u0, rc.solver)
                                  for u0, rc in zip(seeds, chunk)])
         assert any(rc.params.mu == 0.0 for rc in chunk)

@@ -273,7 +273,7 @@ def test_final_profile_extract_flags_moving_radius(default_params):
 
 def test_small_run_frame_initialization(small_run, default_params):
     """v(xi=0, tau=0) sits near f(K0), within the log-scaled envelope."""
-    T = estimate_T(small_run, default_params).T_est
+    T = estimate_T(small_run).T_est
     frame = extract_frame(small_run, 0.2, 4.0, T)
     center = len(frame.xi_grid) // 2
     v00 = frame.v[0, center]
@@ -283,7 +283,7 @@ def test_small_run_frame_initialization(small_run, default_params):
 
 
 def test_small_run_frame_report_finite(small_run, default_params):
-    T = estimate_T(small_run, default_params).T_est
+    T = estimate_T(small_run).T_est
     report = frame_report(extract_frame(small_run, 0.2, 4.0, T))
     for value in (report.eps0_measured, report.M_measured,
                   report.w_sup_decay, report.v_minus_vK0_sup):
@@ -339,7 +339,7 @@ FRAME_CASES = [(0.2, 4.0, None), (-0.15, 2.0, None), (0.1, 8.0, 0.5), (-0.05, 4.
 @pytest.mark.parametrize("x0, K0, window", FRAME_CASES)
 def test_frame_equals_the_per_tau_interp_loop(run, x0, K0, window, request):
     trajectory = request.getfixturevalue(run)
-    T = estimate_T(trajectory, trajectory.config.params).T_est
+    T = estimate_T(trajectory).T_est
     frame = extract_frame(trajectory, x0, K0, T, window=window)
     assert frame.clipped == (window == 1000.0 or abs(x0) > 0.99)
     v, w = loop_frame(trajectory, frame)
@@ -366,7 +366,7 @@ def test_frame_tracemalloc_peak_under_1_mb(default_params):
     grid = RadialGrid(R=1.0, M=512, dim=1)
     run = run_until_blowup(profile_seeded_field(grid, default_params),
                            SolverConfig(grid=grid, params=default_params))
-    T = estimate_T(run, default_params).T_est
+    T = estimate_T(run).T_est
     tracemalloc.start()
     try:
         frame = extract_frame(run, 0.2, 2.0, T)

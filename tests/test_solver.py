@@ -28,6 +28,7 @@ from blowlab.solver import (
     Trajectory,
     continue_run,
     estimate_T,
+    far_field_report,
     load_snapshots,
     profile_seeded_field,
     run_until_blowup,
@@ -143,7 +144,7 @@ def test_ode_limit_constant_field(heat_params):
     mask = hist[:, 1] <= 10.0
     pred = KAPPA * (T0 - hist[mask, 0]) ** (-1.0 / 3.0)
     assert np.max(np.abs(hist[mask, 1] - pred) / pred) < 1e-3  # measured 2.5e-4
-    est = estimate_T(traj, heat_params)
+    est = estimate_T(traj)
     assert abs(est.T_est - T0) / T0 < 1e-3       # measured 7.6e-7
     assert abs(est.kappa_est - KAPPA) / KAPPA < 1e-3  # measured 3.2e-7
 
@@ -235,7 +236,7 @@ def _synthetic_blowup_history(T, kappa, s_values, params, noise=None, seed=0):
 def test_estimate_T_exact_power_law(default_params):
     s = np.logspace(-1, -8, 400)
     traj = _synthetic_blowup_history(0.8, KAPPA, s, default_params)
-    est = estimate_T(traj, default_params)
+    est = estimate_T(traj)
     assert est.T_est == pytest.approx(0.8, abs=1e-9)
     assert est.kappa_est == pytest.approx(KAPPA, abs=1e-9)
     assert est.residual < 1e-7  # limited by rounding of supnorm^{-(p-1)} itself
@@ -245,7 +246,7 @@ def test_estimate_T_exact_power_law(default_params):
 def test_estimate_T_with_noise(default_params):
     s = np.logspace(-1, -8, 500)
     traj = _synthetic_blowup_history(0.8, KAPPA, s, default_params, noise=1e-3)
-    est = estimate_T(traj, default_params)
+    est = estimate_T(traj)
     assert est.T_est == pytest.approx(0.8, abs=1e-4)
 
 
@@ -253,10 +254,10 @@ def test_estimate_T_insufficient_growth(default_params):
     s = np.linspace(0.1, 0.05, 50)  # barely a factor 1.26 of growth
     traj = _synthetic_blowup_history(0.8, KAPPA, s, default_params)
     with pytest.raises(InsufficientGrowthError, match="insufficient growth"):
-        estimate_T(traj, default_params)
+        estimate_T(traj)
     traj.status = STATUS_COMPLETED
     with pytest.raises(InsufficientGrowthError):
-        estimate_T(traj, default_params)
+        estimate_T(traj)
 
 
 @given(n=st.integers(3, 60), width=st.floats(1e-3, 1e3), offset=st.floats(-10.0, 10.0),
@@ -289,11 +290,11 @@ def test_fits_match_lstsq_on_the_default_run(default_run, default_params, monkey
     3.2e-16, slope 2.1e-15), the residual, a rounding-level number, within
     2e-13 absolute."""
     eta = default_params.gamma / 4.0
-    new = estimate_T(default_run, default_params)
+    new = estimate_T(default_run)
     new_slope = nonlocal_decay_fit(default_run, default_params, eta).slope
     monkeypatch.setattr(solver, "_fit_line", _lstsq_line)
     monkeypatch.setattr(lemmas, "_fit_line", _lstsq_line)
-    old = estimate_T(default_run, default_params)
+    old = estimate_T(default_run)
     old_slope = nonlocal_decay_fit(default_run, default_params, eta).slope
     assert new.T_est == pytest.approx(old.T_est, rel=1e-13, abs=0.0)
     assert new.kappa_est == pytest.approx(old.kappa_est, rel=1e-13, abs=0.0)
@@ -307,9 +308,79 @@ def test_fits_do_not_call_lstsq(small_run, default_params, monkeypatch):
         raise AssertionError("np.linalg.lstsq was called")
 
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    est = estimate_T(small_run, default_params)
+    est = estimate_T(small_run)
     fit = nonlocal_decay_fit(small_run, default_params, default_params.gamma / 4.0)
     assert np.isfinite(est.T_est) and np.isfinite(fit.slope)
+
+
+def _far_field_reference(trajectory):
+    """The far field as ``blowlab run`` used to derive it: a table of every
+    snapshot's (t, sup|u|, sup_{r>=r_min}|u|, sup_{r>=r_min}|du/dr|), then
+    the ratios over the rows with sup > 1e6 to the first row's, with
+    r_min = 0.1 R.  None where the run wrote no far field."""
+    grid, boundary = trajectory.config.grid, trajectory.config.boundary
+    r_min = 0.1 * grid.R
+    i_min = int(np.ceil(r_min / grid.h - 1e-12))
+    rows = []
+    for snap in trajectory.snapshots:
+        g = solver._gradient_values(snap.values, grid.h, boundary)
+        rows.append((snap.time, float(np.max(np.abs(snap.values))),
+                     float(np.max(np.abs(snap.values[i_min:]))),
+                     float(np.max(np.abs(g[i_min:])))))
+    rows = np.asarray(rows, dtype=float)
+    window = rows[rows[:, 1] > 1e6]
+    if not (trajectory.status == STATUS_BLOWN_UP and len(window)
+            and rows[0, 2] > 0.0 and rows[0, 3] > 0.0):
+        return None
+    return {"r_min": r_min,
+            "u_ratio_vs_initial": float(np.max(window[:, 2]) / rows[0, 2]),
+            "grad_ratio_vs_initial": float(np.max(window[:, 3]) / rows[0, 3]),
+            "window_snapshots": len(window)}
+
+
+def _dim2_neumann_run(cap):
+    params = validate(p=4.0, q=4.3, mu=0.1, dim=2)
+    grid = RadialGrid(R=2.0, M=256, dim=2)
+    return run_until_blowup(profile_seeded_field(grid, params, t_star=1e-4),
+                            SolverConfig(grid=grid, params=params, boundary="neumann-zero",
+                                         blowup_cap=cap))
+
+
+def test_far_field_report_is_the_per_snapshot_table(small_run, default_run, monkeypatch):
+    """The far field equals, to the bit, the per-snapshot table and the
+    ratios ``blowlab run`` took of it, on a Dirichlet run that stops below
+    sup 1e6 (none), ``blowlab run``'s instance and a dim=2 neumann run on
+    R = 2; it takes the gradients of the initial and window snapshots only.
+    The default run's window holds one snapshot: near the cap its snapshot
+    times tie at t ~ 0.0107, and each tied snapshot replaces the one
+    before.  At T ~ 1e-4 the times resolve finer steps, and 8 remain."""
+    dim2 = _dim2_neumann_run(1e8)
+    assert far_field_report(small_run) is _far_field_reference(small_run) is None
+    calls = []
+    gradient = solver._gradient_values
+    monkeypatch.setattr(solver, "_gradient_values",
+                        lambda *args: calls.append(1) or gradient(*args))
+    for run, r_min, snapshots in [(default_run, 0.1, 1), (dim2, 0.2, 8)]:
+        calls.clear()
+        far = far_field_report(run)
+        assert len(calls) == 1 + snapshots
+        assert (far["r_min"], far["window_snapshots"]) == (r_min, snapshots)
+        assert far == _far_field_reference(run)
+        for key in ("u_ratio_vs_initial", "grad_ratio_vs_initial"):
+            assert far[key].hex() == _far_field_reference(run)[key].hex()
+
+
+def test_far_field_report_is_none_without_a_window(default_params):
+    """A run that blows up at cap 1e2 never passes sup 1e6, and a run that
+    stops at t_max did not blow up: neither has a far field."""
+    capped = _dim2_neumann_run(1e2)
+    assert capped.status == STATUS_BLOWN_UP
+    assert far_field_report(capped) is None
+    grid = RadialGrid(R=1.0, M=64, dim=1)
+    early = run_until_blowup(profile_seeded_field(grid, default_params),
+                             SolverConfig(grid=grid, params=default_params, t_max=1e-3))
+    assert early.status == STATUS_COMPLETED
+    assert far_field_report(early) is None
 
 
 def _assert_same_run(loaded, run):
@@ -694,8 +765,8 @@ def test_run_converges_to_heun_reference(dim, q, boundary, mu):
                           blowup_cap=1e6, max_steps=10 ** 5)
     traj = run_until_blowup(u0, config)
     hist = _ref_run(u0, replace(config, dt_safety=0.05))
-    heun = estimate_T(replace(traj, maxnorm_history=hist), params)
-    imex = estimate_T(traj, params)
+    heun = estimate_T(replace(traj, maxnorm_history=hist))
+    imex = estimate_T(traj)
     assert abs(imex.T_est / heun.T_est - 1.0) < 1e-3
     assert abs(imex.kappa_est / heun.kappa_est - 1.0) < 5e-4
 
@@ -710,7 +781,7 @@ def test_default_run_matches_heun_at_M1024(default_params):
     g = RadialGrid(R=1.0, M=1024, dim=1)
     traj = run_until_blowup(profile_seeded_field(g, default_params, t_star=0.01),
                             SolverConfig(grid=g, params=default_params))
-    est = estimate_T(traj, default_params)
+    est = estimate_T(traj)
     assert abs(est.T_est / T_RICHARDSON - 1.0) < 3e-4
     assert abs(est.kappa_est / KAPPA - 1.0) < 1.5e-4
 
@@ -796,7 +867,7 @@ def _T_est_at(params, grid, safeties):
     """T_est of the runs from the profile seed at each of ``safeties``."""
     u0 = profile_seeded_field(grid, params, t_star=0.01)
     return np.array([estimate_T(run_until_blowup(u0, SolverConfig(
-        grid=grid, params=params, dt_safety=s)), params).T_est for s in safeties])
+        grid=grid, params=params, dt_safety=s))).T_est for s in safeties])
 
 
 def test_halving_dt_safety_barely_moves_T(default_params):

@@ -34,7 +34,7 @@ def measure(config_path: str, safety: float) -> tuple[int, float, float, float]:
     start = perf_counter()
     trajectory = run_until_blowup(u0, run_config.solver)
     stepping_s = perf_counter() - start
-    est = estimate_T(trajectory, run_config.params)
+    est = estimate_T(trajectory)
     return len(trajectory.maxnorm_history) - 1, stepping_s, est.T_est, est.kappa_est
 
 
