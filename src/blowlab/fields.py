@@ -16,11 +16,13 @@ values, not a :class:`RadialField`: the field u, or for the prefix its
 integrand |u|^(q-1), of one field as a 1-D array of its M+1 nodes or of k
 fields as one contiguous padded (k, M+3) block.  Each row of a block
 holds a field's nodes and then ``SEPARATORS`` cells, the layout of the
-solver's block-diagonal system.  A kernel runs its stencil on the
-flattened buffer, with the per-node arrays of :meth:`GridGeometry.stacked`
-laid out along it, and sets the cells at r = 0 and r = R of every row
-through column views.  What it leaves in the separator cells means
-nothing; every node gets exactly the arithmetic it gets in a 1-D field.
+solver's block-diagonal system.  :func:`_block` builds the layout, for
+the solver and the analyses alike, and :func:`_fields` reads it.  A
+kernel runs its stencil on the flattened buffer, with the per-node arrays
+of :meth:`GridGeometry.stacked` laid out along it, and sets the cells at
+r = 0 and r = R of every row through column views.  What it leaves in
+the separator cells means nothing; every node gets exactly the
+arithmetic it gets in a 1-D field.
 """
 from __future__ import annotations
 
@@ -155,6 +157,22 @@ def sphere_area(dim: int) -> float:
 def _flat(u: np.ndarray) -> np.ndarray:
     """The buffer of a 1-D field or of a contiguous padded block, as 1-D."""
     return u if u.ndim == 1 else u.reshape(-1)
+
+
+def _block(fields: list[np.ndarray]) -> np.ndarray:
+    """The fields in the kernels' layout: the rows of a padded block with
+    +0 separators, or a single field as a 1-D copy, whose cells at r = 0
+    and r = R the kernels set as numpy scalars, cheaper than columns."""
+    if len(fields) == 1:
+        return fields[0].copy()
+    block = np.zeros((len(fields), len(fields[0]) + SEPARATORS))
+    block[:, :-SEPARATORS] = fields
+    return block
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """The rows' fields in what :func:`_block` returns, as views."""
+    return values[None] if values.ndim == 1 else values[:, :-SEPARATORS]
 
 
 def _last_node(u: np.ndarray) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (BOUNDARY_NEUMANN, SEPARATORS, GridGeometry, _gradient_values,
+from .fields import (BOUNDARY_NEUMANN, GridGeometry, _block, _gradient_values,
                      _laplacian_bands, _nonlocal_prefix_values)
 from .params import ModelParams, gamma_of, q_bounds
 from .similarity import S_TURN, scale_radius, scale_radius_inverse
@@ -450,9 +450,13 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     smallest constant with J <= C_eta (T-t)^(gamma - 1/2 - eta) on the
     window.
 
-    The default window spans the last two resolved decades of T-t; the
+    q, gamma and dim are the run's; other ``params`` are refused.  The
+    default window spans the last two resolved decades of T-t; the
     resolution floor keeps unresolved-core snapshots out of the fit.
     """
+    if params != trajectory.config.params:
+        raise ValueError(f"params {params} differ from the run's {trajectory.config.params}")
+    params = trajectory.config.params
     if not 0.0 < eta < params.gamma:
         raise ValueError(f"eta must be in (0, gamma={params.gamma:.6g}), got {eta}")
     if T is None:
@@ -461,20 +465,19 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
     geom = GridGeometry.of(grid)
     times = trajectory.times
     s = T - times
-    # J(R) of the snapshots from padded blocks (see ``fields``) of ~64 KB,
-    # so the prefix's arrays stay small at any M: each row's prefix sum is
-    # its field's alone, to the bit
+    # J(R) of the snapshots from chunks of ~64 KB (``fields._block``), so
+    # the prefix's arrays stay small at any M: each row's prefix sum is its
+    # field's alone, to the bit
     snapshots = trajectory.snapshots
-    per_block = max(1, 8192 // (grid.M + 1 + SEPARATORS))
+    per_block = max(1, 8192 // (grid.M + 1))
     J = np.empty(len(snapshots))
     for i in range(0, len(snapshots), per_block):
         chunk = snapshots[i:i + per_block]
-        integrand = np.zeros((len(chunk), grid.M + 1 + SEPARATORS))
-        np.stack([snap.values for snap in chunk], out=integrand[:, :grid.M + 1])
+        integrand = _block([snap.values for snap in chunk])
         np.abs(integrand, out=integrand)
         integrand **= params.q - 1.0
         J[i:i + len(chunk)] = _nonlocal_prefix_values(
-            integrand, geom.stacked(len(chunk)))[:, grid.M]
+            integrand, geom if len(chunk) == 1 else geom.stacked(len(chunk)))[..., grid.M]
     keep = (s > 0.0) & (s < 1.0) & (J > 0.0)
     if not np.any(keep):
         raise ValueError("insufficient window: no usable (T-t, J) samples")

@@ -21,7 +21,7 @@ A frame is sampled as a few array operations over every (tau, xi) at
 once, with the values a per-tau loop of ``np.interp`` calls gives, to the
 bit.  The time brackets and weights of all taus, and the node bracket
 r_j <= r < r_(j+1) of each xi, are found once.  One gather takes the
-snapshots the time brackets use, over the nodes the xi reach, as one
+window of nodes the xi reach from every snapshot, as the rows of one
 padded block, and one kernel call takes their gradients.  Each tau's
 field and gradient are interpolated in time on those nodes, and in space
 with ``np.interp``'s arithmetic written out: (y_(j+1) - y_j) / (r_(j+1) -
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _gradient_values
+from .fields import _block, _gradient_values
 from .params import ModelParams
 from .profiles import final_grad_bound, final_profile, v_K0
-from .solver import STATUS_BLOWN_UP, Trajectory, _block
+from .solver import STATUS_BLOWN_UP, Trajectory
 
 # s |log s| increases up to s = 1/e and turns there; the anchor relation is
 # only invertible on the monotone branch.
@@ -206,23 +206,18 @@ def extract_frame(trajectory: Trajectory, x0: float, K0: float, T: float,
     dx = np.diff(nodes[lo:hi])
     left, at = left - lo, at[on_node] - lo  # as columns of nodes lo..hi-1
 
-    # the snapshots the brackets use, from one node below lo to one above
-    # hi - 1, and their gradients, as one padded block: each node lo..hi-1
-    # is an inner cell of the stencil or the field's own r = 0 or r = R
-    used = np.zeros(len(times), dtype=bool)
-    used[k - 1] = used[k] = True
-    row_of = np.cumsum(used) - 1  # a used snapshot's row in the block
+    # the nodes from one below lo to one above hi - 1 of every snapshot,
+    # snapshot i in row i, and their gradients: each node lo..hi-1 is an
+    # inner cell of the stencil or the field's own r = 0 or r = R
     first = max(lo - 1, 0)
-    block = _block([trajectory.snapshots[i].values[first:hi + 1]
-                    for i in np.flatnonzero(used)])
+    block = _block([snap.values[first:hi + 1] for snap in trajectory.snapshots])
     grads = _gradient_values(block, grid.h, trajectory.config.boundary)
-    rows = row_of[k - 1], row_of[k]
     cells = slice(lo - first, hi - first)
 
     def sample(stack: np.ndarray, what: str) -> np.ndarray:
         """np.interp(r_phys, nodes, row) of each tau's row of ``stack``
         interpolated in time, by np.interp's arithmetic."""
-        y = (1.0 - theta) * stack[rows[0], cells] + theta * stack[rows[1], cells]
+        y = (1.0 - theta) * stack[k - 1, cells] + theta * stack[k, cells]
         out = ((y[:, 1:] - y[:, :-1]) / dx)[:, left]  # the slopes
         if not np.all(np.isfinite(out)):
             raise ValueError(f"the {what} near x0={x0!r} is too large to interpolate "

@@ -42,24 +42,22 @@ and the step count does not grow with the grid size M.
 
 Runs that share one grid and one boundary closure step in lockstep
 (:func:`run_together`): their fields stay, from step to step, the rows of
-one contiguous padded (k, M+3) block, which is the block-diagonal system
-of all rows that the three solves of a step take in one LAPACK call each,
-and every kernel works on that memory (see ``fields``).  Each row keeps
-its own parameters and its own scalars as Python floats (step size,
-Kahan-summed time, cap, budget, snapshot schedule) and leaves the batch
-when it stops.  A single run is a batch of one (:func:`run_until_blowup`,
-:func:`continue_run`), held as a 1-D field.  The step and its solves are
+one padded block, the layout that ``fields._block`` builds, which is also
+the block-diagonal system of all rows that the three solves of a step
+take in one LAPACK call each.  Each row keeps its own parameters and its
+own scalars as Python floats (step size, Kahan-summed time, cap, budget,
+snapshot schedule) and leaves the batch when it stops.  A single run is a
+batch of one (:func:`run_until_blowup`, :func:`continue_run`), held as a
+1-D field, as ``fields._block`` holds one.  The step and its solves are
 one code path for both layouts, apart from the step size, a Python float
 for one run and a column of the rows' step sizes for a block; the single
 row's own path lives in the kernels (``fields``, :func:`_explicit_values`,
-:func:`_sups`), where numpy scalars at r = 0 and r = R cost less per call
-than the one-element columns of a block.  Every row is bit-identical to
-its run stepped alone: ``_Batch`` says what that takes.  ``_Batch`` decides
-the explicit term's coefficients and builds the grid's fixed geometry, the
-Laplacian bands and reused buffers once per batch, and ``_advance`` holds
-one ``np.errstate`` scope around the step loop.  Runs are deterministic:
-identical config and initial data give bit-identical trajectories, alone
-or in any batch.
+:func:`_sups`).  Every row is bit-identical to its run stepped alone:
+``_Batch`` says what that takes.  ``_Batch`` decides the explicit term's
+coefficients and builds the grid's fixed geometry, the Laplacian bands and
+reused buffers once per batch, and ``_advance`` holds one ``np.errstate``
+scope around the step loop.  Runs are deterministic: identical config and
+initial data give bit-identical trajectories, alone or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
 resolution of absolute time (dt < eps * t), so the recorded times collapse
@@ -104,11 +102,12 @@ import numpy as np
 from .fields import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
-    SEPARATORS,
     GridGeometry,
     NonFiniteFieldError,
     RadialField,
     RadialGrid,
+    _block,
+    _fields,
     _gradient_values,
     _laplacian_bands,
     _last_node,
@@ -377,10 +376,10 @@ def _dt_of(config: SolverConfig, supnorm: float) -> float:
 class _Batch:
     """What stepping k rows on one grid together reuses from step to step.
 
-    The rows' fields are held from step to step in the layout :func:`_block`
-    gives them, and so are the Laplacian bands, the LU buffers and the
-    right-hand sides: one padded (k, M+3) block, which is also the layout of
-    the block-diagonal system whose solves, one LAPACK call each, are the
+    The rows' fields, the Laplacian bands, the LU buffers and the
+    right-hand sides are held from step to step in the layout that
+    ``fields._block`` builds, which is also the layout of the
+    block-diagonal system whose solves, one LAPACK call each, are the
     three implicit stages of a step.  The two cells after each row are
     separator unknowns, an identity row with right-hand side +0 and zero
     coupling, so the products with the coupling zeros that the tridiagonal
@@ -389,9 +388,7 @@ class _Batch:
     cells, so each solve first resets them, and so does the step in its
     result, where a nonzero separator would win ``_sups``'s argmax.  A
     non-finite row still crosses over (0 * NaN), which the caller detects.
-    A single row has no separators and is held as a 1-D (M+1,) field: the
-    kernels then set the cells at r = 0 and r = R as numpy scalars, which
-    costs less per call than the one-element columns of a block.  Each band
+    A single row has no separators (see ``fields._block``).  Each band
     is padded to a row's length and LAPACK takes the flattened buffers, the
     off-diagonals without their last entry, so the step itself is the same
     for both layouts.
@@ -628,21 +625,6 @@ class _Row:
 
 
 _TINY = np.finfo(float).tiny
-
-
-def _block(fields: list[np.ndarray]) -> np.ndarray:
-    """The fields as a batch holds them: a copy of a single field, or more
-    as the rows of a padded block with +0 separators (see ``_Batch``)."""
-    if len(fields) == 1:
-        return fields[0].copy()
-    block = np.zeros((len(fields), len(fields[0]) + SEPARATORS))
-    block[:, :-SEPARATORS] = fields
-    return block
-
-
-def _fields(values: np.ndarray) -> np.ndarray:
-    """The rows' fields in what :func:`_block` returns, as views."""
-    return values[None] if values.ndim == 1 else values[:, :-SEPARATORS]
 
 
 def _sups(values: np.ndarray, h: float) -> tuple[list[float], list[float]]:

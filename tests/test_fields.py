@@ -13,12 +13,13 @@ from blowlab.fields import (
     RadialField,
     RadialGrid,
     field_to_csv,
+    _block,
     _gradient_values,
     _laplacian_bands,
     _nonlocal_prefix_values,
 )
 from blowlab.profiles import f_profile, grad_f_profile
-from blowlab.solver import _block, _sups
+from blowlab.solver import _sups
 from conftest import ref_laplacian_matrix
 
 

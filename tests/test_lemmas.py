@@ -11,8 +11,8 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from blowlab import lemmas
 from blowlab.cli import _semigroup_cases
-from blowlab.fields import (BOUNDARY_NEUMANN, GridGeometry, RadialField, RadialGrid,
-                            _gradient_values, _laplacian_bands)
+from blowlab.fields import (BOUNDARY_NEUMANN, SEPARATORS, GridGeometry, RadialField,
+                            RadialGrid, _gradient_values, _laplacian_bands)
 from blowlab.lemmas import (
     IntegralCase,
     StepFunction,
@@ -304,6 +304,46 @@ def test_decay_fit_takes_each_snapshots_own_J(dim, q, monkeypatch):
     alone = [kernel(np.abs(snap.values) ** (q - 1.0), geom)[-1] for snap in snaps]
     assert np.concatenate([J[:, grid.M] for J in blocks]).tobytes() == \
         np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("M, n, chunks", [(256, 32, [31, 1]), (8192, 6, [1] * 6)])
+def test_decay_fit_chunks_of_one_snapshot_take_each_snapshots_own_J(M, n, chunks,
+                                                                   default_params,
+                                                                   monkeypatch):
+    """A chunk of one snapshot is the field itself (``fields._block``) on
+    the 1-D geometry: J(R) still equals, bit for bit, each snapshot's own
+    prefix, when the last chunk holds one snapshot (32 at M=256, chunks of
+    31) and when every chunk does (M=8192)."""
+    traj = profile_trajectory(default_params, R=1.0, M=M, n=n)
+    kernel, blocks = lemmas._nonlocal_prefix_values, []
+
+    def recorded(integrand, geom):
+        blocks.append(kernel(integrand, geom))
+        return blocks[-1]
+
+    monkeypatch.setattr(lemmas, "_nonlocal_prefix_values", recorded)
+    nonlocal_decay_fit(traj, default_params, default_params.gamma / 4.0, T=1.0)
+    assert [J.shape for J in blocks] == [(c, M + 1 + SEPARATORS) if c > 1 else (M + 1,)
+                                         for c in chunks]
+    geom = GridGeometry.of(traj.config.grid)
+    alone = [kernel(np.abs(snap.values) ** 2.0, geom)[-1] for snap in traj.snapshots]
+    assert np.concatenate([np.atleast_1d(J[..., M]) for J in blocks]).tobytes() == \
+        np.array(alone).tobytes()
+
+
+def test_decay_fit_takes_the_runs_params(default_params):
+    """The run's own params give the fit that two padded blocks, of 31 rows
+    and of 1, gave before a one-snapshot chunk was a 1-D field; other
+    params are refused, and the message shows them."""
+    traj = profile_trajectory(default_params, R=1.0, M=256, n=32)
+    eta = default_params.gamma / 4.0
+    assert nonlocal_decay_fit(traj, default_params, eta, T=1.0) == lemmas.DecayFit(
+        slope=-0.2932527541923152, C_eta=7.5277801153706525,
+        s_lo=9.999999999998899e-05, s_hi=0.009999999999998899, n_points=31)
+    for other in (validate(p=4.0, q=3.2, mu=0.1, dim=1), validate(p=4.0, q=3.0, mu=0.2, dim=1)):
+        with pytest.raises(ValueError, match="differ from the run's") as refused:
+            nonlocal_decay_fit(traj, other, eta, T=1.0)
+        assert f"q={other.q!r}, mu={other.mu!r}" in str(refused.value)
 
 
 def test_resolution_floor_inverts_the_scale_map():

@@ -87,7 +87,7 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
                  "trajectory.csv", "field_final.csv"}
     expected = {
         "run": run_files | {"frames_summary.json", "frame_x0_0p2.npz", "frame_x0_0p1.npz",
-                            "frame_x0_0p05.npz"},
+                            "frame_x0_0p05.npz", "decay_fit.json"},
         "frames-K0-2": {"snapshots.npz", "frames_summary.json", "frame_x0_0p2.npz",
                         "frame_x0_0p1.npz", "frame_x0_0p05.npz", "frame_x0_m0p15.npz"},
         "frames-wall": {"snapshots.npz", "frames_summary.json", "frame_x0_0p999.npz"},
@@ -100,5 +100,8 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
     }
     for tree, names in expected.items():
         assert names <= {path.name for path in (out / tree).iterdir()}, tree
+    fit = json.loads((out / "run" / "decay_fit.json").read_text())
+    assert list(fit) == ["slope", "C_eta", "s_lo", "s_hi", "n_points"]
+    assert fit["n_points"] >= 5 and fit["s_lo"] < fit["s_hi"]
     wall = json.loads((out / "frames-wall" / "frames_summary.json").read_text())
     assert [report["clipped"] for report in wall["reports"]] == [True]

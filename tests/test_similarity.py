@@ -361,8 +361,8 @@ def test_frame_refuses_a_non_finite_slope(default_params):
 
 def test_frame_tracemalloc_peak_under_1_mb(default_params):
     """One frame of a M=512 run, the widest of perfbench `analyse`'s
-    (K0=2, x0=0.2: 60 taus by 131 xi, 0.46 MB), holds less than 1 MB at
-    its peak."""
+    (K0=2, x0=0.2: 60 taus by 131 xi, 0.51 MB with the node window of all
+    79 snapshots gathered), holds less than 1 MB at its peak."""
     grid = RadialGrid(R=1.0, M=512, dim=1)
     run = run_until_blowup(profile_seeded_field(grid, default_params),
                            SolverConfig(grid=grid, params=default_params))

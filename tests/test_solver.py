@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from blowlab import lemmas, solver
-from blowlab.fields import RadialField, RadialGrid, sphere_area
+from blowlab.fields import RadialField, RadialGrid, _block, _fields, sphere_area
 from blowlab.lemmas import nonlocal_decay_fit
 from blowlab.params import validate
 from blowlab.profiles import f_profile
@@ -853,9 +853,9 @@ def test_step_matches_the_previous_scheme(dim, M, boundary):
         assert np.max(np.abs(new - reference)) <= 1e-13 * sup
         for other in others:
             rows, dts = [params, other_q, other], [dt, dt, 0.5 * dt]
-            block = solver._ars343(solver._block([u] * 3), dts, solver._Batch(rows, grid, boundary))
+            block = solver._ars343(_block([u] * 3), dts, solver._Batch(rows, grid, boundary))
             assert np.all(block[:, grid.M + 1:] == 0.0)  # +0 separators
-            for row, row_params, dt_row in zip(solver._fields(block), rows, dts):
+            for row, row_params, dt_row in zip(_fields(block), rows, dts):
                 batch = solver._Batch([row_params], grid, boundary)
                 alone = solver._ars343(u.copy(), [dt_row], batch)
                 assert np.array_equal(row, alone)

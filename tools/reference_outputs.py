@@ -20,7 +20,10 @@ archive, each in its own tree, ``frames`` at K0 = 2 and 8 with x0 =
 a ``--window`` that is clipped; a dim=2 neumann run (q=4.3, M=256, cap
 1e6) and ``frames`` on it; runs at M=64 to the caps 1e2 and 1e7, a mu=0
 run at M=512, ``verify --out`` and the 15-point dim=2 sweep at
-``--workers`` 2 and 1.
+``--workers`` 2 and 1.  Last, ``OUT/run/decay_fit.json`` holds
+``lemmas.nonlocal_decay_fit`` of the ``run`` archive at eta = gamma/4, as
+perfbench's ``analyse`` calls it: slope, C_eta, s_lo, s_hi and n_points,
+the floats as their exact reprs.
 """
 from __future__ import annotations
 
@@ -29,11 +32,14 @@ import re
 import shutil
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from blowlab.cli import main as blowlab_main  # noqa: E402  (this checkout's, as above)
+# this checkout's blowlab, as above
+from blowlab.cli import _load_run, main as blowlab_main  # noqa: E402
+from blowlab.lemmas import nonlocal_decay_fit  # noqa: E402
 
 # config file name -> its text
 CONFIGS = {
@@ -105,7 +111,17 @@ def run_commands(out: Path) -> dict:
             (streams / f"{name}.{key}{suffix[key]}").write_text(_masked(path.read_text(), out))
             path.unlink()
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    write_decay_fit(out / "run")
     return codes
+
+
+def write_decay_fit(run: Path) -> None:
+    """The decay fit of the run archive in ``run``, as ``decay_fit.json``
+    there; ``json`` writes each float as its repr, which reads back exact."""
+    trajectory = _load_run(run)
+    params = trajectory.config.params
+    fit = nonlocal_decay_fit(trajectory, params, params.gamma / 4.0)
+    (run / "decay_fit.json").write_text(json.dumps(asdict(fit), indent=2) + "\n")
 
 
 def main(argv=None) -> int:
