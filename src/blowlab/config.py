@@ -25,8 +25,6 @@ _SOLVER_TYPES = {
     "dt_safety": float,
     "blowup_cap": float,
     "boundary": str,
-    "record_stride": int,
-    "snapshot_growth": float,
     "max_steps": int,
     "t_max": float,
 }

@@ -147,10 +147,11 @@ def _load_flapack():
 _flapack = _load_flapack()
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
-ARCHIVE_VERSION = 5  # 1 was the JSON checkpoint that held the history apart;
+ARCHIVE_VERSION = 6  # 1 was the JSON checkpoint that held the history apart;
                      # 2 stored a config with the reaction switch; 3 held
                      # runs of the explicit Heun stepper and no stop field;
-                     # 4 held runs of the ARS(2,2,2) step
+                     # 4 held runs of the ARS(2,2,2) step; 5 a config with
+                     # two keys of the snapshot schedule
 
 # ARS(3,4,3) coefficients (see the module docstring): gamma, the implicit
 # diagonal; the rows of stages 2-4 left of it, explicit on N(U_1..U_i-1) and
@@ -175,6 +176,7 @@ STATUSES = (STATUS_RUNNING, STATUS_BLOWN_UP, STATUS_COMPLETED, STATUS_OVERFLOWED
             STATUS_BUDGET, STATUS_DECAYED)
 
 HISTORY_BLOCK = 4096  # history rows buffered as tuples before a flush to floats
+SNAPSHOT_GROWTH = 1.15  # a snapshot whenever the sup-norm has grown by this factor
 
 
 class CheckpointError(ValueError):
@@ -194,8 +196,6 @@ class SolverConfig:
     dt_safety: float = 0.15
     blowup_cap: float = 1e8
     boundary: str = BOUNDARY_DIRICHLET
-    record_stride: int = 2000
-    snapshot_growth: float = 1.15  # extra snapshot whenever supnorm grows by this factor
     max_steps: int = 5_000_000     # per-call step budget
     t_max: float | None = None
 
@@ -208,10 +208,6 @@ class SolverConfig:
             raise ValueError(f"t_max must be none or positive, got {self.t_max}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if not self.snapshot_growth > 1.0:
-            raise ValueError("snapshot_growth must exceed 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.grid.dim != self.params.dim:
@@ -241,8 +237,9 @@ class Trajectory:
     History rows are (t, supnorm, argmax_radius, dt_of_the_step) in one (n, 4)
     float array; the initial row has dt = 0.  Snapshot times are strictly
     increasing (a deep-tail snapshot whose time ties the last one replaces it).
-    The snapshots are the initial field, the scheduled ones and, once the run
-    ends, the final field.  A run stopped by its budget between two scheduled
+    The snapshots are the initial field, one at each step where the sup-norm
+    has grown by ``SNAPSHOT_GROWTH`` since the last snapshot and, once the run
+    ends, the final field.  A run stopped by its budget between two such
     snapshots holds its field in ``_stop_field`` instead, so a resumed run
     takes exactly the snapshots of an uninterrupted one.
     """
@@ -499,10 +496,10 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
 def run_until_blowup(u0: RadialField, config: SolverConfig) -> Trajectory:
     """Step until the sup-norm reaches the cap, overflow, or the budget.
 
-    The max-norm history is recorded at every accepted step.  Snapshots are
-    kept every ``record_stride`` steps and additionally whenever the
-    sup-norm has grown by ``snapshot_growth`` since the last snapshot, so
-    coverage stays dense (logarithmically) on approach to blow-up.
+    The max-norm history is recorded at every accepted step.  A snapshot is
+    kept whenever the sup-norm has grown by ``SNAPSHOT_GROWTH`` since the
+    last snapshot, so coverage stays dense (logarithmically) on approach to
+    blow-up.
     """
     trajectory = Trajectory.start(u0, config)
     _advance([trajectory])
@@ -513,8 +510,8 @@ def continue_run(trajectory: Trajectory) -> Trajectory:
     """Resume a run in place, typically a ``budget-exhausted`` one.
 
     Stepping depends only on the current field and the snapshot schedule
-    only on the run's step count and last snapshot, so a resumed run
-    reproduces the uninterrupted history and snapshots exactly.
+    only on the last snapshot, so a resumed run reproduces the
+    uninterrupted history and snapshots exactly.
     """
     return run_together([trajectory])[0]
 
@@ -552,11 +549,10 @@ class _Row:
         [self.m], _ = _sups(self.values, config.grid.h)  # the field decides, not its history
         self.cap, self.t_max = config.blowup_cap, config.t_max
         self.t_end = None if config.t_max is None else config.t_max * (1.0 - 1e-15)
-        self.stride, self.growth = config.record_stride, config.snapshot_growth
-        # the schedule reads the last snapshot and the run's step count, so a
-        # resumed run continues it where the uninterrupted run would be
+        # the schedule reads the last snapshot, so a resumed run continues it
+        # where the uninterrupted run would be
         [snap_m], _ = _sups(traj.snapshots[-1].values, config.grid.h)
-        self.next_snap_m = self.growth * max(snap_m, _TINY)
+        self.next_snap_m = SNAPSHOT_GROWTH * max(snap_m, _TINY)
         self.step = len(traj.maxnorm_history) - 1
         self.last_step = self.step + config.max_steps  # the budget
         self.blocks, self.rows = [traj.maxnorm_history], []
@@ -597,10 +593,10 @@ class _Row:
         if len(rows) == HISTORY_BLOCK:
             self.blocks.append(np.array(rows))
             self.rows = []
-        self.on_schedule = self.step % self.stride == 0 or m >= self.next_snap_m
+        self.on_schedule = m >= self.next_snap_m
         if self.on_schedule:
             self.snapshot(values)
-            self.next_snap_m = self.growth * max(m, _TINY)
+            self.next_snap_m = SNAPSHOT_GROWTH * max(m, _TINY)
 
     def snapshot(self, values: np.ndarray) -> None:
         # a row is accepted or kept only with a finite sup-norm, so it is finite

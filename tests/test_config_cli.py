@@ -25,7 +25,6 @@ dim = 1
 R = 1.0
 M = 64
 blowup_cap = 1e4
-record_stride = 50
 t_star = 0.01
 """
 
@@ -73,8 +72,7 @@ def test_load_config_defaults_are_valid():
 def test_int_keys_refuse_non_integral_values():
     """An int key takes an integral float (a --grid axis is floats) and
     refuses any other value instead of truncating it."""
-    for key, value in (("M", 150.5), ("dim", 1.5), ("max_steps", float("inf")),
-                       ("record_stride", float("nan"))):
+    for key, value in (("M", 150.5), ("dim", float("nan")), ("max_steps", float("inf"))):
         with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
             load_config(None, {key: value})
     run_config = load_config(None, {"M": 128.0})
@@ -824,6 +822,31 @@ def test_sweep_heartbeat_prints_at_most_every_two_seconds(tmp_path, capsys, monk
     assert main(["sweep", "--config", config, "--grid", "M=32:64:3",
                  "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 0
     assert capsys.readouterr().err.splitlines() == lines
+
+
+@pytest.mark.parametrize("key, value", [("record_stride", 2000), ("snapshot_growth", 1.15)])
+def test_former_snapshot_keys_are_refused(tmp_path, capsys, key, value):
+    """The snapshot schedule has one rule and no key: a config file that
+    sets either former key, or a --grid axis over it, exits 2."""
+    path = write_config(tmp_path, f"{TINY_CONFIG}{key} = {value}\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", write_config(tmp_path), "--grid", f"{key}=1:2:2",
+                 "--out", str(out)]) == 2
+    assert f"{key!r} is not a numeric config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frames_refuses_a_version_5_archive(finished_run, capsys):
+    """Version 5 archives echo the two former snapshot keys in their config;
+    no reader for them is kept."""
+    path = finished_run / "snapshots.npz"
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez_compressed(path, **{**arrays, "version": np.array(5)})
+    assert main(["frames", "--out", str(finished_run), "--x0", "0.2"]) == 2
+    assert "unsupported run archive version 5 (expected 6)" in capsys.readouterr().err
 
 
 def test_sweep_bad_grid_spec(tmp_path, capsys):

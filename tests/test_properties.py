@@ -57,8 +57,6 @@ def solver_configs(draw):
         dt_safety=draw(st.floats(1e-3, 1.0)),
         blowup_cap=draw(st.floats(1.0, 1e300)),
         boundary=draw(st.sampled_from(BOUNDARIES)),
-        record_stride=draw(st.integers(1, 10 ** 6)),
-        snapshot_growth=draw(st.floats(1.0, 1e3, exclude_min=True)),
         max_steps=draw(st.integers(1, 10 ** 9)),
         t_max=draw(st.one_of(st.none(), st.floats(1e-6, 10.0))),
     )
@@ -134,7 +132,7 @@ def seeded_runs(draw):
     grid = RadialGrid(R=1.0, M=draw(st.integers(16, 64)), dim=dim)
     u0 = profile_seeded_field(grid, params, t_star=draw(st.floats(0.005, 0.05)))
     config = SolverConfig(grid=grid, params=params, boundary=draw(st.sampled_from(BOUNDARIES)),
-                          blowup_cap=1e6, record_stride=draw(st.integers(1, 200)))
+                          blowup_cap=1e6)
     return u0, config
 
 
@@ -180,8 +178,8 @@ def test_resume_at_any_budget_is_the_uninterrupted_run(tmp_path_factory, run, bu
 def batches(draw, budgets=True):
     """1-6 profile-seeded runs on one shared grid (M 16-64, either closure)
     that mix p, q (each from a few values, so rows share exponents), mu
-    (exactly 0 included), dt_safety, blowup_cap, record_stride and, when
-    ``budgets``, max_steps, so the rows stop at different steps."""
+    (exactly 0 included), dt_safety, blowup_cap and, when ``budgets``,
+    max_steps, so the rows stop at different steps."""
     dim = draw(st.integers(1, 2))
     grid = RadialGrid(R=1.0, M=draw(st.integers(16, 64)), dim=dim)
     boundary = draw(st.sampled_from(BOUNDARIES))
@@ -197,7 +195,6 @@ def batches(draw, budgets=True):
             grid=grid, params=params, boundary=boundary,
             dt_safety=draw(st.sampled_from((0.025, 0.05, 0.1))),
             blowup_cap=draw(st.sampled_from((1e3, 1e4))),
-            record_stride=draw(st.integers(1, 200)),
             max_steps=draw(st.integers(1, 1500)) if budgets else 10 ** 6)
         runs.append((u0, config))
     return runs
@@ -247,7 +244,6 @@ def test_an_overflowing_row_leaves_its_neighbours_unchanged(default_params):
                            validate(p=4.5, q=3.0, mu=0.1, dim=1))]
     # sorted by p, the p=4 row sits between the other two
     runs.insert(1, (big, SolverConfig(grid=grid, params=default_params, blowup_cap=1e300,
-                                      record_stride=10 ** 9, snapshot_growth=1e300,
                                       max_steps=50)))
     together = run_together([Trajectory.start(u0, config) for u0, config in runs])
     assert together[1].status == STATUS_OVERFLOWED

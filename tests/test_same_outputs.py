@@ -3,11 +3,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from blowlab.cli import main
 from test_config_cli import write_config
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DIGESTS = Path(__file__).resolve().parent / "reference_digests.json"
 
 
 def _tool(name="same_outputs"):
@@ -67,12 +69,19 @@ def test_results_that_differ_are_named(tmp_path, capsys):
     assert capsys.readouterr().out == "differs  run.npz\ndiffers  summary.json\n"
 
 
-def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
-    """One run of ``tools/reference_outputs.py``: every command exits 0 and
-    leaves its streams and its artifacts, and no stream holds the OUT path."""
+@pytest.fixture(scope="module")
+def reference_tree(tmp_path_factory):
+    """One run of ``tools/reference_outputs.py``: the tool and its OUT."""
     tool = _tool("reference_outputs")
-    out = (tmp_path / "ref").resolve()
+    out = (tmp_path_factory.mktemp("reference") / "ref").resolve()
     assert tool.main([str(out)]) == 0
+    return tool, out
+
+
+def test_reference_outputs_write_every_command_and_mask_out(reference_tree):
+    """Every command exits 0 and leaves its streams and its artifacts, and
+    no stream holds the OUT path."""
+    tool, out = reference_tree
     assert json.loads((out / "exit_codes.json").read_text()) == {
         name: 0 for name, _ in tool.COMMANDS}
     streams = {f"{name}.stdout{'.json' if '--json' in args else ''}"
@@ -105,3 +114,24 @@ def test_reference_outputs_write_every_command_and_mask_out(tmp_path, capsys):
     assert fit["n_points"] >= 5 and fit["s_lo"] < fit["s_hi"]
     wall = json.loads((out / "frames-wall" / "frames_summary.json").read_text())
     assert [report["clipped"] for report in wall["reports"]] == [True]
+
+
+def test_reference_outputs_are_the_committed_digests(reference_tree):
+    """Every result of the reference commands is the one digested in
+    ``tests/reference_digests.json``: each file that differs from it, is
+    missing or is extra is named.  A change that moves a result regenerates
+    the digests with
+
+        python tools/reference_outputs.py OUT
+        python tools/same_outputs.py --digest OUT > tests/reference_digests.json
+
+    and says which files moved and why.  The digests hold for the numpy,
+    scipy and CPU features they were made on, which they record."""
+    _, out = reference_tree
+    tool = _tool()
+    committed = json.loads(DIGESTS.read_text())
+    here = tool.environment()
+    if committed["environment"] != here:
+        pytest.skip(f"digests made under {committed['environment']}, not {here}")
+    lines = tool.diff(committed["files"], tool.digests(out))
+    assert not lines, "\n".join(["the reference outputs moved:", *lines])

@@ -49,8 +49,6 @@ def default_run(default_params):
 
 
 def quiet_config(grid, params, **kw):
-    kw.setdefault("record_stride", 10 ** 9)
-    kw.setdefault("snapshot_growth", 1e300)
     kw.setdefault("blowup_cap", 1e300)
     kw.setdefault("max_steps", 10 ** 7)
     return SolverConfig(grid=grid, params=params, **kw)
@@ -407,13 +405,14 @@ def _rewrite_archive(path, drop=(), **changes):
 
 
 def test_archive_version_mismatch(small_run, tmp_path):
-    """Version 4 held runs of the ARS(2,2,2) step, which a resume would
-    continue with another step: it is refused like any other version."""
+    """Version 5 held a config with two keys of the snapshot schedule, and
+    version 4 runs of the ARS(2,2,2) step, which a resume would continue
+    with another step: each is refused like any other version."""
     path = tmp_path / "snapshots.npz"
     save_snapshots(small_run, path)
-    for version in (4, 99):
+    for version in (4, 5, 99):
         _rewrite_archive(path, version=np.array(version))
-        with pytest.raises(CheckpointError, match=rf"version {version} \(expected 5\)"):
+        with pytest.raises(CheckpointError, match=rf"version {version} \(expected 6\)"):
             load_snapshots(path)
 
 
@@ -589,6 +588,20 @@ def test_resume_reproduces_uninterrupted_run(default_params, tmp_path):
     n = len(half.maxnorm_history)
     assert resumed.status == STATUS_BLOWN_UP
     assert resumed.maxnorm_history[n:].tobytes() == full.maxnorm_history[n:].tobytes()
+
+
+def test_resume_from_a_budget_stop_on_a_snapshot_step(small_run, tmp_path):
+    """A budget that ends on a step whose sup-norm growth takes a snapshot
+    keeps no stop field: the run stands on that snapshot, and a resume from
+    its archive takes the uninterrupted run's steps and snapshots."""
+    snap = small_run.snapshots[len(small_run.snapshots) // 2]
+    [step] = np.flatnonzero(small_run.maxnorm_history[:, 0] == snap.time).tolist()
+    half = run_until_blowup(small_run.snapshots[0], replace(small_run.config, max_steps=step))
+    assert half.status == STATUS_BUDGET and half._stop_field is None
+    assert half.last_field.time == snap.time == half.maxnorm_history[-1, 0]
+    path = tmp_path / "snapshots.npz"
+    save_snapshots(half, path)
+    assert_same_steps(continue_run(load_snapshots(path)), small_run)
 
 
 def test_stepping_refuses_a_run_without_its_initial_row(default_params):

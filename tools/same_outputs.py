@@ -1,29 +1,40 @@
-"""Compare two output trees of blowlab commands, file by file.
+"""Compare two output trees of blowlab commands file by file, or digest one.
 
     python tools/same_outputs.py A B
+    python tools/same_outputs.py --digest A > DIGESTS.json
 
 Two runs of the same command write the same results but not the same
-bytes everywhere, so each kind of file is compared by what it holds:
+bytes everywhere, so each file is first put in a normal form of what it
+holds:
 
-- ``.json`` files parsed, with the keys ``wall_s``, ``out_dir`` and
-  ``config_path`` dropped at any depth (timings and paths);
-- ``.npz`` archives member by member: the member names, and each member's
-  dtype, shape and bytes, the bytes taken in C order, so a member stored
-  in Fortran order equals a C-ordered one of the same values (the zip
-  entries carry their write time);
-- every other file byte for byte.
+- a ``.json`` file parsed, with the keys ``wall_s``, ``out_dir`` and
+  ``config_path`` dropped at any depth (timings and paths), and written
+  again with sorted keys;
+- an ``.npz`` archive member by member, in name order: each member's name,
+  dtype and shape, then its bytes in C order, so a member stored in Fortran
+  order equals a C-ordered one of the same values (the zip entries carry
+  their write time, and the deflate stream does not matter);
+- every other file, and one that does not parse as its suffix says, byte
+  for byte.
 
-Prints each file (or directory) that differs, is missing from B or is extra
-in B, one per line, and exits 1 if there is any; otherwise exits 0.
+Two files hold the same results when their normal forms have the same
+SHA-256.  ``A B`` prints each file that differs, is missing from B or is
+extra in B, one per line, and exits 1 if there is any; otherwise exits 0.
+``--digest A`` prints, as JSON, the SHA-256 of each file of A under its
+path relative to A, with the numpy and scipy versions and the CPU features
+numpy dispatches to here: a float result, and so its digest, may differ
+under another of them.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import zipfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 _VOLATILE = {"wall_s", "out_dir", "config_path"}
 
@@ -37,50 +48,76 @@ def _stable(doc):
     return doc
 
 
-def _members(path: Path) -> dict:
+def _members(path: Path) -> bytes:
     with np.load(path) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    return {name: (array.dtype.str, array.shape, array.tobytes("C"))
-            for name, array in arrays.items()}
+    parts = []
+    for name in sorted(arrays):
+        array = arrays[name]
+        # the byte count ends the header, so no member runs into the next
+        header = json.dumps([name, array.dtype.str, array.shape, array.nbytes])
+        parts += [header.encode(), b"\n", array.tobytes("C")]
+    return b"".join(parts)
 
 
-def same_file(a: Path, b: Path) -> bool:
-    """Whether the files ``a`` and ``b`` hold the same results; a file that
-    does not parse as its suffix says is compared byte for byte."""
+def normalized(path: Path) -> bytes:
+    """The results the file ``path`` holds, in the normal form above."""
     try:
-        if a.suffix == ".json":
-            return _stable(json.loads(a.read_text())) == _stable(json.loads(b.read_text()))
-        if a.suffix == ".npz":
-            return _members(a) == _members(b)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        if path.suffix == ".json":
+            doc = _stable(json.loads(path.read_text()))
+            return json.dumps(doc, sort_keys=True).encode()
+        if path.suffix == ".npz":
+            return _members(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
         pass
-    return a.read_bytes() == b.read_bytes()
+    return path.read_bytes()
 
 
-def compare(a: Path, b: Path) -> list[str]:
-    """One line per entry of the trees ``a`` and ``b`` that differs, is
-    missing from ``b`` or is extra in ``b``, in path order."""
-    left = {path.relative_to(a): path for path in a.rglob("*")}
-    right = {path.relative_to(b): path for path in b.rglob("*")}
+def digests(root: Path) -> dict[str, str]:
+    """The SHA-256 of each file's normal form, keyed by its path relative
+    to ``root``."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(normalized(path)).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def diff(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """One line per path of two digest maps that differs, is missing from
+    ``actual`` or is extra in it, in path order."""
     lines = []
-    for rel in sorted(left.keys() | right.keys()):
-        if rel not in right:
+    for rel in sorted(expected.keys() | actual.keys()):
+        if rel not in actual:
             lines.append(f"missing  {rel}")
-        elif rel not in left:
+        elif rel not in expected:
             lines.append(f"extra    {rel}")
-        elif left[rel].is_dir() or right[rel].is_dir():
-            if left[rel].is_dir() != right[rel].is_dir():
-                lines.append(f"differs  {rel}")
-        elif not same_file(left[rel], right[rel]):
+        elif expected[rel] != actual[rel]:
             lines.append(f"differs  {rel}")
     return lines
 
 
+def compare(a: Path, b: Path) -> list[str]:
+    """:func:`diff` of the trees ``a`` and ``b``."""
+    return diff(digests(a), digests(b))
+
+
+def environment() -> dict:
+    """The numpy and scipy versions and the CPU features numpy dispatches
+    its kernels to on this machine."""
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "cpu_baseline": list(__cpu_baseline__),
+            "cpu_dispatch": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--digest"] and len(args) == 2 and Path(args[1]).is_dir():
+        record = {"environment": environment(), "files": digests(Path(args[1]))}
+        print(json.dumps(record, indent=1))
+        return 0
     if len(args) != 2 or not all(Path(arg).is_dir() for arg in args):
-        print("usage: python tools/same_outputs.py A B  (two output directories)",
-              file=sys.stderr)
+        print("usage: python tools/same_outputs.py A B  (two output directories)\n"
+              "       python tools/same_outputs.py --digest A", file=sys.stderr)
         return 2
     lines = compare(Path(args[0]), Path(args[1]))
     for line in lines:
