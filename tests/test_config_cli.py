@@ -114,7 +114,9 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     assert "q upper bound" in capsys.readouterr().err
     for line, message in [("t_star = 1.5", "t_star must be in (0, 1)"),
-                          ("taper_start = 1.5", "unknown key 'taper_start'")]:
+                          ("taper_start = 1.5", "unknown key 'taper_start'"),
+                          ("record_stride = 2000", "unknown key 'record_stride'"),
+                          ("snapshot_growth = 1.15", "unknown key 'snapshot_growth'")]:
         path = write_config(tmp_path, f"{line}\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
@@ -368,7 +370,8 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
     np.savez_compressed(archive, **arrays)
     assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
     assert "history" in capsys.readouterr().err
-    # one snapshot time short, no snapshot at all, and an unknown status
+    # one snapshot time short, no snapshot at all, an unknown status, and
+    # version 5, whose config echoed the two former snapshot keys
     with np.load(io.BytesIO(whole)) as data:
         arrays = {key: data[key] for key in data.files}
     n = len(arrays["values"])
@@ -376,7 +379,8 @@ def test_frames_rejects_unreadable_archive(finished_run, capsys):
             ({"times": arrays["times"][:-1]}, f"{n - 1} snapshot times for {n} snapshots"),
             ({"times": arrays["times"][:0], "values": arrays["values"][:0]},
              "0 snapshot times for 0 snapshots"),
-            ({"status": np.array("bogus")}, "unknown status 'bogus'")):
+            ({"status": np.array("bogus")}, "unknown status 'bogus'"),
+            ({"version": np.array(5)}, "unsupported run archive version 5 (expected 6)")):
         np.savez_compressed(archive, **{**arrays, **changes})
         assert main(["frames", "--out", str(finished_run), "--x0", "0.1"]) == 2
         err = capsys.readouterr().err
@@ -824,31 +828,6 @@ def test_sweep_heartbeat_prints_at_most_every_two_seconds(tmp_path, capsys, monk
     assert capsys.readouterr().err.splitlines() == lines
 
 
-@pytest.mark.parametrize("key, value", [("record_stride", 2000), ("snapshot_growth", 1.15)])
-def test_former_snapshot_keys_are_refused(tmp_path, capsys, key, value):
-    """The snapshot schedule has one rule and no key: a config file that
-    sets either former key, or a --grid axis over it, exits 2."""
-    path = write_config(tmp_path, f"{TINY_CONFIG}{key} = {value}\n")
-    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
-    out = tmp_path / "s"
-    assert main(["sweep", "--config", write_config(tmp_path), "--grid", f"{key}=1:2:2",
-                 "--out", str(out)]) == 2
-    assert f"{key!r} is not a numeric config key" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_frames_refuses_a_version_5_archive(finished_run, capsys):
-    """Version 5 archives echo the two former snapshot keys in their config;
-    no reader for them is kept."""
-    path = finished_run / "snapshots.npz"
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    np.savez_compressed(path, **{**arrays, "version": np.array(5)})
-    assert main(["frames", "--out", str(finished_run), "--x0", "0.2"]) == 2
-    assert "unsupported run archive version 5 (expected 6)" in capsys.readouterr().err
-
-
 def test_sweep_bad_grid_spec(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["sweep", "--config", config, "--grid", "nonsense",
@@ -866,6 +845,8 @@ def test_sweep_bad_grid_spec(tmp_path, capsys):
     "p=a:4:2",
     "zz=1:2:2",         # not a config key
     "boundary=1:2:2",   # not a numeric key
+    "record_stride=1:2:2",  # former keys of the snapshot schedule
+    "snapshot_growth=1:2:2",
     "mu=0:0.1:2,p=3:4:2,p=3:4:2",  # repeated key
 ])
 def test_sweep_malformed_grid_part_exits_2_naming_it(tmp_path, capsys, spec):

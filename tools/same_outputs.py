@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 _VOLATILE = {"wall_s", "out_dir", "config_path"}
 
@@ -102,8 +103,6 @@ def compare(a: Path, b: Path) -> list[str]:
 def environment() -> dict:
     """The numpy and scipy versions and the CPU features numpy dispatches
     its kernels to on this machine."""
-    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
-                                               __cpu_features__)
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "cpu_baseline": list(__cpu_baseline__),
             "cpu_dispatch": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]}
