@@ -2,8 +2,8 @@
 
 The on-disk format is one ``key = value`` pair per line, ``#`` comments,
 blank lines ignored.  Keys map 1:1 onto the model parameters, the solver
-knobs, and the seed construction; unknown keys are an error (diffable
-configs should not rot silently).
+knobs, and the seed construction; unknown keys and a key set twice are
+errors (diffable configs should not rot silently).
 """
 from __future__ import annotations
 
@@ -68,6 +68,7 @@ class RunConfig:
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse key-value lines into a raw typed dict (defaults filled in)."""
     raw = {key: default for key, (_type, default) in _SCHEMA.items()}
+    set_at = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -79,6 +80,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{source}:{lineno}: {key} is set again (first on line "
+                              f"{set_at[key]})")
+        set_at[key] = lineno
         typ, default = _SCHEMA[key]
         try:
             if typ is str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,41 +74,43 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """The fixed arrays and constants of the gradient and ball-integral
-    kernels on one grid.
+    """The per-node arrays of the ball-integral prefix on one grid: the
+    trapezoid panel weights, each scaled as its caller asks, and the
+    weight r^(N-1).
 
-    Built once per batch and passed to the kernels, so the step loop never
-    recomputes them.  Each entry is the exact expression the kernels would
-    otherwise evaluate per call, which keeps the kernels' output
-    bit-identical.
+    Built once per batch or analysis and passed to the kernel, so the step
+    loop never recomputes them.
     """
 
-    h: float
-    dr: np.ndarray               # np.diff(r): the trapezoid panel widths
+    weights: np.ndarray          # panel i, between nodes i and i+1: dr_i * sigma_N/2 * scale
     r_pow: np.ndarray | None     # r^(dim-1), ball-integral weight; None when dim == 1
-    area: float                  # sphere_area(dim)
 
     @classmethod
-    def of(cls, grid: RadialGrid) -> "GridGeometry":
+    def of(cls, grid: RadialGrid, scale: float = 1.0) -> "GridGeometry":
+        """The geometry of one field, its panel weights times ``scale``: at
+        1.0 the prefix is the ball integral itself."""
         r = grid.r
         r_pow = r ** (grid.dim - 1.0) if grid.dim > 1 else None
-        return cls(h=grid.h, dr=np.diff(r), r_pow=r_pow, area=sphere_area(grid.dim))
+        return cls(weights=np.diff(r) * (sphere_area(grid.dim) / 2.0 * scale), r_pow=r_pow)
 
-    def stacked(self, rows: int) -> "GridGeometry":
-        """The geometry of ``rows`` fields held as one padded block: ``dr``
-        and ``r_pow`` laid out along the flattened block, as the kernels'
-        flat stencils read them, with zeros where no node is."""
-        width = len(self.dr) + 1 + SEPARATORS
-        return replace(self, dr=_tiled(self.dr, rows, width)[:-1],
-                       r_pow=None if self.r_pow is None else _tiled(self.r_pow, rows, width))
+    @classmethod
+    def stacked(cls, rows: list["GridGeometry"]) -> "GridGeometry":
+        """The geometry of ``len(rows)`` fields held as one padded block,
+        row k's from ``rows[k]``: the arrays laid out along the flattened
+        block, as the kernel's flat stencil reads them, with zeros where no
+        node is."""
+        width = len(rows[0].weights) + 1 + SEPARATORS
+        r_pow = None if rows[0].r_pow is None else _tiled([row.r_pow for row in rows], width)
+        return cls(weights=_tiled([row.weights for row in rows], width)[:-1], r_pow=r_pow)
 
 
-def _tiled(values: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """``values``, the entries of a row's first cells, in every row of a
-    flattened padded block of ``rows`` rows of ``width`` cells; 0 elsewhere."""
-    row = np.zeros(width)
-    row[:len(values)] = values
-    return np.tile(row, rows)
+def _tiled(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """The arrays ``rows``, each the entries of a row's first cells, as the
+    rows of a flattened padded block of ``width`` cells; 0 elsewhere."""
+    block = np.zeros((len(rows), width))
+    for row, values in zip(block, rows):
+        row[:len(values)] = values
+    return block.reshape(-1)
 
 
 @dataclass
@@ -228,28 +230,29 @@ def _gradient_values(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
 
 
 def _nonlocal_prefix_values(integrand: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """Trapezoid prefix integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr of one
-    field or of a padded block (as :func:`_gradient_values`).
+    """Trapezoid prefix sums, J_i = sum_{k<i} w_k (f_k + f_{k+1}), of one
+    field or of a padded block (as :func:`_gradient_values`), with f the
+    integrand |u|^(q-1) r^(N-1) and w the panel weights of ``geom``.
 
-    Takes the integrand |u|^(q-1), raised by the caller, and scales it by
-    r^(N-1) in place.  The prefix sum is the cumulative trapezoid rule
-    written out, with the same operations in the same order as scipy's
-    ``cumulative_trapezoid``; the panels are formed on the flattened buffer
-    and summed along each row.
+    Takes |u|^(q-1), raised by the caller, and scales it by r^(N-1) in
+    place.  With the weights of ``GridGeometry.of(grid)``, dr * sigma_N/2,
+    J is the ball integral of sigma_{N-1} |u|^(q-1) r^(N-1) dr, scipy's
+    ``cumulative_trapezoid`` times sigma_N with the constants folded into
+    the weights; the step passes weights that also carry its mu/(2h).  The
+    panels are formed on the flattened buffer and accumulated in place
+    along each row.
     """
     flat = _flat(integrand)
     if geom.r_pow is not None:
         flat *= geom.r_pow
     # panel i of a row, between its nodes i and i+1, is formed in cell i+1
-    # of J, and each row's panels are then summed in place
+    # of J, and each row is then accumulated from its cell 0, set to 0
     J = np.empty_like(integrand)
     panels = _flat(J)[1:]
     np.add(flat[1:], flat[:-1], out=panels)
-    panels *= geom.dr
-    panels /= 2.0
+    panels *= geom.weights
     J.T[0] = 0.0
-    np.cumsum(J[..., 1:], axis=-1, out=J[..., 1:])
-    J *= geom.area
+    np.add.accumulate(J, axis=-1, out=J)
     return J
 
 

@@ -477,7 +477,8 @@ def nonlocal_decay_fit(trajectory: Trajectory, params: ModelParams, eta: float,
         np.abs(integrand, out=integrand)
         integrand **= params.q - 1.0
         J[i:i + len(chunk)] = _nonlocal_prefix_values(
-            integrand, geom if len(chunk) == 1 else geom.stacked(len(chunk)))[..., grid.M]
+            integrand, geom if len(chunk) == 1 else GridGeometry.stacked([geom] * len(chunk))
+        )[..., grid.M]
     keep = (s > 0.0) & (s < 1.0) & (J > 0.0)
     if not np.any(keep):
         raise ValueError("insufficient window: no usable (T-t, J) samples")

@@ -24,9 +24,12 @@ and one step from u = U_1 takes, for i = 2, 3, 4,
     (I - gamma*dt*L) U_i = b_i = u + dt * sum_j<i a^ij N(U_j) + sum_1<j<i a_ij dt*L U_j.
 
 L is never applied to a stage: each solve gives U_i - b_i = gamma*dt*L U_i,
-so the later right-hand sides take dt*L U_i as (U_i - b_i)/gamma, which
-needs no stencil.  The implicit weights are the last implicit row (the
-scheme is stiffly accurate in its implicit part), so
+so the later right-hand sides take gamma*dt*L U_i as U_i - b_i, as it comes
+out of the solve, with their implicit coefficients divided by gamma; this
+holds for any implicit operator fixed over the step and needs no stencil.
+dt is folded into the explicit coefficients and the final weights, so a
+right-hand side is one pass per term.  The implicit weights are the last
+implicit row (the scheme is stiffly accurate in its implicit part), so
 
     u_new = U_4 + dt * (-a^41 N(U_1) + (beta1 - a^42) N(U_2) + (beta2 - a^43) N(U_3)
                         + gamma N(U_4)).
@@ -49,14 +52,15 @@ own scalars as Python floats (step size, Kahan-summed time, cap, budget,
 snapshot schedule) and leaves the batch when it stops.  A single run is a
 batch of one (:func:`run_until_blowup`, :func:`continue_run`), held as a
 1-D field, as ``fields._block`` holds one.  The step and its solves are
-one code path for both layouts, apart from the step size, a Python float
-for one run and a column of the rows' step sizes for a block; the single
-row's own path lives in the kernels (``fields``, :func:`_explicit_values`,
-:func:`_sups`).  Every row is bit-identical to its run stepped alone:
-``_Batch`` says what that takes.  ``_Batch`` decides the explicit term's
-coefficients and builds the grid's fixed geometry, the Laplacian bands and
-reused buffers once per batch, and ``_advance`` holds one ``np.errstate``
-scope around the step loop.  Runs are deterministic: identical config and
+one code path for both layouts, apart from the step size and the weights
+it scales, Python floats for one run and columns of the rows' values for
+a block; the single row's own path lives in the kernels (``fields``,
+:func:`_explicit_values`, :func:`_sups`).  Every row is bit-identical to
+its run stepped alone: ``_Batch`` says what that takes.  ``_Batch``
+decides the explicit term's coefficients and builds the grid's fixed
+geometry, with each row's mu and the gradient's 1/(2h) in its panel
+weights, the Laplacian bands and reused buffers once per batch, and
+``_advance`` holds one ``np.errstate`` scope around the step loop.  Runs are deterministic: identical config and
 initial data give bit-identical trajectories, alone or in any batch.
 
 Near the cap the physical time increments drop below the floating-point
@@ -102,12 +106,14 @@ import numpy as np
 from .fields import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
+    BOUNDARY_NEUMANN,
     GridGeometry,
     NonFiniteFieldError,
     RadialField,
     RadialGrid,
     _block,
     _fields,
+    _flat,
     _gradient_values,
     _laplacian_bands,
     _last_node,
@@ -155,14 +161,16 @@ ARCHIVE_VERSION = 6  # 1 was the JSON checkpoint that held the history apart;
 
 # ARS(3,4,3) coefficients (see the module docstring): gamma, the implicit
 # diagonal; the rows of stages 2-4 left of it, explicit on N(U_1..U_i-1) and
-# implicit on dt*L U_2..U_i-1; and the weights of N(U_1..U_4) in u_new - U_4,
-# the explicit weights (0, beta1, beta2, gamma) less the last explicit row
+# implicit on gamma*dt*L U_2..U_i-1 (so divided by gamma); and the weights
+# of N(U_1..U_4) in u_new - U_4, the explicit weights (0, beta1, beta2,
+# gamma) less the last explicit row
 _ARS_GAMMA = 0.4358665215
 _ARS_BETA = (-1.5 * _ARS_GAMMA ** 2 + 4.0 * _ARS_GAMMA - 0.25,
              1.5 * _ARS_GAMMA ** 2 - 5.0 * _ARS_GAMMA + 1.25)
 _ARS_EXPLICIT = ((_ARS_GAMMA,), (0.3212788860, 0.3966543747),
                  (-0.105858296, 0.5529291479, 0.5529291479))
-_ARS_IMPLICIT = ((), ((1.0 - _ARS_GAMMA) / 2.0,), _ARS_BETA)
+_ARS_IMPLICIT = tuple(tuple(a / _ARS_GAMMA for a in row)
+                      for row in ((), ((1.0 - _ARS_GAMMA) / 2.0,), _ARS_BETA))
 _ARS_FINAL = tuple(w - a for w, a in zip((0.0, *_ARS_BETA, _ARS_GAMMA),
                                          (*_ARS_EXPLICIT[2], 0.0)))
 
@@ -335,25 +343,31 @@ def _explicit_values(u: np.ndarray, batch: _Batch, out: np.ndarray) -> np.ndarra
     """The explicit part of the right-hand side, |u|^(p-1) u + mu |du/dr| J,
     of a 1-D field or of each row of a padded block, written into ``out``.
 
+    The prefix sums' panel weights carry mu/(2h) (see ``_Batch``), so
+    mu |du/dr| J is |u_{i+1} - u_{i-1}| times the prefix.  At r = 0 the
+    prefix is 0, under neumann du/dr is 0 at r = R, and under dirichlet the
+    node at r = R is 0, so the gradient's closures are never formed.
+
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``: overflow
     here is an expected condition, detected by the caller's finiteness test.
     """
     abs_u = np.abs(u)
     _powers(abs_u, batch.p_minus_1, out)
     out *= u
-    if batch.mu is not None:
+    if batch.geom is not None:
         rows = batch.nonlocal_rows
         if rows is not None:
             u, abs_u = u[rows], abs_u[rows]
-        g = _gradient_values(u, batch.geom.h, batch.boundary)
         J = _nonlocal_prefix_values(_powers(abs_u, batch.q_minus_1), batch.geom)
-        np.abs(g, out=g)
-        g *= batch.mu
-        g *= J
+        flat = _flat(u)
+        inner = _flat(J)[1:-1]
+        inner *= np.abs(np.subtract(flat[2:], flat[:-2]))
+        if batch.boundary == BOUNDARY_NEUMANN:
+            J.T[_last_node(J)] = 0.0
         if rows is None:
-            out += g
+            out += J
         else:
-            out[rows] += g
+            out[rows] += J
     if batch.boundary == BOUNDARY_DIRICHLET:
         out.T[_last_node(out)] = 0.0
     return out
@@ -398,11 +412,13 @@ class _Batch:
     on a block and on a run of its rows, which keeps each row bit-identical
     to its run stepped alone; a (k, 1) column of the rows' exponents does
     not (with numpy 2.4 on AVX-512, at 2.0 and 0.5 it changed 26 and 55 of
-    1,027 wide-range values per row).  mu is one float when the rows share
-    it and a column otherwise.  The rows with mu == 0 come last and skip
-    the nonlocal term, as a single run does: adding +0 would turn -0 cells
-    into +0.  ``nonlocal_rows`` is None when every row has the term, so a
-    single run takes no views, and ``geom`` is those rows' geometry.
+    1,027 wide-range values per row).  The rows with mu == 0 come last and
+    skip the nonlocal term, as a single run does: adding +0 would turn -0
+    cells into +0.  ``nonlocal_rows`` is None when every row has the term,
+    so a single run takes no views, and ``geom`` is those rows' geometry,
+    None when no row has the term.  Its panel weights carry sigma_N/2, the
+    row's mu and the gradient's 1/(2h); each row's are built as a run
+    stepped alone builds them, so they have its bits.
     """
 
     def __init__(self, params: list[ModelParams], grid: RadialGrid, boundary: str):
@@ -413,11 +429,9 @@ class _Batch:
         self.boundary = boundary
         self.p_minus_1 = _runs([pr.p - 1.0 for pr in params])
         self.q_minus_1 = _runs([pr.q - 1.0 for pr in params[:n_nl]])
-        mu = [pr.mu for pr in params[:n_nl]]
-        self.mu = None if not mu else mu[0] if len(set(mu)) == 1 else np.array(mu)[:, None]
         self.nonlocal_rows = None if n_nl == k else slice(0, n_nl)
-        geom = GridGeometry.of(grid)
-        self.geom = geom if k == 1 or n_nl == 0 else geom.stacked(n_nl)
+        geoms = [GridGeometry.of(grid, pr.mu / (2.0 * grid.h)) for pr in params[:n_nl]]
+        self.geom = None if not geoms else geoms[0] if k == 1 else GridGeometry.stacked(geoms)
         # -L's off-diagonals and L's diagonal, with +0 coupling and a 0
         # diagonal in the separators' rows: scaled by gamma*dt >= 0, they
         # give those rows' identity and +0 coupling
@@ -446,8 +460,8 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     field ``u`` or of every row of its padded block ``u``, row i by
     ``dts[i]``."""
     n, sides = batch.work, batch.sides
-    # a single row multiplies by a Python float, as a scalar step does, and
-    # a block by the column of its rows' step sizes
+    # a single row multiplies by Python floats, as a scalar step does, and a
+    # block by columns of its rows' values
     dt = dts[0] if u.ndim == 1 else np.array(dts)[:, None]
     gdt = _ARS_GAMMA * dt
     # LU of I - gamma*dt*L, shared by the three solves; band entry i couples
@@ -465,29 +479,26 @@ def _ars343(u: np.ndarray, dts: list[float], batch: _Batch) -> np.ndarray:
     stage = u
     for i, (explicit, implicit) in enumerate(zip(_ARS_EXPLICIT, _ARS_IMPLICIT)):
         _explicit_values(stage, batch, out=n[i])
-        # b = u + dt * sum_j a^_ij N_j + sum_j a_ij dt*L U_j, the sides
-        # before this one holding their stages' dt*L U_j
+        # b = u + sum_j a^_ij dt N_j + sum_j (a_ij/gamma) gamma*dt*L U_j, the
+        # sides before this one holding their stages' gamma*dt*L U_j
         b = sides[i]
-        np.multiply(n[0], explicit[0], out=b)
+        np.multiply(n[0], explicit[0] * dt, out=b)
         for n_j, a in zip(n[1:], explicit[1:]):
-            np.multiply(n_j, a, out=tmp)
+            np.multiply(n_j, a * dt, out=tmp)
             b += tmp
-        b *= dt
         b += u
         for lu_j, a in zip(sides, implicit):
             np.multiply(lu_j, a, out=tmp)
             b += tmp
         stage = batch.solve(lu, i)
-        if i < 2:  # this stage's dt*L U, recovered from its solve
+        if i < 2:  # this stage's gamma*dt*L U, recovered from its solve
             np.subtract(stage, b, out=b)
-            b /= _ARS_GAMMA
     _explicit_values(stage, batch, out=n[3])
-    # u_new = U4 + dt * sum_j w_j N_j, accumulated in N4's buffer
-    n[3] *= _ARS_FINAL[3]
+    # u_new = U4 + sum_j w_j dt N_j, accumulated in N4's buffer
+    n[3] *= _ARS_FINAL[3] * dt
     for n_j, w in zip(n[:3], _ARS_FINAL):
-        n_j *= w
+        n_j *= w * dt
         n[3] += n_j
-    n[3] *= dt
     stage += n[3]
     stage[batch.padding] = 0.0
     return stage

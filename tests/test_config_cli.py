@@ -123,6 +123,11 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     path = write_config(tmp_path, "boundary = sideways\n")
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "boundary must be one of" in capsys.readouterr().err
+    path = write_config(tmp_path, "M = 512\n# a smaller grid\nM = 64\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}:3: M is set again "
+                                       "(first on line 1)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -132,7 +137,10 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     ("t_max = -1", "t_max must be none or positive, got -1.0"),
 ], ids=["cap-negative", "cap-nan", "t_max-nan", "t_max-negative"])
 def test_run_refuses_a_bad_cap_or_t_max(tmp_path, capsys, line, message):
-    path = write_config(tmp_path, f"{TINY_CONFIG}{line}\n")
+    # the line takes the place of TINY_CONFIG's own line for its key
+    key = line.split(" = ")[0]
+    text = "".join(row for row in TINY_CONFIG.splitlines(True) if not row.startswith(f"{key} ="))
+    path = write_config(tmp_path, f"{text}{line}\n")
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err

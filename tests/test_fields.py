@@ -135,7 +135,8 @@ def test_padded_block_kernels_are_the_1d_kernels_row_by_row(dim, boundary):
         outputs = [
             (_gradient_values(block, grid.h, boundary),
              [_gradient_values(f, grid.h, boundary) for f in fields]),
-            (_nonlocal_prefix_values(np.abs(block) ** 2.0, geom.stacked(3)),
+            (_nonlocal_prefix_values(np.abs(block) ** 2.0,
+                                     GridGeometry.stacked([geom] * 3)),
              [_nonlocal_prefix_values(np.abs(f) ** 2.0, geom) for f in fields]),
         ]
     for padded, alone in outputs:

@@ -35,7 +35,7 @@ def test_two_runs_compare_equal_and_a_change_is_named(tmp_path, capsys):
     csv[-2] = ord("0") if csv[-2] != ord("0") else ord("1")
     (b / "trajectory.csv").write_bytes(bytes(csv))
     assert tool.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "differs  trajectory.csv\n"
+    assert capsys.readouterr().out.startswith("differs  trajectory.csv  max rel ")
 
     (a / "trajectory.csv").write_bytes(bytes(csv))
     (b / "field_final.csv").unlink()
@@ -62,11 +62,34 @@ def test_results_that_differ_are_named(tmp_path, capsys):
     changed[2, 1] = -1.0
     np.savez_compressed(b / "run.npz", x=np.arange(3.0), v=changed)
     assert tool.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "differs  run.npz\n"
+    assert capsys.readouterr().out == "differs  run.npz  max rel 1.1\n"  # 9 against -1
     (b / "summary.json").write_text('{"t": 1.5}')
     np.savez_compressed(b / "run.npz", x=np.arange(3))
     assert tool.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "differs  run.npz\ndiffers  summary.json\n"
+    # the archive's numbers are equal (an int x and no v): only its dtype differs
+    assert capsys.readouterr().out == ("differs  run.npz  max rel 0\n"
+                                       "differs  summary.json  max rel 0.33\n")
+
+
+def test_a_differs_line_reads_the_largest_relative_difference(tmp_path, capsys):
+    """One float perturbed in each kind of file is read back, as
+    |a - b| / max(|a|, |b|), at its place: an archive member, a JSON key
+    path (a volatile key is no number of the results), a CSV cell and a
+    number in other text."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, x, t, u, T in ((a, 2.0, 3.0, 2.0, 0.5), (b, 2.0 * (1.0 + 1e-9), 3.3, 2.5, 0.25)):
+        out.mkdir()
+        np.savez_compressed(out / "run.npz", x=np.array([1.0, x, 4.0]), n=np.arange(2))
+        (out / "summary.json").write_text(
+            f'{{"a": {{"b": [1.0, {t!r}]}}, "wall_s": {t + 1.0!r}, "name": "x"}}')
+        (out / "field.csv").write_text(f"# t: 0.1\nr,u\n0.0,{u!r}\n1.0,0.0\n")
+        (out / "run.stdout").write_text(f"run\n  T_est={T!r}  steps=439\n")
+    tool = _tool()
+    assert tool.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ("differs  field.csv  max rel 0.2\n"
+                                       "differs  run.npz  max rel 1e-09\n"
+                                       "differs  run.stdout  max rel 0.5\n"
+                                       "differs  summary.json  max rel 0.091\n")
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,13 @@ holds:
 Two files hold the same results when their normal forms have the same
 SHA-256.  ``A B`` prints each file that differs, is missing from B or is
 extra in B, one per line, and exits 1 if there is any; otherwise exits 0.
+A ``differs`` line ends with the largest relative difference,
+|a - b| / max(|a|, |b|), of the numbers the two files hold at the same
+place: the members of an ``.npz`` archive of equal name and shape, the
+numbers of a ``.json`` file at the same key path, the cells of a ``.csv``
+file that parse as floats at the same row and column, and the numbers in
+the text of any other file, in order, when both hold equally many.  It is
+0 when only something else differs (a shape, a text, a count).
 ``--digest A`` prints, as JSON, the SHA-256 of each file of A under its
 path relative to A, with the numpy and scipy versions and the CPU features
 numpy dispatches to here: a float result, and so its digest, may differ
@@ -27,8 +34,10 @@ under another of them.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import re
 import sys
 import zipfile
 from pathlib import Path
@@ -81,9 +90,10 @@ def digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def diff(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+def diff(expected: dict[str, str], actual: dict[str, str], detail=None) -> list[str]:
     """One line per path of two digest maps that differs, is missing from
-    ``actual`` or is extra in it, in path order."""
+    ``actual`` or is extra in it, in path order; ``detail(rel)``, when
+    given, ends each ``differs`` line."""
     lines = []
     for rel in sorted(expected.keys() | actual.keys()):
         if rel not in actual:
@@ -91,13 +101,76 @@ def diff(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
         elif rel not in expected:
             lines.append(f"extra    {rel}")
         elif expected[rel] != actual[rel]:
-            lines.append(f"differs  {rel}")
+            lines.append(f"differs  {rel}" + ("" if detail is None else f"  {detail(rel)}"))
     return lines
 
 
 def compare(a: Path, b: Path) -> list[str]:
-    """:func:`diff` of the trees ``a`` and ``b``."""
-    return diff(digests(a), digests(b))
+    """:func:`diff` of the trees ``a`` and ``b``, each ``differs`` line
+    with the largest relative difference of the file's numbers."""
+    return diff(digests(a), digests(b),
+                lambda rel: f"max rel {largest_relative(a / rel, b / rel):.2g}")
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _json_numbers(x, y) -> list[tuple[float, float]]:
+    """The pairs of numbers of two parsed JSON documents at the same key path."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return [pair for key in x.keys() & y.keys() for pair in _json_numbers(x[key], y[key])]
+    if isinstance(x, list) and isinstance(y, list):
+        return [pair for u, v in zip(x, y) for pair in _json_numbers(u, v)]
+    if {type(x), type(y)} <= {int, float}:  # not bool, whose type is its own
+        return [(float(x), float(y))]
+    return []
+
+
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _number_pairs(a: Path, b: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers the files ``a`` and ``b`` hold at the same place (see
+    the module docstring), as two flat float arrays."""
+    if a.suffix == ".npz":
+        with np.load(a) as x, np.load(b) as y:
+            members = [(x[name], y[name]) for name in set(x.files) & set(y.files)]
+        members = [(u.ravel(), v.ravel()) for u, v in members if u.shape == v.shape
+                   and u.dtype.kind in "biuf" and v.dtype.kind in "biuf"]
+        return tuple(np.concatenate([np.empty(0)] + [pair[i] for pair in members])
+                     for i in (0, 1))
+    if a.suffix == ".json":
+        pairs = _json_numbers(_stable(json.loads(a.read_text())),
+                              _stable(json.loads(b.read_text())))
+    elif a.suffix == ".csv":
+        rows = zip(*(csv.reader(path.read_text().splitlines()) for path in (a, b)))
+        pairs = [(_float(u), _float(v)) for x, y in rows for u, v in zip(x, y)]
+        pairs = [(u, v) for u, v in pairs if u is not None and v is not None]
+    else:
+        x, y = (_NUMBER.findall(path.read_text()) for path in (a, b))
+        pairs = [(float(u), float(v)) for u, v in zip(x, y)] if len(x) == len(y) else []
+    return np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
+
+
+def largest_relative(a: Path, b: Path) -> float:
+    """The largest |x - y| / max(|x|, |y|) over the numbers x of ``a`` and
+    y of ``b`` at the same place; inf where one is not finite and the
+    other differs, 0 when no number differs."""
+    try:
+        x, y = _number_pairs(a, b)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # as ``normalized`` reads them
+        return 0.0
+    differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+    if not np.any(differ):
+        return 0.0
+    x, y = x[differ], y[differ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        relative = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    return float(np.max(np.where(np.isfinite(relative), relative, np.inf)))
 
 
 def environment() -> dict:
