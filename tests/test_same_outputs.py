@@ -35,7 +35,9 @@ def test_two_runs_compare_equal_and_a_change_is_named(tmp_path, capsys):
     csv[-2] = ord("0") if csv[-2] != ord("0") else ord("1")
     (b / "trajectory.csv").write_bytes(bytes(csv))
     assert tool.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out.startswith("differs  trajectory.csv  max rel ")
+    x, y = (float((out / "trajectory.csv").read_text().split(",")[-1]) for out in (a, b))
+    relative = abs(x - y) / max(abs(x), abs(y))  # the one cell edited
+    assert capsys.readouterr().out == f"differs  trajectory.csv  max rel {relative:.2g}\n"
 
     (a / "trajectory.csv").write_bytes(bytes(csv))
     (b / "field_final.csv").unlink()
@@ -74,8 +76,8 @@ def test_results_that_differ_are_named(tmp_path, capsys):
 def test_a_differs_line_reads_the_largest_relative_difference(tmp_path, capsys):
     """One float perturbed in each kind of file is read back, as
     |a - b| / max(|a|, |b|), at its place: an archive member, a JSON key
-    path (a volatile key is no number of the results), a CSV cell and a
-    number in other text."""
+    path (a volatile key is no number of the results) and a CSV cell.  A
+    file whose numbers are not compared reads n/a, not 0."""
     a, b = tmp_path / "a", tmp_path / "b"
     for out, x, t, u, T in ((a, 2.0, 3.0, 2.0, 0.5), (b, 2.0 * (1.0 + 1e-9), 3.3, 2.5, 0.25)):
         out.mkdir()
@@ -88,7 +90,7 @@ def test_a_differs_line_reads_the_largest_relative_difference(tmp_path, capsys):
     assert tool.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == ("differs  field.csv  max rel 0.2\n"
                                        "differs  run.npz  max rel 1e-09\n"
-                                       "differs  run.stdout  max rel 0.5\n"
+                                       "differs  run.stdout  max rel n/a\n"
                                        "differs  summary.json  max rel 0.091\n")
 
 

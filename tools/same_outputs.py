@@ -24,9 +24,10 @@ A ``differs`` line ends with the largest relative difference,
 |a - b| / max(|a|, |b|), of the numbers the two files hold at the same
 place: the members of an ``.npz`` archive of equal name and shape, the
 numbers of a ``.json`` file at the same key path, the cells of a ``.csv``
-file that parse as floats at the same row and column, and the numbers in
-the text of any other file, in order, when both hold equally many.  It is
-0 when only something else differs (a shape, a text, a count).
+file that parse as floats at the same row and column.  It is 0 when
+numbers were compared and only something else differs (a dtype, a text),
+and ``n/a`` when no pair of numbers could be compared (another kind of
+file, members of unequal shapes, a file that does not parse).
 ``--digest A`` prints, as JSON, the SHA-256 of each file of A under its
 path relative to A, with the numpy and scipy versions and the CPU features
 numpy dispatches to here: a float result, and so its digest, may differ
@@ -37,7 +38,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import re
 import sys
 import zipfile
 from pathlib import Path
@@ -90,10 +90,9 @@ def digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def diff(expected: dict[str, str], actual: dict[str, str], detail=None) -> list[str]:
+def diff(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     """One line per path of two digest maps that differs, is missing from
-    ``actual`` or is extra in it, in path order; ``detail(rel)``, when
-    given, ends each ``differs`` line."""
+    ``actual`` or is extra in it, in path order."""
     lines = []
     for rel in sorted(expected.keys() | actual.keys()):
         if rel not in actual:
@@ -101,18 +100,20 @@ def diff(expected: dict[str, str], actual: dict[str, str], detail=None) -> list[
         elif rel not in expected:
             lines.append(f"extra    {rel}")
         elif expected[rel] != actual[rel]:
-            lines.append(f"differs  {rel}" + ("" if detail is None else f"  {detail(rel)}"))
+            lines.append(f"differs  {rel}")
     return lines
 
 
 def compare(a: Path, b: Path) -> list[str]:
     """:func:`diff` of the trees ``a`` and ``b``, each ``differs`` line
     with the largest relative difference of the file's numbers."""
-    return diff(digests(a), digests(b),
-                lambda rel: f"max rel {largest_relative(a / rel, b / rel):.2g}")
-
-
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+    lines = diff(digests(a), digests(b))
+    for i, line in enumerate(lines):
+        if line.startswith("differs  "):
+            rel = line.removeprefix("differs  ")
+            largest = largest_relative(a / rel, b / rel)
+            lines[i] += "  max rel " + ("n/a" if largest is None else f"{largest:.2g}")
+    return lines
 
 
 def _json_numbers(x, y) -> list[tuple[float, float]]:
@@ -135,7 +136,8 @@ def _float(cell: str) -> float | None:
 
 def _number_pairs(a: Path, b: Path) -> tuple[np.ndarray, np.ndarray]:
     """The numbers the files ``a`` and ``b`` hold at the same place (see
-    the module docstring), as two flat float arrays."""
+    the module docstring), as two flat float arrays: empty for a file that
+    is no ``.npz``, ``.json`` or ``.csv``."""
     if a.suffix == ".npz":
         with np.load(a) as x, np.load(b) as y:
             members = [(x[name], y[name]) for name in set(x.files) & set(y.files)]
@@ -151,19 +153,20 @@ def _number_pairs(a: Path, b: Path) -> tuple[np.ndarray, np.ndarray]:
         pairs = [(_float(u), _float(v)) for x, y in rows for u, v in zip(x, y)]
         pairs = [(u, v) for u, v in pairs if u is not None and v is not None]
     else:
-        x, y = (_NUMBER.findall(path.read_text()) for path in (a, b))
-        pairs = [(float(u), float(v)) for u, v in zip(x, y)] if len(x) == len(y) else []
+        pairs = []
     return np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
 
 
-def largest_relative(a: Path, b: Path) -> float:
+def largest_relative(a: Path, b: Path) -> float | None:
     """The largest |x - y| / max(|x|, |y|) over the numbers x of ``a`` and
     y of ``b`` at the same place; inf where one is not finite and the
-    other differs, 0 when no number differs."""
+    other differs, 0 when no number differs, None when there is no pair."""
     try:
         x, y = _number_pairs(a, b)
     except (ValueError, EOFError, zipfile.BadZipFile):  # as ``normalized`` reads them
-        return 0.0
+        return None
+    if x.size == 0:
+        return None
     differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
     if not np.any(differ):
         return 0.0
