@@ -276,10 +276,15 @@ def w_smallness(frame: SimilarityFrame) -> float:
 
 def v_sharp_behavior(frame: SimilarityFrame) -> float:
     """Smallest C with sup |v - v_K0(tau)| <= C / |log(T-t0)|^(1/4) over
-    |xi| up to |log(T-t0)|^(1/4) (clipped to the delivered window)."""
+    |xi| up to |log(T-t0)|^(1/4) (clipped to the delivered window).
+
+    The edge node counts whatever its last bit: on the default xi grid with
+    an even n_half a node sits at the edge up to rounding, so the mask takes
+    a relative slack of 1e-9.  With an odd n_half the nearest node is at
+    least edge/512 away, outside any slack that small."""
     L0 = frame.log_scale
     half = min(L0 ** 0.25, frame.window_eff)
-    mask = np.abs(frame.xi_grid) <= half
+    mask = np.abs(frame.xi_grid) <= half * (1.0 + 1e-9)
     flat = v_K0(frame.tau_grid, frame.K0, frame.params)[:, None]
     return float(np.max(np.abs(frame.v[:, mask] - flat))) * L0 ** 0.25
 

@@ -71,10 +71,21 @@ def test_integral_numeric_tau_to_one_limit():
     assert max(vals) <= 4.0 + 1e-9
 
 
+def per_case_rule(alpha, theta, tau):
+    """I(tau) as the rule was evaluated one case at a time, before blocks."""
+    m = 1.0 / (1.0 - alpha)
+    upper = tau ** (1.0 - alpha)
+    integrand = m * ((1.0 - tau) + (upper * lemmas._NODES) ** m) ** -theta
+    return upper * float(lemmas._WEIGHTS @ integrand)
+
+
 def test_integral_numeric_matches_adaptive_quadrature_on_the_sweep():
     """On the sweep's 400 cases with tau > 0, where QUADPACK is accurate,
-    the fixed rule agrees with it on the same integrand."""
+    the fixed rule agrees with it on the same integrand.  The sweep's
+    (alpha, tau) blocks give each of its 500 values to the bit of the
+    per-case rule."""
     for alpha, theta, tau, numeric, _bound, _ok in integral_sweep().rows:
+        assert numeric == per_case_rule(alpha, theta, tau)
         if tau == 0.0:
             assert numeric == 0.0
             continue
@@ -94,8 +105,21 @@ def test_integral_numeric_matches_adaptive_quadrature_on_the_sweep():
 ], ids=["alpha-0.989", "alpha-0.982", "tau-to-one"])
 def test_integral_numeric_at_the_corners_near_tau_one(alpha, theta, tau, exact):
     """Where 1 - tau is small and m theta large, the integrand falls steeply
-    out of its layer at sigma = 0: these corners set the rule's step."""
-    assert integral_I_numeric(IntegralCase(alpha, theta, tau)) == pytest.approx(exact, rel=1e-8)
+    out of its layer at sigma = 0: these corners set the rule's step.  The
+    value is the per-case rule's to the bit."""
+    value = integral_I_numeric(IntegralCase(alpha, theta, tau))
+    assert value == pytest.approx(exact, rel=1e-8)
+    assert value == per_case_rule(alpha, theta, tau)
+
+
+@settings(max_examples=100)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.0, 1.0 - 1e-12),
+       st.lists(st.floats(0.0, 3.0, exclude_min=True), min_size=1, max_size=12))
+def test_integral_block_rows_are_their_one_theta_values(alpha, tau, thetas):
+    block = lemmas._integral_I_block(alpha, tau, np.array(thetas))
+    assert len(block) == len(thetas)
+    for theta, value in zip(thetas, block):
+        assert value == integral_I_numeric(IntegralCase(alpha, theta, tau))
 
 
 @settings(max_examples=200)
@@ -136,9 +160,10 @@ def test_integral_sweep_fault_injection(monkeypatch):
 
 def test_integral_sweep_names_a_nan_case(monkeypatch):
     """A NaN quadrature fails its case, and that case is the one reported."""
-    numeric = lemmas.integral_I_numeric
-    monkeypatch.setattr(lemmas, "integral_I_numeric",
-                        lambda c: math.nan if c.tau == 0.5 and c.theta > 1.0 else numeric(c))
+    block = lemmas._integral_I_block
+    monkeypatch.setattr(lemmas, "_integral_I_block", lambda alpha, tau, thetas: [
+        math.nan if tau == 0.5 and theta > 1.0 else value
+        for theta, value in zip(thetas, block(alpha, tau, thetas))])
     bad = integral_sweep()
     assert bad.n_failed == 40  # 10 alphas x 4 thetas above 1
     assert math.isnan(bad.worst_margin)

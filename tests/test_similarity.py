@@ -199,6 +199,25 @@ def test_v_sharp_zero_for_exact_flat_solution(default_params):
     assert v_sharp_behavior(frame) == 0.0
 
 
+def test_v_sharp_counts_the_edge_node_whatever_its_last_bit(default_params):
+    """On the default xi grid with an even n_half (32 here) a node sits at
+    the mask's edge |log(T-t0)|^(1/4) up to rounding; moving every node by
+    4 ulp either way must not drop that node's column from the sup."""
+    s0 = 1e-3
+    edge = abs(math.log(s0)) ** 0.25
+    tau = np.linspace(0.0, 0.99, 20)
+    xi = np.linspace(-2.0 * edge, 2.0 * edge, 65)
+    v = np.tile(v_K0(tau, 4.0, default_params)[:, None], (1, 65))
+    v[:, np.abs(xi) < 0.9 * edge] += 0.01
+    v[:, [16, 48]] += 0.5  # the edge nodes hold the largest deviation
+    eps = np.finfo(float).eps
+    values = [v_sharp_behavior(_manual_frame(default_params, v, np.zeros_like(v), tau,
+                                             xi * scale, s0=s0))
+              for scale in (1.0, 1.0 - 4.0 * eps, 1.0 + 4.0 * eps)]
+    assert values[0] == pytest.approx(0.5 * edge, rel=1e-12)
+    assert values[1] == values[0] and values[2] == values[0]
+
+
 def test_boundedness_report(default_params):
     tau = np.linspace(0.0, 0.9, 10)
     xi = np.linspace(-2.0, 2.0, 21)
